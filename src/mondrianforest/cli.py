@@ -6,9 +6,10 @@ full configuration into the report it writes, and identical invocations
 produce byte-identical artifacts (timings never enter the output).
 
 Exit codes: 0 on success with all verdicts passing, 1 when any verdict
-fails, 2 on usage errors (bad flags, bad config files, violated
-preconditions).  The seed resolution order is ``--seed``, then the config
-file, then the ``MF_SEED`` environment variable, then 0.
+fails, 2 on usage errors (bad flags, bad config or model files, violated
+preconditions, an exhausted split budget).  The seed resolution order is
+``--seed``, then the config file, then the ``MF_SEED`` environment
+variable, then 0.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .estimators import (
     lifetime_schedule,
     model_from_json,
     model_to_json,
+    predict_class,
 )
 from .harness import ExperimentReport, SyntheticTask
-from .partition import BoxRegion, partition_to_json, sample_mondrian
+from .partition import BoxRegion, SplitLimitError, partition_to_json, sample_mondrian
 from .rng import RngStream
 
 USAGE_ERROR = 2
@@ -424,7 +426,7 @@ def _cmd_predict(cfg: dict) -> int:
         X = np.asarray([cfg["point"]], dtype=np.float64)
     else:
         X, _, _ = _read_csv_matrix(cfg["data"])
-    values = model.predict_class(X) if cfg["classify"] else model.predict(X)
+    values = predict_class(model, X) if cfg["classify"] else model.predict(X)
     if cfg["format"] == "csv":
         lines = ["prediction"] + [repr(v) if isinstance(v, float) else str(v)
                                   for v in np.asarray(values).tolist()]
@@ -460,7 +462,7 @@ def run(argv=None) -> int:
     try:
         cfg = _resolve_options(args, _SUBCOMMANDS[args.subcommand])
         return _HANDLERS[args.subcommand](cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, SplitLimitError) as exc:
         print(f"mondrian-forest {args.subcommand}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

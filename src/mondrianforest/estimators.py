@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,10 @@ def _scaled_ints(y: np.ndarray) -> list[int]:
     mants = (m * _MANT).astype(np.int64).tolist()
     shifts = (e.astype(np.int64) + (_SCALE_BITS - 53)).tolist()
     return [(mant << s) if s >= 0 else (mant >> (-s)) for mant, s in zip(mants, shifts)]
+
+
+# a leaf's exact sum is at most its count times this (the largest float)
+_MAX_SCALED = _scaled_int(sys.float_info.max)
 
 
 def _scaled_to_float(total: int) -> float:
@@ -194,7 +199,7 @@ def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_prepared(partition: MondrianPartition, X: np.ndarray, scaled: list[int]) -> MondrianTreeModel:
-    n_leaves = partition._flat_arrays()[5]
+    n_leaves = partition.n_leaves
     if X.shape[0] == 0:
         return MondrianTreeModel(partition, np.zeros(n_leaves, dtype=np.int64), [0] * n_leaves, 0)
     ranks = partition.leaf_indices(X)
@@ -263,10 +268,7 @@ class MondrianForestModel:
 
     def predict_class(self, x):
         """Plug-in classifier: 1 where the regression estimate is >= 1/2."""
-        pred = self.predict(x)
-        if np.ndim(pred) == 0:
-            return int(pred >= 0.5)
-        return (pred >= 0.5).astype(np.int64)
+        return predict_class(self, x)
 
 
 def fit_forest(
@@ -309,9 +311,12 @@ def predict_forest(model: MondrianForestModel, x):
     return model.predict(x)
 
 
-def predict_class(model: MondrianForestModel, x):
-    """Plug-in class label(s); a value of exactly 1/2 maps to class 1."""
-    return model.predict_class(x)
+def predict_class(model, x):
+    """Plug-in class label(s) of a forest or tree model; exactly 1/2 maps to class 1."""
+    pred = model.predict(x)
+    if np.ndim(pred) == 0:
+        return int(pred >= 0.5)
+    return (pred >= 0.5).astype(np.int64)
 
 
 _LIFETIME_EXPONENTS = {
@@ -373,16 +378,39 @@ def tree_model_to_dict(model: MondrianTreeModel) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tree_model_from_dict(data: dict) -> MondrianTreeModel:
-    if data.get("schema") != TREE_MODEL_SCHEMA:
-        raise ValueError(f"unsupported tree model schema: {data.get('schema')!r}")
-    partition = partition_from_dict(data["partition"])
-    stats = data["leaf_stats"]
-    if len(stats) != partition.n_leaves:
-        raise ValueError("leaf_stats length does not match the partition")
-    counts = np.array([int(c) for c, _ in stats], dtype=np.int64)
-    totals = [int(t) for _, t in stats]
-    return MondrianTreeModel(partition, counts, totals, int(data["n_seen"]))
+    """Inverse of :func:`tree_model_to_dict`; ValueError for a malformed document.
+
+    Beyond the partition checks, every leaf needs a count >= 0 and an exact
+    sum no larger in magnitude than ``count`` times the largest float, and
+    the counts must add up to ``n_seen``.
+    """
+    try:
+        if data.get("schema") != TREE_MODEL_SCHEMA:
+            raise ValueError(f"unsupported tree model schema: {data.get('schema')!r}")
+        partition = partition_from_dict(data["partition"])
+        stats = data["leaf_stats"]
+        if not isinstance(stats, list) or len(stats) != partition.n_leaves:
+            raise ValueError("leaf_stats length does not match the partition")
+        counts, totals = [], []
+        for entry in stats:
+            if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0])
+                    and entry[0] >= 0 and isinstance(entry[1], str)):
+                raise ValueError(f"malformed leaf_stats entry: {entry!r}")
+            counts.append(entry[0])
+            totals.append(int(entry[1]))
+            if abs(totals[-1]) > counts[-1] * _MAX_SCALED:
+                raise ValueError(f"leaf_stats sum out of range for count {counts[-1]}")
+        n_seen = data["n_seen"]
+        if not _is_int(n_seen) or n_seen != sum(counts):
+            raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
+        return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals, n_seen)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed tree model: {exc!r}") from None
 
 
 def forest_model_to_dict(model: MondrianForestModel) -> dict:
@@ -395,13 +423,19 @@ def forest_model_to_dict(model: MondrianForestModel) -> dict:
 
 
 def forest_model_from_dict(data: dict) -> MondrianForestModel:
-    if data.get("schema") != FOREST_MODEL_SCHEMA:
-        raise ValueError(f"unsupported forest model schema: {data.get('schema')!r}")
-    trees = [tree_model_from_dict(t) for t in data["trees"]]
-    master_seed = data["master_seed"]
-    if isinstance(master_seed, list):
-        master_seed = tuple(master_seed)
-    return MondrianForestModel(trees, float(data["lifetime"]), master_seed)
+    """Inverse of :func:`forest_model_to_dict`; ValueError for a malformed document."""
+    try:
+        if data.get("schema") != FOREST_MODEL_SCHEMA:
+            raise ValueError(f"unsupported forest model schema: {data.get('schema')!r}")
+        if not isinstance(data["trees"], list):
+            raise ValueError("trees must be a list")
+        trees = [tree_model_from_dict(t) for t in data["trees"]]
+        master_seed = data["master_seed"]
+        if isinstance(master_seed, list):
+            master_seed = tuple(master_seed)
+        return MondrianForestModel(trees, float(data["lifetime"]), master_seed)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed forest model: {exc!r}") from None
 
 
 def model_to_json(model) -> str:
@@ -414,7 +448,7 @@ def model_to_json(model) -> str:
 
 def model_from_json(text: str):
     data = json.loads(text)
-    schema = data.get("schema")
+    schema = data.get("schema") if isinstance(data, dict) else None
     if schema == FOREST_MODEL_SCHEMA:
         return forest_model_from_dict(data)
     if schema == TREE_MODEL_SCHEMA:

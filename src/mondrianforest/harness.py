@@ -877,9 +877,8 @@ def _exact_classifier_risk_1d(model, eta_antiderivative) -> float:
     """
     points = [0.0, 1.0]
     for tree in model.trees:
-        for node in tree.partition.iter_nodes():
-            if node.split is not None:
-                points.append(node.split.threshold)
+        part = tree.partition
+        points.extend(part.threshold[part.split_dim >= 0].tolist())
     edges = np.unique(np.asarray(points, dtype=np.float64))
     mids = 0.5 * (edges[:-1] + edges[1:])
     decisions = model.predict_class(mids[:, None])

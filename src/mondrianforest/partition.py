@@ -5,14 +5,28 @@ each born at a random time: a cell with linear dimension ``|C|`` (the sum of
 its side lengths) waits an Exp(|C|) time, then splits along axis ``j`` with
 probability proportional to its side length, at a threshold uniform on that
 side.  The recursion stops at a lifetime ``lambda``; every leaf keeps the
-candidate split time that exceeded the lifetime (its *pending clock*), which
-makes lifetime extension exact: extending to a larger lifetime and pruning
-back reproduces the original partition node for node.
+candidate split time that exceeded the lifetime (its *pending clock*).
+
+A :class:`MondrianPartition` stores its root box, lifetime, provenance and
+four read-only node arrays in preorder (left subtree first): ``split_dim``
+(-1 at a leaf), ``threshold``, ``clock`` (the split time of an internal node,
+the pending clock of a leaf) and ``right`` (the right child's index; the left
+child of node ``i`` is ``i + 1``).  Birth times (the parent's clock), cell
+boxes and leaf ranks are derived when asked for; :class:`PartitionNode` is a
+read-only view of one node.
+
+A node's clock never changes once drawn: :func:`prune` turns a node whose
+split time is past the new lifetime into a leaf with that pending clock, and
+:func:`extend` splits a leaf whose pending clock is within the new lifetime
+at exactly that clock.  This makes lifetime extension exact: extending and
+pruning back reproduces the original partition node for node.
 
 Conventions, fixed so that sampling is bit-reproducible:
 
 * draw order per cell is clock, then split axis, then threshold;
   the left subtree is always processed before the right one;
+* a cell's linear dimension is summed in numpy's order (sequential below
+  8 axes, pairwise from 8 on), as ``(upper - lower).sum()`` does;
 * a point equal to a threshold belongs to the left child (closed-left);
 * thresholds are redrawn if they land exactly on a cell boundary;
 * degenerate cells (``|C| == 0``) never split and carry an infinite
@@ -21,8 +35,11 @@ Conventions, fixed so that sampling is bit-reproducible:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,53 +231,110 @@ class SplitRecord:
     time: float
 
 
+@dataclass(frozen=True, eq=False)
 class PartitionNode:
-    """Node of a Mondrian partition tree.
+    """Read-only view of node ``index`` of a :class:`MondrianPartition`.
 
     Internal nodes carry a :class:`SplitRecord` and two children; leaves
     carry a pending clock, the already-drawn candidate split time that
-    exceeded the partition lifetime (``inf`` for degenerate cells).
+    exceeded the partition lifetime (``inf`` for degenerate cells).  Reaching
+    a node twice gives the same view while either reference is alive.
     """
 
-    __slots__ = ("box", "birth_time", "split", "left", "right", "pending_clock")
-
-    def __init__(self, box, birth_time, split=None, left=None, right=None, pending_clock=None):
-        self.box = box
-        self.birth_time = birth_time
-        self.split = split
-        self.left = left
-        self.right = right
-        self.pending_clock = pending_clock
+    partition: "MondrianPartition"
+    index: int
+    box: BoxRegion
+    birth_time: float  # the parent's split time, 0 at the root
 
     @property
     def is_leaf(self) -> bool:
-        return self.split is None
+        return bool(self.partition.split_dim[self.index] < 0)
+
+    @property
+    def split(self):
+        """The node's :class:`SplitRecord`, None at a leaf."""
+        p, i = self.partition, self.index
+        if self.is_leaf:
+            return None
+        return SplitRecord(int(p.split_dim[i]), float(p.threshold[i]), float(p.clock[i]))
+
+    @property
+    def pending_clock(self):
+        """The leaf's pending clock, None at an internal node."""
+        return float(self.partition.clock[self.index]) if self.is_leaf else None
 
     @property
     def children(self):
         """(left, right) for internal nodes, None for leaves."""
-        if self.split is None:
+        split = self.split
+        if split is None:
             return None
-        return (self.left, self.right)
+        p, i = self.partition, self.index
+        left_box, right_box = self.box.split(split.dim, split.threshold)
+        return (p._node(i + 1, left_box, split.time),
+                p._node(int(p.right[i]), right_box, split.time))
+
+    @property
+    def left(self):
+        return None if self.is_leaf else self.children[0]
+
+    @property
+    def right(self):
+        return None if self.is_leaf else self.children[1]
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 class MondrianPartition:
-    """A sampled Mondrian partition: tree, lifetime, and seed provenance.
+    """A sampled Mondrian partition: root box, lifetime, node arrays, provenance.
 
-    Immutable after construction; :func:`prune`, :func:`extend` and
-    :func:`restrict` return new partitions.  Concurrent reads are safe.
+    ``split_dim``, ``threshold``, ``clock`` and ``right`` are the preorder
+    node arrays described in the module docstring.  Immutable after
+    construction; :func:`prune`, :func:`extend` and :func:`restrict` return
+    new partitions.  Concurrent reads are safe.
     """
 
-    __slots__ = ("root", "lifetime", "dim", "seed_provenance", "_flat")
+    __slots__ = ("box", "lifetime", "seed_provenance", "split_dim", "threshold", "clock",
+                 "right", "_views")
 
-    def __init__(self, root: PartitionNode, lifetime: float, dim: int, seed_provenance=None):
-        self.root = root
+    def __init__(self, box: BoxRegion, lifetime: float, split_dim, threshold, clock, right,
+                 seed_provenance=None):
+        self.box = box
         self.lifetime = float(lifetime)
-        self.dim = int(dim)
         self.seed_provenance = seed_provenance
-        self._flat = None
+        self.split_dim = _frozen(split_dim, np.int64)
+        self.threshold = _frozen(threshold, np.float64)
+        self.clock = _frozen(clock, np.float64)
+        self.right = _frozen(right, np.int64)
+        # views are interned weakly: the same node gives the same object while
+        # anyone holds it, and the partition keeps none alive
+        self._views = weakref.WeakValueDictionary()
+
+    def _arrays(self):
+        return (self.split_dim, self.threshold, self.clock, self.right)
+
+    def __reduce__(self):
+        return (MondrianPartition, (self.box, self.lifetime, *self._arrays(), self.seed_provenance))
+
+    @property
+    def dim(self) -> int:
+        return self.box.dim
 
     # -- traversal ---------------------------------------------------------
+
+    def _node(self, index: int, box: BoxRegion, birth_time: float) -> PartitionNode:
+        node = self._views.get(index)
+        if node is None:
+            node = self._views[index] = PartitionNode(self, index, box, birth_time)
+        return node
+
+    @property
+    def root(self) -> PartitionNode:
+        return self._node(0, self.box, 0.0)
 
     def iter_nodes(self):
         """Depth-first, left-before-right node iterator."""
@@ -268,9 +342,8 @@ class MondrianPartition:
         while stack:
             node = stack.pop()
             yield node
-            if node.split is not None:
-                stack.append(node.right)
-                stack.append(node.left)
+            if not node.is_leaf:
+                stack.extend(reversed(node.children))
 
     def leaves(self):
         """Leaves in depth-first, left-first order."""
@@ -278,60 +351,43 @@ class MondrianPartition:
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for node in self.iter_nodes() if node.is_leaf)
+        return (self.split_dim.size + 1) // 2
 
     @property
     def n_splits(self) -> int:
-        return sum(1 for node in self.iter_nodes() if not node.is_leaf)
+        return self.split_dim.size // 2
 
     # -- point location ----------------------------------------------------
 
     def locate_leaf(self, x) -> PartitionNode:
         """Unique leaf containing ``x``; ties on a threshold go left."""
         x = np.asarray(x, dtype=np.float64)
-        if not self.root.box.contains(x):
+        if not self.box.contains(x):
             raise ValueError(f"point {x.tolist()} is outside the root box")
-        node = self.root
-        while node.split is not None:
-            if x[node.split.dim] <= node.split.threshold:
-                node = node.left
+        lower, upper, closed = (a.tolist() for a in (self.box.lower, self.box.upper,
+                                                     self.box.left_closed))
+        dims, thrs, clocks, rights = self._arrays()
+        point, node, birth = x.tolist(), 0, 0.0
+        while dims.item(node) >= 0:
+            axis, threshold, birth = dims.item(node), thrs.item(node), clocks.item(node)
+            if point[axis] <= threshold:
+                upper[axis], node = threshold, node + 1
             else:
-                node = node.right
-        return node
-
-    def _flat_arrays(self):
-        # "dim" is -1 at leaves; leaf_rank is the DFS-left-first leaf index.
-        if self._flat is None:
-            nodes = list(self.iter_nodes())
-            n = len(nodes)
-            dim = np.full(n, -1, dtype=np.int64)
-            thr = np.zeros(n, dtype=np.float64)
-            left = np.zeros(n, dtype=np.int64)
-            right = np.zeros(n, dtype=np.int64)
-            leaf_rank = np.full(n, -1, dtype=np.int64)
-            index_of = {id(node): i for i, node in enumerate(nodes)}
-            rank = 0
-            for i, node in enumerate(nodes):
-                if node.split is None:
-                    leaf_rank[i] = rank
-                    rank += 1
-                else:
-                    dim[i] = node.split.dim
-                    thr[i] = node.split.threshold
-                    left[i] = index_of[id(node.left)]
-                    right[i] = index_of[id(node.right)]
-            self._flat = (dim, thr, left, right, leaf_rank, rank)
-        return self._flat
+                lower[axis], closed[axis], node = threshold, False, rights.item(node)
+        box = BoxRegion._make(np.array(lower), np.array(upper), np.array(closed))
+        return self._node(node, box, birth)
 
     def leaf_indices(self, X) -> np.ndarray:
         """DFS-left-first leaf index for each row of ``X`` (shape (n, dim))."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
-        bad = self._rows_outside_root(X)
+        box = self.box
+        at_lower_ok = np.where(box.left_closed, X >= box.lower, X > box.lower)
+        bad = np.nonzero(~(at_lower_ok.all(axis=1) & (X <= box.upper).all(axis=1)))[0]
         if bad.size:
             raise ValueError(f"points outside the root box at indices {bad.tolist()}")
-        dim, thr, left, right, leaf_rank, _ = self._flat_arrays()
+        dim, thr, right = self.split_dim, self.threshold, self.right
         pos = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         while rows.size:
@@ -342,48 +398,92 @@ class MondrianPartition:
                 break
             cur = cur[internal]
             go_left = X[rows, dim[cur]] <= thr[cur]
-            pos[rows] = np.where(go_left, left[cur], right[cur])
+            pos[rows] = np.where(go_left, cur + 1, right[cur])
+        leaf_rank = np.cumsum(dim < 0) - 1
         return leaf_rank[pos]
-
-    def _rows_outside_root(self, X) -> np.ndarray:
-        box = self.root.box
-        at_lower_ok = np.where(box.left_closed, X >= box.lower, X > box.lower)
-        inside = at_lower_ok.all(axis=1) & (X <= box.upper).all(axis=1)
-        return np.nonzero(~inside)[0]
-
-    # -- comparisons -------------------------------------------------------
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:
         """Node-for-node equality of boxes, splits, times, and pending clocks.
 
         Seed provenance is not compared.
         """
-        if self.dim != other.dim or self.lifetime != other.lifetime:
-            return False
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if (a.split is None) != (b.split is None):
-                return False
-            if a.birth_time != b.birth_time or a.box != b.box:
-                return False
-            if a.split is None:
-                if a.pending_clock != b.pending_clock:
-                    return False
-            else:
-                if a.split != b.split:
-                    return False
-                stack.append((a.right, b.right))
-                stack.append((a.left, b.left))
-        return True
+        return (self.lifetime == other.lifetime and self.box == other.box
+                and all(map(np.array_equal, self._arrays(), other._arrays())))
 
 
-def sample_mondrian(
-    box: BoxRegion,
-    lifetime: float,
-    rng: RngStream,
-    max_splits: int = DEFAULT_MAX_SPLITS,
-) -> MondrianPartition:
+def _linear_dimension(sides: list) -> float:
+    # the same bits as numpy's (upper - lower).sum(): in order below 8 terms,
+    # pairwise from 8 on (Python's own sum may compensate, so it is not used)
+    return float(np.sum(sides)) if len(sides) >= 8 else functools.reduce(operator.add, sides)
+
+
+def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
+    """Preorder node lists of a partition of ``box`` grown to ``lifetime``.
+
+    The one growth loop behind :func:`sample_mondrian` (no ``source``), and
+    :func:`extend`, :func:`prune` and :func:`restrict` (the partition itself
+    as ``source``).  A cell copied from a source node takes that node's
+    clock; any other cell draws an Exp(|C|) clock from its birth time.  A
+    cell whose clock is past ``lifetime`` becomes a leaf that keeps it.
+    Otherwise the cell copies the source split, or draws an axis and a
+    threshold when its source node is a leaf or it has none; only drawn
+    splits count against ``max_splits``.  A source split that misses the
+    interior of the cell, which happens only under :func:`restrict`, is
+    dropped for the child that covers the cell.
+    """
+    if source is not None:
+        src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
+    dims, thrs, clocks, rights = [], [], [], []
+    drawn = 0
+    # (source node or -1, birth time, lower, upper, node whose right child
+    # this cell is or -1)
+    stack = [(0 if source is not None else -1, 0.0, box.lower.tolist(), box.upper.tolist(), -1)]
+    while stack:
+        src, birth, lower, upper, parent = stack.pop()
+        node = len(dims)
+        if parent >= 0:
+            rights[parent] = node
+        sides = [u - l for l, u in zip(lower, upper)]
+        if src >= 0:
+            while src_dim[src] >= 0:
+                axis, threshold = src_dim[src], src_thr[src]
+                if lower[axis] < threshold < upper[axis]:
+                    break
+                src = src + 1 if threshold >= upper[axis] else src_right[src]
+            clock = src_clock[src]
+        else:
+            clock = birth + rng.exponential(_linear_dimension(sides))
+        rights.append(-1)
+        clocks.append(clock)
+        if clock > lifetime:
+            dims.append(-1)
+            thrs.append(0.0)
+            continue
+        if src >= 0 and src_dim[src] >= 0:
+            axis, threshold = src_dim[src], src_thr[src]
+            left_src, right_src = src + 1, src_right[src]
+        else:
+            if drawn >= max_splits:
+                raise SplitLimitError(f"partition exceeded the split budget of {max_splits}; "
+                                      "raise max_splits or lower the lifetime")
+            drawn += 1
+            axis = rng.categorical(sides)
+            a, b = lower[axis], upper[axis]
+            threshold = a + (b - a) * rng.uniform()
+            while not (a < threshold < b):
+                threshold = a + (b - a) * rng.uniform()
+            left_src = right_src = -1
+        dims.append(axis)
+        thrs.append(threshold)
+        left_upper, right_lower = upper.copy(), lower.copy()
+        left_upper[axis] = right_lower[axis] = threshold
+        stack.append((right_src, clock, right_lower, upper, node))
+        stack.append((left_src, clock, lower, left_upper, -1))
+    return dims, thrs, clocks, rights
+
+
+def sample_mondrian(box: BoxRegion, lifetime: float, rng: RngStream,
+                    max_splits: int = DEFAULT_MAX_SPLITS) -> MondrianPartition:
     """Sample a Mondrian partition of ``box`` with the given lifetime.
 
     Each cell draws an Exp(|C|) clock; if the accumulated time stays within
@@ -402,48 +502,10 @@ def sample_mondrian(
     if lifetime < 0:
         raise ValueError(f"lifetime must be >= 0, got {lifetime}")
     counter_before = rng.counter
-    root = PartitionNode(box, 0.0)
-    n_splits = 0
-    stack = [(root, 0.0)]
-    while stack:
-        node, birth = stack.pop()
-        cell = node.box
-        sides = cell.upper - cell.lower
-        clock = birth + rng.exponential(float(sides.sum()))
-        if clock <= lifetime:
-            if n_splits >= max_splits:
-                raise SplitLimitError(
-                    f"partition exceeded the split budget of {max_splits}; "
-                    f"raise max_splits or lower the lifetime"
-                )
-            n_splits += 1
-            axis = rng.categorical(sides.tolist())
-            a, b = cell.lower[axis], cell.upper[axis]
-            threshold = a + (b - a) * rng.uniform()
-            while not (a < threshold < b):
-                threshold = a + (b - a) * rng.uniform()
-            node.split = SplitRecord(dim=axis, threshold=threshold, time=clock)
-            left_box, right_box = cell.split(axis, threshold)
-            node.left = PartitionNode(left_box, clock)
-            node.right = PartitionNode(right_box, clock)
-            stack.append((node.right, clock))
-            stack.append((node.left, clock))
-        else:
-            node.pending_clock = clock
-    provenance = {
-        "op": "sample",
-        "algorithm": "philox4x64",
-        "seed": rng.seed,
-        "stream_path": list(rng.path),
-        "draws": rng.counter - counter_before,
-    }
-    return MondrianPartition(root, lifetime, box.dim, provenance)
-
-
-def _copy_node(node: PartitionNode) -> PartitionNode:
-    return PartitionNode(
-        node.box, node.birth_time, node.split, None, None, node.pending_clock
-    )
+    nodes = _grow(box, lifetime, rng, max_splits)
+    provenance = {"op": "sample", "algorithm": "philox4x64", "seed": rng.seed,
+                  "stream_path": list(rng.path), "draws": rng.counter - counter_before}
+    return MondrianPartition(box, lifetime, *nodes, provenance)
 
 
 def prune(partition: MondrianPartition, new_lifetime: float) -> MondrianPartition:
@@ -458,30 +520,15 @@ def prune(partition: MondrianPartition, new_lifetime: float) -> MondrianPartitio
         raise ValueError(
             f"new_lifetime {new_lifetime} exceeds lifetime {partition.lifetime}; use extend"
         )
-    root = _copy_node(partition.root)
-    stack = [(partition.root, root)]
-    while stack:
-        src, dst = stack.pop()
-        if src.split is None:
-            continue
-        if src.split.time > new_lifetime:
-            dst.split = None
-            dst.pending_clock = src.split.time
-            continue
-        dst.left = _copy_node(src.left)
-        dst.right = _copy_node(src.right)
-        stack.append((src.right, dst.right))
-        stack.append((src.left, dst.left))
+    # every source leaf's clock is past the old lifetime, hence past the new
+    # one, so the loop only copies and cuts (as for restrict): it never draws
+    nodes = _grow(partition.box, new_lifetime, None, 0, partition)
     provenance = {"op": "prune", "base": partition.seed_provenance}
-    return MondrianPartition(root, new_lifetime, partition.dim, provenance)
+    return MondrianPartition(partition.box, new_lifetime, *nodes, provenance)
 
 
-def extend(
-    partition: MondrianPartition,
-    new_lifetime: float,
-    rng: RngStream,
-    max_splits: int = DEFAULT_MAX_SPLITS,
-) -> MondrianPartition:
+def extend(partition: MondrianPartition, new_lifetime: float, rng: RngStream,
+           max_splits: int = DEFAULT_MAX_SPLITS) -> MondrianPartition:
     """Continue the construction to a larger lifetime.
 
     Existing structure is untouched.  A leaf whose pending clock falls within
@@ -490,65 +537,18 @@ def extend(
     their clocks.  Because the retained clock has the memoryless conditional
     law, the output is marginally a Mondrian partition at the new lifetime,
     and pruning back at the old lifetime restores the input exactly.
+    ``max_splits`` bounds the number of new splits.
     """
     if new_lifetime < partition.lifetime:
         raise ValueError(
             f"new_lifetime {new_lifetime} is below lifetime {partition.lifetime}; use prune"
         )
     counter_before = rng.counter
-    root = _copy_node(partition.root)
-    n_splits = 0
-    # work items: ("copy", src, dst) mirrors existing nodes; ("grow", dst,
-    # birth) resumes the sampler below a former leaf.  Fresh clocks are drawn
-    # on cell entry, left subtree before right, matching the sampling order.
-    stack = [("copy", partition.root, root)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "copy":
-            _, src, dst = item
-            if src.split is not None:
-                dst.left = _copy_node(src.left)
-                dst.right = _copy_node(src.right)
-                stack.append(("copy", src.right, dst.right))
-                stack.append(("copy", src.left, dst.left))
-                continue
-            if src.pending_clock > new_lifetime:
-                continue
-            # former leaf: split at the retained clock, then keep growing
-            dst.pending_clock = None
-            split_time = src.pending_clock
-        else:
-            _, dst, birth = item
-            split_time = birth + rng.exponential(dst.box.linear_dimension)
-            if split_time > new_lifetime:
-                dst.pending_clock = split_time
-                continue
-        if n_splits >= max_splits:
-            raise SplitLimitError(
-                f"extension exceeded the split budget of {max_splits}"
-            )
-        n_splits += 1
-        cell = dst.box
-        axis = rng.categorical((cell.upper - cell.lower).tolist())
-        a, b = cell.lower[axis], cell.upper[axis]
-        threshold = a + (b - a) * rng.uniform()
-        while not (a < threshold < b):
-            threshold = a + (b - a) * rng.uniform()
-        dst.split = SplitRecord(dim=axis, threshold=threshold, time=split_time)
-        left_box, right_box = cell.split(axis, threshold)
-        dst.left = PartitionNode(left_box, split_time)
-        dst.right = PartitionNode(right_box, split_time)
-        stack.append(("grow", dst.right, split_time))
-        stack.append(("grow", dst.left, split_time))
-    provenance = {
-        "op": "extend",
-        "base": partition.seed_provenance,
-        "algorithm": "philox4x64",
-        "seed": rng.seed,
-        "stream_path": list(rng.path),
-        "draws": rng.counter - counter_before,
-    }
-    return MondrianPartition(root, new_lifetime, partition.dim, provenance)
+    nodes = _grow(partition.box, new_lifetime, rng, max_splits, partition)
+    provenance = {"op": "extend", "base": partition.seed_provenance, "algorithm": "philox4x64",
+                  "seed": rng.seed, "stream_path": list(rng.path),
+                  "draws": rng.counter - counter_before}
+    return MondrianPartition(partition.box, new_lifetime, *nodes, provenance)
 
 
 def restrict(partition: MondrianPartition, sub: BoxRegion) -> MondrianPartition:
@@ -563,31 +563,11 @@ def restrict(partition: MondrianPartition, sub: BoxRegion) -> MondrianPartition:
     """
     if sub.dim != partition.dim:
         raise ValueError("sub-box dimension mismatch")
-    if not partition.root.box.contains_box(sub):
+    if not partition.box.contains_box(sub):
         raise ValueError("sub-box is not contained in the root box")
-    new_root = PartitionNode(sub, 0.0)
-    # (src_node, dest_node) pairs; dest box is already clipped.
-    stack = [(partition.root, new_root)]
-    while stack:
-        src, dst = stack.pop()
-        while src.split is not None:
-            axis, s = src.split.dim, src.split.threshold
-            if dst.box.lower[axis] < s < dst.box.upper[axis]:
-                break
-            # split misses the interior of dst.box: descend one side
-            src = src.left if s >= dst.box.upper[axis] else src.right
-        if src.split is None:
-            dst.pending_clock = src.pending_clock
-            continue
-        time = src.split.time
-        dst.split = SplitRecord(dim=src.split.dim, threshold=src.split.threshold, time=time)
-        left_box, right_box = dst.box.split(src.split.dim, src.split.threshold)
-        dst.left = PartitionNode(left_box, time)
-        dst.right = PartitionNode(right_box, time)
-        stack.append((src.right, dst.right))
-        stack.append((src.left, dst.left))
+    nodes = _grow(sub, partition.lifetime, None, 0, partition)
     provenance = {"op": "restrict", "base": partition.seed_provenance}
-    return MondrianPartition(new_root, partition.lifetime, partition.dim, provenance)
+    return MondrianPartition(sub, partition.lifetime, *nodes, provenance)
 
 
 def locate_leaf(partition: MondrianPartition, x) -> PartitionNode:
@@ -605,15 +585,67 @@ def leaf_count(partition: MondrianPartition) -> int:
     return partition.n_leaves
 
 
-# -- serialization ----------------------------------------------------------
+# -- validation and serialization --------------------------------------------
 
 
-def _clock_to_json(clock: float):
-    return None if math.isinf(clock) else clock
+def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
+    """Right-child indices of valid preorder node lists; ValueError if they are invalid."""
+    if not 0.0 <= lifetime < math.inf:
+        raise ValueError(f"lifetime must be finite and >= 0, got {lifetime}")
+    rights = []
+    # (node whose right child this cell is or -1, birth time, lower, upper)
+    stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]
+    for node, (axis, threshold, clock) in enumerate(zip(dims, thrs, clocks)):
+        if not stack:
+            raise ValueError("extra node records after the tree was complete")
+        parent, birth, lower, upper = stack.pop()
+        if parent >= 0:
+            rights[parent] = node
+        rights.append(-1)
+        if not -1 <= axis < box.dim:
+            raise ValueError(f"node {node}: split dim {axis} is outside [0, {box.dim})")
+        if axis == -1:
+            if not clock > lifetime:
+                raise ValueError(f"node {node}: pending clock {clock} <= lifetime {lifetime}")
+            continue
+        if not birth < clock <= lifetime:
+            raise ValueError(f"node {node}: split time {clock} not in ({birth}, {lifetime}]")
+        if not lower[axis] < threshold < upper[axis]:
+            raise ValueError(f"node {node}: threshold {threshold} not inside its cell on axis {axis}")
+        left_upper, right_lower = upper.copy(), lower.copy()
+        left_upper[axis] = right_lower[axis] = threshold
+        stack.append((node, clock, right_lower, upper))
+        stack.append((-1, clock, lower, left_upper))
+    if stack:
+        raise ValueError("truncated node list")
+    return rights
 
 
-def _clock_from_json(value) -> float:
-    return math.inf if value is None else float(value)
+def validate_partition(partition: MondrianPartition) -> None:
+    """Check the structural invariants; raise ValueError on a violation.
+
+    The node arrays must form a preorder binary tree in which split axes lie
+    in ``[0, dim)``, every threshold is interior to its cell, split times
+    strictly exceed the parent's clock and stay within the lifetime, and
+    every leaf's pending clock is past the lifetime.  Runs on every
+    :func:`partition_from_dict`.
+    """
+    p = partition
+    rights = _check_nodes(p.box, p.lifetime, p.split_dim.tolist(), p.threshold.tolist(),
+                          p.clock.tolist())
+    if rights != p.right.tolist():
+        raise ValueError("right-child indices do not match the preorder tree")
+
+
+_NUMBER = (int, float)
+
+
+def _field(value, kind, what: str):
+    """``value`` if it has the JSON type ``kind``, else ValueError."""
+    # JSON true and false must not pass for the numbers 1 and 0
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} has the wrong type: {value!r}")
+    return value
 
 
 def partition_to_dict(partition: MondrianPartition, include_provenance: bool = True) -> dict:
@@ -624,21 +656,15 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
     for an infinite clock.  Boxes and birth times are reconstructed from the
     split records on load.
     """
-    box = partition.root.box
-    nodes = []
-    for node in partition.iter_nodes():
-        if node.split is None:
-            nodes.append({"leaf": {"pending_clock": _clock_to_json(node.pending_clock)}})
-        else:
-            nodes.append(
-                {
-                    "split": {
-                        "dim": node.split.dim,
-                        "threshold": node.split.threshold,
-                        "time": node.split.time,
-                    }
-                }
-            )
+    box = partition.box
+    nodes = [
+        {"leaf": {"pending_clock": None if math.isinf(clock) else clock}}
+        if dim < 0
+        else {"split": {"dim": dim, "threshold": threshold, "time": clock}}
+        for dim, threshold, clock in zip(
+            partition.split_dim.tolist(), partition.threshold.tolist(), partition.clock.tolist()
+        )
+    ]
     out = {
         "schema": PARTITION_SCHEMA,
         "dim": partition.dim,
@@ -656,42 +682,44 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
 
 
 def partition_from_dict(data: dict) -> MondrianPartition:
-    """Inverse of :func:`partition_to_dict`; validates the schema tag."""
-    if data.get("schema") != PARTITION_SCHEMA:
-        raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
-    box = BoxRegion(
-        data["box"]["lower"], data["box"]["upper"], data["box"]["left_closed"]
-    )
-    records = iter(data["nodes"])
+    """Inverse of :func:`partition_to_dict`.
 
-    root = PartitionNode(box, 0.0)
-    stack = [root]
-    consumed = 0
-    while stack:
-        node = stack.pop()
-        try:
-            rec = next(records)
-        except StopIteration:
-            raise ValueError("truncated node list") from None
-        consumed += 1
-        if "split" in rec:
-            spec = rec["split"]
-            split = SplitRecord(int(spec["dim"]), float(spec["threshold"]), float(spec["time"]))
-            left_box, right_box = node.box.split(split.dim, split.threshold)
-            node.split = split
-            node.left = PartitionNode(left_box, split.time)
-            node.right = PartitionNode(right_box, split.time)
-            stack.append(node.right)
-            stack.append(node.left)
-        elif "leaf" in rec:
-            node.pending_clock = _clock_from_json(rec["leaf"]["pending_clock"])
-        else:
-            raise ValueError(f"node record must contain 'split' or 'leaf': {rec}")
-    if consumed != len(data["nodes"]):
-        raise ValueError("extra node records after the tree was complete")
-    return MondrianPartition(
-        root, float(data["lifetime"]), int(data["dim"]), data.get("seed_provenance")
-    )
+    Raises ValueError for any document that is not a valid partition: a wrong
+    schema tag, a missing key or ill-typed field, a truncated or overlong node
+    list, or a violated invariant (see :func:`validate_partition`).
+    """
+    try:
+        if data.get("schema") != PARTITION_SCHEMA:
+            raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
+        box = BoxRegion(*(
+            [_field(v, kind, f"box {key}") for v in _field(data["box"][key], list, f"box {key}")]
+            for key, kind in (("lower", _NUMBER), ("upper", _NUMBER), ("left_closed", bool))
+        ))
+        if _field(data["dim"], int, "dim") != box.dim:
+            raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
+        lifetime = float(_field(data["lifetime"], _NUMBER, "lifetime"))
+        dims, thrs, clocks = [], [], []
+        for rec in _field(data["nodes"], list, "nodes"):
+            if "split" in rec:
+                split = rec["split"]
+                dims.append(_field(split["dim"], int, "split dim"))
+                if dims[-1] < 0:
+                    raise ValueError(f"split dim {dims[-1]} is negative")
+                thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
+                clocks.append(float(_field(split["time"], _NUMBER, "split time")))
+            elif "leaf" in rec:
+                clock = rec["leaf"]["pending_clock"]
+                dims.append(-1)
+                thrs.append(0.0)
+                clocks.append(math.inf if clock is None
+                              else float(_field(clock, _NUMBER, "pending clock")))
+            else:
+                raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
+        rights = _check_nodes(box, lifetime, dims, thrs, clocks)
+        return MondrianPartition(box, lifetime, dims, thrs, clocks, rights,
+                                 data.get("seed_provenance"))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed partition document: {exc!r}") from None
 
 
 def partition_to_json(partition: MondrianPartition, **kwargs) -> str:
@@ -700,37 +728,3 @@ def partition_to_json(partition: MondrianPartition, **kwargs) -> str:
 
 def partition_from_json(text: str) -> MondrianPartition:
     return partition_from_dict(json.loads(text))
-
-
-def validate_partition(partition: MondrianPartition) -> None:
-    """Check structural invariants; raises AssertionError on violation.
-
-    Used by tests and after deserialization: birth times strictly increase
-    along every path, split times stay within the lifetime, thresholds are
-    interior, children partition their parent, and live leaves carry pending
-    clocks beyond the lifetime.
-    """
-    stack = [partition.root]
-    while stack:
-        node = stack.pop()
-        if node.split is not None:
-            assert (node.left is not None) and (node.right is not None)
-            assert node.split.time <= partition.lifetime
-            assert node.split.time > node.birth_time
-            assert node.left.birth_time == node.split.time
-            assert node.right.birth_time == node.split.time
-            a = node.box.lower[node.split.dim]
-            b = node.box.upper[node.split.dim]
-            assert a < node.split.threshold < b
-            assert node.left.box.upper[node.split.dim] == node.split.threshold
-            assert node.right.box.lower[node.split.dim] == node.split.threshold
-            assert not node.right.box.left_closed[node.split.dim]
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            assert node.left is None and node.right is None
-            assert node.pending_clock is not None
-            if node.box.linear_dimension > 0:
-                assert node.pending_clock > partition.lifetime
-            else:
-                assert math.isinf(node.pending_clock)
