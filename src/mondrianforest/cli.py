@@ -298,8 +298,17 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Read a data file with header x1..xd[,y]; returns (X, y or None, d)."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} line 1: expected a header x1..xd[,y], found end of file")
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: expected {len(header)} "
+                                 f"values, got {len(row)}")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
     names = [h.strip() for h in header]
     x_cols = [i for i, h in enumerate(names) if h.startswith("x")]
     y_cols = [i for i, h in enumerate(names) if h == "y"]

@@ -19,9 +19,10 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
@@ -270,14 +271,7 @@ class Verdict:
     sample_size: int
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "rule": self.rule,
-            "sample_size": self.sample_size,
-        }
+        return asdict(self)
 
 
 _CSV_LEAD_COLUMNS = ["n", "lifetime", "n_trees", "risk", "se"]
@@ -375,12 +369,18 @@ def _upper_verdict(name: str, value: float, bound: float, slack: float, n: int, 
 # -- risk estimation ---------------------------------------------------------
 
 
-def _risk_replicate(payload) -> float:
-    task, n, lifetime, n_trees, n_test, seed, path, eval_margin = payload
+def _replicate(payload) -> float:
+    """One replicate: data from child stream 0, a forest grown from child 1,
+    then ``score`` of the forest (test inputs come from child 2)."""
+    score, task, n, lifetime, n_trees, n_test, seed, path, extra = payload
     stream = RngStream(seed, path)
     X, y = task.sample_data(n, stream.child(0))
     model = fit_forest(BoxRegion.unit(task.d), task.d, lifetime, n_trees, X, y,
                        master_seed=stream.child(1))
+    return score(task, model, stream, n_test, extra)
+
+
+def _quadratic_risk(task, model, stream, n_test, eval_margin) -> float:
     X_test = stream.child(2).generator.random((n_test, task.d))
     if eval_margin > 0.0:
         # risk conditional on inputs in the margin-interior of the cube
@@ -389,26 +389,35 @@ def _risk_replicate(payload) -> float:
     return float(np.mean(residual**2))
 
 
-def _run_replicates(worker, payloads, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads, chunksize=1))
-    return [worker(p) for p in payloads]
+def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int,
+                   workers: int) -> None:
+    """Write ``risk`` and ``se`` into each grid row from fresh replicates.
 
-
-def _estimate_risk_values(task, n, lifetime, n_trees, replicates, n_test, seed,
-                          path=(), workers=1, eval_margin=0.0) -> np.ndarray:
+    ``points`` holds ``(row, task, path)`` triples, where ``row`` has ``n``,
+    ``lifetime`` and ``n_trees``; replicate ``r`` of a row runs on the stream
+    ``(seed, path + (r,))`` and scores its forest with ``score(..., extra)``.
+    All replicates of the experiment share one pool of at most ``workers``
+    processes, capped at the replicate count and the CPU count.
+    """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
-    if not 0.0 <= eval_margin < 0.5:
-        raise ValueError("eval_margin must be in [0, 1/2)")
-    payloads = [
-        (task, n, lifetime, n_trees, n_test, seed, tuple(path) + (rep,), eval_margin)
-        for rep in range(replicates)
-    ]
-    return np.array(_run_replicates(_risk_replicate, payloads, workers))
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if any(row["n"] < 1 for row, _, _ in points):
+        raise ValueError("n must be >= 1")
+    payloads = [(score, task, row["n"], row["lifetime"], row["n_trees"], n_test, seed,
+                 path + (rep,), extra)
+                for row, task, path in points for rep in range(replicates)]
+    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            values = list(pool.map(_replicate, payloads, chunksize=1))
+    else:
+        values = [_replicate(p) for p in payloads]
+    for i, (row, _, _) in enumerate(points):
+        row["risk"], row["se"] = _mean_se(values[i * replicates:(i + 1) * replicates])
 
 
 def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
@@ -423,9 +432,12 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
     margin-interior of the cube (the conditional risk of the
     twice-differentiable theory, which excludes the boundary layer).
     """
-    risks = _estimate_risk_values(task, n, lifetime, n_trees, replicates, n_test,
-                                  seed, workers=workers, eval_margin=eval_margin)
-    return _mean_se(risks)
+    if not 0.0 <= eval_margin < 0.5:
+        raise ValueError("eval_margin must be in [0, 1/2)")
+    row = {"n": n, "lifetime": lifetime, "n_trees": n_trees}
+    _estimate_grid([(row, task, ())], _quadratic_risk, eval_margin, replicates, n_test,
+                   seed, workers)
+    return row["risk"], row["se"]
 
 
 # -- partition statistics ----------------------------------------------------
@@ -452,12 +464,8 @@ def _poisson_chisquare(values, lam: float, min_expected: float = 5.0) -> tuple[f
             start, acc = k + 1, 0.0
     if not edges:
         raise ValueError("not enough samples for the chi-square binning")
-    if acc > 0:  # fold the short remainder into the final bin
-        s, _, a = edges[-1]
-        edges[-1] = (s, hi + 1, a + acc)
-    else:
-        s, _, a = edges[-1]
-        edges[-1] = (s, hi + 1, a)
+    s, _, a = edges[-1]  # the final bin takes the short remainder, if any
+    edges[-1] = (s, hi + 1, a + acc)
     observed = np.array([np.sum((values >= s) & (values < e)) for s, e, _ in edges])
     expected = np.array([n * p for _, _, p in edges])
     chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
@@ -472,6 +480,8 @@ def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> Exper
     ``(1 + lifetime)^d``.  For d = 1 the split count is additionally tested
     against a Poisson law by chi-square at significance 1e-3.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     box = BoxRegion.unit(d)
     counts = np.array([
@@ -493,15 +503,14 @@ def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> Exper
             rule=f"chi-square GOF vs Poisson({lifetime:g}), stat={chi2_stat:.4f}, dof={dof}, p >= 1e-3",
             sample_size=samples,
         ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="verify-leaf-count",
         config={"d": d, "lifetime": lifetime, "samples": samples, "seed": seed},
         grid=grid,
         oracle={"expected_leaf_count": oracle},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int) -> ExperimentReport:
@@ -514,6 +523,8 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
     Independence across the 2d coordinates is checked through pairwise sample
     correlations, all below ``4 / sqrt(samples)``.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
@@ -573,14 +584,13 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
                 rule="|pairwise correlation| < 4 / sqrt(samples)",
                 sample_size=samples,
             ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="verify-cell-dist",
         config={"d": d, "lifetime": lifetime, "x": x.tolist(), "samples": samples, "seed": seed},
         oracle={f"atom-{label}": math.exp(-lifetime * m) for label, m in zip(labels, margins)},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
@@ -591,6 +601,8 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
     standard errors at every grid point, and the mean squared diameter below
     ``4 d / lifetime^2`` plus 4 standard errors.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
     if lifetime <= 0:
@@ -618,16 +630,15 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
             rule="P(D >= delta) <= d(1 + L*delta/sqrt(d)) exp(-L*delta/sqrt(d)) + 4 * SE",
         ))
         grid.append({"delta": float(delta), "tail_freq": freq, "se": se, "bound": tail})
-    report = ExperimentReport(
+    return ExperimentReport(
         name="verify-diameter",
         config={"d": d, "lifetime": lifetime, "x": x.tolist(), "samples": samples,
                 "seed": seed, "delta_grid": [float(v) for v in delta_grid]},
         grid=grid,
         oracle={"second_moment_bound": bound},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, seed: int,
@@ -639,6 +650,8 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
     joint band compares them to partitions sampled directly on ``sub``, plus
     an optional two-sample KS test on the leaf counts.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     box = BoxRegion.unit(d)
     if not box.contains_box(sub):
@@ -676,7 +689,7 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
                  "(conservative under ties)",
             sample_size=samples,
         ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="verify-restriction",
         config={"d": d, "lifetime": lifetime, "sub_lower": sub.lower.tolist(),
                 "sub_upper": sub.upper.tolist(), "samples": samples, "seed": seed,
@@ -685,9 +698,8 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
                "mean_direct": d_mean, "se_direct": d_se, "oracle": oracle}],
         oracle={"expected_leaf_count_box": oracle},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 # -- rate experiments --------------------------------------------------------
@@ -744,17 +756,13 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
         raise ValueError("n_grid must contain at least 3 points")
     if schedule not in ("lipschitz", "c2", "consistency", "fixed"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if not 0.0 <= eval_margin < 0.5:
+        raise ValueError("eval_margin must be in [0, 1/2)")
     t0 = time.perf_counter()
-    grid = []
-    for i, n in enumerate(n_grid):
-        lifetime = _resolve_lifetime(schedule, n, task.d, scale)
-        n_trees = _resolve_trees(m_rule, n, task.d)
-        risks = _estimate_risk_values(task, n, lifetime, n_trees, replicates, n_test,
-                                      seed, path=(i,), workers=workers,
-                                      eval_margin=eval_margin)
-        risk, se = _mean_se(risks)
-        grid.append({"n": n, "lifetime": lifetime, "n_trees": n_trees,
-                     "risk": risk, "se": se})
+    grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, task.d, scale),
+             "n_trees": _resolve_trees(m_rule, n, task.d)} for n in n_grid]
+    _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)], _quadratic_risk,
+                   eval_margin, replicates, n_test, seed, workers)
     if any(row["risk"] <= 0 for row in grid):
         raise ValueError("risks must be positive to fit a log-log slope; add noise or bias")
     log_n = np.log([row["n"] for row in grid])
@@ -774,7 +782,7 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
                  f"(slope SE {slope_se:.4g})",
             sample_size=len(n_grid) * replicates,
         ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="rate-sweep",
         config={"task": task.kind, "target": task.target, "d": task.d,
                 "sigma": task.sigma, "n_grid": n_grid, "schedule": schedule,
@@ -784,9 +792,8 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
         grid=grid,
         oracle=oracle | {"slope": slope, "slope_se": slope_se},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int,
@@ -814,26 +821,17 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     linear = SyntheticTask(kind="linear_1d", sigma=math.sqrt(sigma2))
     curved = SyntheticTask(kind="c2_d", d=1, sigma=curved_sigma)
 
-    grid = []
-    linear_tree = []
-    for i, lam in enumerate(lambda_grid):
-        risks = _estimate_risk_values(linear, n, lam, 1, replicates, n_test,
-                                      seed, path=(0, i), workers=workers)
-        risk, se = _mean_se(risks)
-        linear_tree.append(risk)
-        grid.append({"n": n, "lifetime": lam, "n_trees": 1, "risk": risk, "se": se,
-                     "task": "linear"})
-    curved_tree, curved_forest = [], []
-    for i, lam in enumerate(curved_lambda_grid):
-        # tree and forest share replicate streams: the single tree is exactly
-        # tree 0 of the forest, so the comparison is paired
-        for n_trees, column in ((1, curved_tree), (m_large, curved_forest)):
-            risks = _estimate_risk_values(curved, curved_n, lam, n_trees, replicates,
-                                          n_test, seed, path=(1, i), workers=workers)
-            risk, se = _mean_se(risks)
-            column.append(risk)
-            grid.append({"n": curved_n, "lifetime": lam, "n_trees": n_trees,
-                         "risk": risk, "se": se, "task": "curved"})
+    points = [({"n": n, "lifetime": lam, "n_trees": 1}, linear, (0, i))
+              for i, lam in enumerate(lambda_grid)]
+    # tree and forest share replicate streams: the single tree is exactly
+    # tree 0 of the forest, so the comparison is paired
+    points += [({"n": curved_n, "lifetime": lam, "n_trees": n_trees}, curved, (1, i))
+               for i, lam in enumerate(curved_lambda_grid) for n_trees in (1, m_large)]
+    _estimate_grid(points, _quadratic_risk, 0.0, replicates, n_test, seed, workers)
+    grid = [row | {"task": "linear" if task is linear else "curved"} for row, task, _ in points]
+    linear_tree = [row["risk"] for row in grid[:len(lambda_grid)]]
+    curved_tree = [row["risk"] for row in grid[len(lambda_grid)::2]]
+    curved_forest = [row["risk"] for row in grid[len(lambda_grid) + 1::2]]
     lower = tree_lower_bound_1d(n, sigma2)
     tree_min = min(linear_tree)
     verdicts = [Verdict(
@@ -854,7 +852,7 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
         rule="grid-min forest risk <= 0.95 * grid-min tree risk on the curved target",
         sample_size=len(curved_lambda_grid) * replicates,
     ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="tree-vs-forest",
         config={"n": n, "lambda_grid": lambda_grid, "m_large": m_large,
                 "replicates": replicates, "seed": seed, "sigma2": sigma2,
@@ -863,9 +861,8 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
         grid=grid,
         oracle={"tree_lower_bound": lower},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report
 
 
 def _exact_classifier_risk_1d(model, eta_antiderivative) -> float:
@@ -887,12 +884,7 @@ def _exact_classifier_risk_1d(model, eta_antiderivative) -> float:
     return float(np.where(decisions == 1, widths - eta_mass, eta_mass).sum())
 
 
-def _excess_risk_replicate(payload) -> float:
-    task, n, lifetime, n_trees, n_test, bayes, seed, path = payload
-    stream = RngStream(seed, path)
-    X, y = task.sample_data(n, stream.child(0))
-    model = fit_forest(BoxRegion.unit(task.d), task.d, lifetime, n_trees, X, y,
-                       master_seed=stream.child(1))
+def _excess_classification_risk(task, model, stream, n_test, bayes) -> float:
     antideriv = task.spec.eta_antiderivative
     if task.d == 1 and antideriv is not None:
         risk = _exact_classifier_risk_1d(model, antideriv)
@@ -921,18 +913,10 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
     task = SyntheticTask(kind="classification_d", d=d, target=target)
     bayes = task.bayes_risk()
     exact_eval = d == 1 and task.spec.eta_antiderivative is not None
-    grid = []
-    for i, n in enumerate(n_grid):
-        lifetime = _resolve_lifetime(schedule, n, d, scale)
-        n_trees = _resolve_trees(m_rule, n, d)
-        payloads = [
-            (task, n, lifetime, n_trees, n_test, bayes, seed, (i, rep))
-            for rep in range(replicates)
-        ]
-        excess = np.array(_run_replicates(_excess_risk_replicate, payloads, workers))
-        mean, se = _mean_se(excess)
-        grid.append({"n": n, "lifetime": lifetime, "n_trees": n_trees,
-                     "risk": mean, "se": se})
+    grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, d, scale),
+             "n_trees": _resolve_trees(m_rule, n, d)} for n in n_grid]
+    _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
+                   _excess_classification_risk, bayes, replicates, n_test, seed, workers)
     verdicts = []
     for prev, cur in zip(grid, grid[1:]):
         drop = prev["risk"] - cur["risk"]
@@ -945,7 +929,7 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
             rule="excess(n_i) - excess(n_{i+1}) > 2 * sqrt(SE_i^2 + SE_{i+1}^2)",
             sample_size=replicates,
         ))
-    report = ExperimentReport(
+    return ExperimentReport(
         name="classify-sweep",
         config={"d": d, "target": task.target, "n_grid": n_grid, "schedule": schedule,
                 "scale": scale, "m_rule": m_rule, "replicates": replicates,
@@ -954,6 +938,5 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
         grid=grid,
         oracle={"bayes_risk": bayes},
         verdicts=verdicts,
+        wall_clock=time.perf_counter() - t0,
     )
-    report.wall_clock = time.perf_counter() - t0
-    return report

@@ -169,21 +169,6 @@ class BoxRegion:
         )
         return bool(np.all(lower_ok) and np.all(other.upper <= self.upper))
 
-    def intersect(self, other: "BoxRegion") -> "BoxRegion":
-        """Intersection box, combining lower-edge flags exactly."""
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        lower = np.maximum(self.lower, other.lower)
-        upper = np.minimum(self.upper, other.upper)
-        if np.any(lower > upper):
-            raise ValueError("boxes do not intersect")
-        flags = np.where(
-            self.lower > other.lower,
-            self.left_closed,
-            np.where(other.lower > self.lower, other.left_closed, self.left_closed & other.left_closed),
-        )
-        return BoxRegion(lower, upper, flags)
-
     def split(self, dim: int, threshold: float) -> tuple["BoxRegion", "BoxRegion"]:
         """Left/right children for a split strictly inside axis ``dim``."""
         a, b = self.lower[dim], self.upper[dim]
@@ -411,6 +396,12 @@ class MondrianPartition:
                 and all(map(np.array_equal, self._arrays(), other._arrays())))
 
 
+def _check_lifetime(lifetime: float, name: str) -> None:
+    # an infinite or nan lifetime never stops a cell, so growth would not end
+    if not 0.0 <= lifetime < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {lifetime}")
+
+
 def _linear_dimension(sides: list) -> float:
     # the same bits as numpy's (upper - lower).sum(): in order below 8 terms,
     # pairwise from 8 on (Python's own sum may compensate, so it is not used)
@@ -495,12 +486,11 @@ def sample_mondrian(box: BoxRegion, lifetime: float, rng: RngStream,
     Raises
     ------
     ValueError
-        If ``lifetime`` is negative.
+        If ``lifetime`` is negative or not finite.
     SplitLimitError
         If the construction would exceed ``max_splits`` splits.
     """
-    if lifetime < 0:
-        raise ValueError(f"lifetime must be >= 0, got {lifetime}")
+    _check_lifetime(lifetime, "lifetime")
     counter_before = rng.counter
     nodes = _grow(box, lifetime, rng, max_splits)
     provenance = {"op": "sample", "algorithm": "philox4x64", "seed": rng.seed,
@@ -514,8 +504,7 @@ def prune(partition: MondrianPartition, new_lifetime: float) -> MondrianPartitio
     A removed subtree collapses to a leaf whose pending clock is the earliest
     removed split time (its own split time, since times increase downward).
     """
-    if new_lifetime < 0:
-        raise ValueError(f"new_lifetime must be >= 0, got {new_lifetime}")
+    _check_lifetime(new_lifetime, "new_lifetime")
     if new_lifetime > partition.lifetime:
         raise ValueError(
             f"new_lifetime {new_lifetime} exceeds lifetime {partition.lifetime}; use extend"
@@ -539,6 +528,7 @@ def extend(partition: MondrianPartition, new_lifetime: float, rng: RngStream,
     and pruning back at the old lifetime restores the input exactly.
     ``max_splits`` bounds the number of new splits.
     """
+    _check_lifetime(new_lifetime, "new_lifetime")
     if new_lifetime < partition.lifetime:
         raise ValueError(
             f"new_lifetime {new_lifetime} is below lifetime {partition.lifetime}; use prune"
@@ -590,8 +580,7 @@ def leaf_count(partition: MondrianPartition) -> int:
 
 def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
     """Right-child indices of valid preorder node lists; ValueError if they are invalid."""
-    if not 0.0 <= lifetime < math.inf:
-        raise ValueError(f"lifetime must be finite and >= 0, got {lifetime}")
+    _check_lifetime(lifetime, "lifetime")
     rights = []
     # (node whose right child this cell is or -1, birth time, lower, upper)
     stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]

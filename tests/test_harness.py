@@ -18,6 +18,7 @@ from mondrianforest import (
     verify_restriction,
     RiskBoundParams,
 )
+from mondrianforest import harness
 from mondrianforest.harness import _poisson_chisquare
 
 
@@ -115,6 +116,60 @@ def test_parallel_replicates_match_serial():
     serial = estimate_risk(task, 60, 3.0, 2, replicates=4, n_test=128, seed=7, workers=1)
     parallel = estimate_risk(task, 60, 3.0, 2, replicates=4, n_test=128, seed=7, workers=2)
     assert serial == parallel
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Sizes of the process pools built; the pools map in-process."""
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+POOLED_EXPERIMENTS = {
+    # experiment(workers), replicate count of the whole experiment
+    "rate_sweep": (lambda workers: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.2), [20, 40, 80], "fixed", 3.0, 1,
+        replicates=2, seed=5, n_test=16, workers=workers), 6),
+    "tree_vs_forest": (lambda workers: tree_vs_forest(
+        20, [1.0, 4.0], 2, replicates=2, seed=5, n_test=16, curved_n=20,
+        workers=workers), 12),
+    "classification_sweep": (lambda workers: classification_sweep(
+        1, [16, 32], "lipschitz", 1, replicates=3, seed=5, workers=workers), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOLED_EXPERIMENTS))
+@pytest.mark.parametrize("cpus", [4, 64])
+def test_experiment_builds_one_capped_pool(pools, monkeypatch, name, cpus):
+    experiment, payloads = POOLED_EXPERIMENTS[name]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    pooled = experiment(64)
+    assert pools == [min(64, payloads, cpus)]
+    assert pooled.to_json() == experiment(1).to_json()
+    assert len(pools) == 1  # one worker builds no pool
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_risk_workers_validation(pools, workers):
+    task = SyntheticTask(kind="lipschitz_1d")
+    with pytest.raises(ValueError, match="workers"):
+        estimate_risk(task, 10, 1.0, 1, replicates=2, n_test=10, seed=0, workers=workers)
+    assert pools == []
 
 
 # -- verify operations -------------------------------------------------------

@@ -216,6 +216,51 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
     assert "split budget of 10" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-leaf-count", "--lifetime", "1", "--samples", "0"],
+    ["verify-leaf-count", "--lifetime", "1", "--samples", "-3"],
+    ["verify-restriction", "--lifetime", "1", "--sub-lower", "0.1,0.1",
+     "--sub-upper", "0.5,0.5", "--samples", "1"],
+    ["verify-diameter", "--lifetime", "1", "--x", "0.5,0.5", "--samples", "1"],
+    ["verify-cell-dist", "--lifetime", "1", "--x", "0.5,0.5", "--samples", "0"],
+    ["risk", "--n", "20", "--lifetime", "1", "--threads", "0"],
+    ["classify-sweep", "--n-grid", "16,32", "--replicates", "1"],
+    ["classify-sweep", "--d", "2", "--n-grid", "16,32", "--n-test", "0"],
+    ["sample", "--d", "1", "--lifetime", "inf", "--max-splits", "0"],
+    ["sample", "--d", "1", "--lifetime", "nan", "--max-splits", "0"],
+    ["risk", "--n", "0", "--lifetime", "1"],
+    ["tree-vs-forest", "--lambda-grid", "1,2", "--curved-n", "0"],
+], ids=["leaf-count-samples-0", "leaf-count-samples-minus-3", "restriction-samples-1",
+        "diameter-samples-1", "cell-dist-samples-0", "risk-threads-0",
+        "classify-replicates-1", "classify-n-test-0", "sample-lifetime-inf",
+        "sample-lifetime-nan", "risk-n-0", "tree-vs-forest-curved-n-0"])
+def test_bad_argument_exits_two_with_one_line(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"mondrian-forest {argv[0]}: error:")
+
+
+@pytest.mark.parametrize("text, line", [("", "line 1"), ("x1,y\n0.5\n", "line 2"),
+                                        ("x1,y\n", "no data rows")],
+                         ids=["empty-file", "short-row", "header-only"])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, line):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(FOREST_DOC))
+    args = ["--lifetime", "1"] if command == "fit" else ["--model", str(model)]
+    code = run([command, "--data", str(data), *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert line in captured.err
+
+
 def test_predict_classify_on_tree_model_uses_the_forest_rule(tmp_path, capsys):
     points = [[0.1, 0.1], [0.3, 0.6], [0.9, 0.2], [0.7, 0.95]]
     data = tmp_path / "query.csv"

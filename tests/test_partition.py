@@ -101,6 +101,18 @@ def test_negative_lifetime_rejected():
         sample_mondrian(UNIT2, -1.0, RngStream(0))
 
 
+@pytest.mark.parametrize("lifetime", [math.inf, math.nan])
+@pytest.mark.parametrize("grow", [
+    lambda lam: sample_mondrian(BoxRegion.unit(1), lam, RngStream(0), max_splits=0),
+    lambda lam: extend(sample(3, 1.0), lam, RngStream(1), max_splits=0),
+    lambda lam: prune(sample(3, 1.0), lam),
+], ids=["sample", "extend", "prune"])
+def test_non_finite_lifetime_rejected(grow, lifetime):
+    # a zero split budget makes a missing check fail fast instead of hanging
+    with pytest.raises(ValueError, match="finite"):
+        grow(lifetime)
+
+
 def test_split_budget_guard_raises():
     with pytest.raises(SplitLimitError):
         sample_mondrian(BoxRegion.unit(1), 60.0, RngStream(5), max_splits=5)
