@@ -33,7 +33,7 @@ from .estimators import (
     predict_class,
 )
 from .harness import ExperimentReport, SyntheticTask
-from .partition import BoxRegion, SplitLimitError, partition_to_json, sample_mondrian
+from .partition import DEFAULT_MAX_SPLITS, BoxRegion, SplitLimitError, partition_to_json, sample_mondrian
 from .rng import RngStream
 
 USAGE_ERROR = 2
@@ -88,7 +88,7 @@ _SUBCOMMANDS: dict[str, list[_Opt]] = {
     "sample": [
         _Opt("d", int, 2, "dimension of the unit cube"),
         _Opt("lifetime", float, None, "lifetime of the partition", required=True),
-        _Opt("max-splits", int, 1_000_000, "split budget guard"),
+        _Opt("max-splits", int, DEFAULT_MAX_SPLITS, "split budget guard"),
     ],
     "verify-leaf-count": [
         _Opt("d", int, 2, "dimension"),
@@ -249,6 +249,8 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
             raise ValueError(f"missing required option --{opt.name}")
     if merged.get("format") not in (None, "json", "csv"):
         raise ValueError(f"unknown format {merged['format']!r}")
+    if not isinstance(merged["threads"], int) or merged["threads"] < 1:
+        raise ValueError(f"--threads must be >= 1, got {merged['threads']}")
     return merged
 
 
@@ -295,12 +297,22 @@ def _make_task(cfg: dict) -> SyntheticTask:
 
 
 def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Read a data file with header x1..xd[,y]; returns (X, y or None, d)."""
+    """Read a data file with header x1..xd[,y]; returns (X, y or None, d).
+
+    Columns bind by name: x1..xd in file order, plus at most one y anywhere.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path} line 1: expected a header x1..xd[,y], found end of file")
+        names = [h.strip() for h in header]
+        x_cols = [i for i, h in enumerate(names) if h != "y"]
+        y_cols = [i for i, h in enumerate(names) if h == "y"]
+        if not x_cols or len(y_cols) > 1 or [names[i] for i in x_cols] != [
+                f"x{j}" for j in range(1, len(x_cols) + 1)]:
+            raise ValueError(f"{path} line 1: header {','.join(names)!r} is not x1..xd "
+                             "in order with at most one y column")
         rows = []
         for row in filter(None, reader):  # blank lines are skipped
             if len(row) != len(header):
@@ -309,11 +321,6 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    names = [h.strip() for h in header]
-    x_cols = [i for i, h in enumerate(names) if h.startswith("x")]
-    y_cols = [i for i, h in enumerate(names) if h == "y"]
-    if not x_cols:
-        raise ValueError("data file needs columns x1..xd (and optionally y)")
     data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
     X = data[:, x_cols]
     y = data[:, y_cols[0]] if y_cols else None
@@ -358,11 +365,11 @@ def _cmd_verify_restriction(cfg: dict) -> int:
 
 
 def _resolved_lifetime(cfg: dict, n: int, d: int) -> float:
+    if (cfg.get("lifetime") is None) == (not cfg.get("schedule")):
+        raise ValueError("provide exactly one of --lifetime or --schedule")
     if cfg.get("lifetime") is not None:
         return cfg["lifetime"]
-    if cfg.get("schedule"):
-        return lifetime_schedule(cfg["schedule"], n, d, cfg["scale"])
-    raise ValueError("provide --lifetime or --schedule")
+    return lifetime_schedule(cfg["schedule"], n, d, cfg["scale"])
 
 
 def _cmd_risk(cfg: dict) -> int:
@@ -417,6 +424,8 @@ def _cmd_classify_sweep(cfg: dict) -> int:
 
 
 def _cmd_fit(cfg: dict) -> int:
+    if cfg["format"] == "csv":
+        raise ValueError("fit emits JSON only")
     X, y, d = _read_csv_matrix(cfg["data"])
     if y is None:
         raise ValueError("fit needs a y column in the data file")

@@ -74,9 +74,9 @@ def _scaled_int(value: float) -> int:
     return mant >> (-shift)  # subnormal: the dropped bits are zero
 
 
+# two converters on purpose: the scalar one is >10x cheaper for the single
+# label of update_tree, the vectorised one ~3x cheaper for batches
 def _scaled_ints(y: np.ndarray) -> list[int]:
-    if y.size == 0:
-        return []
     if not np.isfinite(y).all():
         raise ValueError("labels must be finite")
     m, e = np.frexp(y)
@@ -89,12 +89,14 @@ def _scaled_ints(y: np.ndarray) -> list[int]:
 _MAX_SCALED = _scaled_int(sys.float_info.max)
 
 
-def _scaled_to_float(total: int) -> float:
-    return total / (1 << _SCALE_BITS)  # int/int division is correctly rounded
-
-
-def _scaled_mean(total: int, count: int) -> float:
-    return total / (count << _SCALE_BITS)
+def _leaf_mean(total: int, count: int) -> float:
+    """Correctly rounded ``total / count`` in float units; exactly 0 for an empty leaf."""
+    if count == 0:
+        return 0.0
+    try:
+        return total / (count << _SCALE_BITS)  # int/int division is correctly rounded
+    except OverflowError:  # rounds past the largest float
+        return math.inf if total > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,12 @@ class LeafStatistics:
 
     @property
     def label_sum(self) -> float:
-        return _scaled_to_float(self.scaled_sum)
+        return _leaf_mean(self.scaled_sum, 1)
 
     @property
     def mean(self) -> float:
         """Leaf prediction: average label, or exactly 0 for an empty leaf."""
-        if self.count == 0:
-            return 0.0
-        return _scaled_mean(self.scaled_sum, self.count)
+        return _leaf_mean(self.scaled_sum, self.count)
 
     @property
     def class_counts(self) -> tuple[int, int]:
@@ -136,18 +136,21 @@ class MondrianTreeModel:
     label accumulation is exact.
     """
 
-    __slots__ = ("partition", "n_seen", "_counts", "_totals", "_means")
+    __slots__ = ("partition", "_counts", "_totals", "_means")
 
-    def __init__(self, partition: MondrianPartition, counts: np.ndarray, totals: list[int], n_seen: int):
+    def __init__(self, partition: MondrianPartition, counts: np.ndarray, totals: list[int]):
         self.partition = partition
         self._counts = counts
         self._totals = totals
-        self.n_seen = n_seen
         self._means = None
 
     @property
     def n_leaves(self) -> int:
         return len(self._totals)
+
+    @property
+    def n_seen(self) -> int:
+        return sum(self._counts.tolist())  # exact, where an int64 sum could wrap
 
     def leaf_statistics(self) -> list[LeafStatistics]:
         """Statistics per leaf, in depth-first leaf order."""
@@ -161,10 +164,7 @@ class MondrianTreeModel:
     def _leaf_means(self) -> np.ndarray:
         if self._means is None:
             self._means = np.array(
-                [
-                    _scaled_mean(t, int(c)) if c else 0.0
-                    for c, t in zip(self._counts, self._totals)
-                ],
+                [_leaf_mean(t, c) for c, t in zip(self._counts.tolist(), self._totals)],
                 dtype=np.float64,
             )
         return self._means
@@ -185,7 +185,7 @@ def fit_tree(partition: MondrianPartition, X, y) -> MondrianTreeModel:
     points outside the root box raise a ValueError naming the offending rows.
     """
     X, y = _check_data(partition.dim, X, y)
-    return _fit_prepared(partition, X, _scaled_ints(y))
+    return _accumulate(partition, X, _scaled_ints(y))
 
 
 def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -198,16 +198,22 @@ def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _fit_prepared(partition: MondrianPartition, X: np.ndarray, scaled: list[int]) -> MondrianTreeModel:
-    n_leaves = partition.n_leaves
-    if X.shape[0] == 0:
-        return MondrianTreeModel(partition, np.zeros(n_leaves, dtype=np.int64), [0] * n_leaves, 0)
+def _accumulate(partition: MondrianPartition, X: np.ndarray, scaled: list[int],
+                base: MondrianTreeModel | None = None) -> MondrianTreeModel:
+    """The one producer of leaf sums: ``base``'s statistics (or zeros) plus the rows of ``X``.
+
+    ``scaled`` holds the rows' labels in 2^-1074 units.  Batch fits, forest
+    fits and updates all run this, so a fold of updates equals a batch fit.
+    """
     ranks = partition.leaf_indices(X)
-    counts = np.bincount(ranks, minlength=n_leaves)
-    totals = [0] * n_leaves
+    counts = np.bincount(ranks, minlength=partition.n_leaves)
+    if base is None:
+        totals = [0] * partition.n_leaves
+    else:
+        counts, totals = counts + base._counts, list(base._totals)
     for rank, value in zip(ranks.tolist(), scaled):
         totals[rank] += value
-    return MondrianTreeModel(partition, counts, totals, X.shape[0])
+    return MondrianTreeModel(partition, counts, totals)
 
 
 def predict_tree(model: MondrianTreeModel, x):
@@ -218,12 +224,7 @@ def predict_tree(model: MondrianTreeModel, x):
 def update_tree(model: MondrianTreeModel, x, y) -> MondrianTreeModel:
     """New model equivalent to refitting on the data plus one point."""
     x = np.asarray(x, dtype=np.float64)
-    rank = int(model.partition.leaf_indices(x[None, :])[0])
-    counts = model._counts.copy()
-    totals = list(model._totals)
-    counts[rank] += 1
-    totals[rank] += _scaled_int(y)
-    return MondrianTreeModel(model.partition, counts, totals, model.n_seen + 1)
+    return _accumulate(model.partition, x[None, :], [_scaled_int(y)], base=model)
 
 
 class MondrianForestModel:
@@ -271,16 +272,8 @@ class MondrianForestModel:
         return predict_class(self, x)
 
 
-def fit_forest(
-    box: BoxRegion,
-    d: int,
-    lifetime: float,
-    n_trees: int,
-    X,
-    y,
-    master_seed,
-    max_splits: int = 1_000_000,
-) -> MondrianForestModel:
+def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
+               master_seed) -> MondrianForestModel:
     """Grow ``n_trees`` independent partitions and fit each with the data.
 
     ``master_seed`` is an integer, or an :class:`RngStream` whose children
@@ -288,8 +281,6 @@ def fit_forest(
     """
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    if lifetime < 0:
-        raise ValueError("lifetime must be >= 0")
     if box.dim != d:
         raise ValueError(f"box has dimension {box.dim}, expected {d}")
     X, y = _check_data(d, X, y)
@@ -299,10 +290,8 @@ def fit_forest(
         master_seed = (master.seed,) + master.path
     else:
         master = RngStream(master_seed)
-    trees = []
-    for m in range(n_trees):
-        part = sample_mondrian(box, lifetime, master.child(m), max_splits=max_splits)
-        trees.append(_fit_prepared(part, X, scaled))
+    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, scaled)
+             for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)
 
 
@@ -408,7 +397,7 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
         n_seen = data["n_seen"]
         if not _is_int(n_seen) or n_seen != sum(counts):
             raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
-        return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals, n_seen)
+        return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed tree model: {exc!r}") from None
 

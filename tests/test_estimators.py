@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mondrianforest import (
     BoxRegion,
@@ -161,6 +163,55 @@ def test_permutation_invariance_is_bit_exact():
         assert np.array_equal(predict_tree(permuted, probe), expected)
 
 
+# -- one accumulation path: properties -----------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# every finite float: subnormals, both zeros and +-max included
+LABELS = st.floats(allow_nan=False, allow_infinity=False)
+POINTS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def labelled_data(draw, max_n=24):
+    rows = draw(st.lists(st.tuples(POINTS, LABELS), max_size=max_n))
+    X = np.array([x for x, _ in rows], dtype=np.float64).reshape(len(rows), 2)
+    y = np.array([v for _, v in rows], dtype=np.float64)
+    return X, y
+
+
+def same_statistics(a, b):
+    return (np.array_equal(a._counts, b._counts) and a._totals == b._totals
+            and a.n_seen == b.n_seen)
+
+
+@PROPERTY
+@given(labelled_data(), st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_fold_of_updates_equals_batch_fit_on_any_order(data, seed, random):
+    X, y = data
+    part = sample_mondrian(UNIT2, 3.0, RngStream(seed))
+    model = fit_tree(part, np.empty((0, 2)), np.empty(0))
+    for xi, yi in zip(X, y):
+        model = update_tree(model, xi, yi)
+    order = list(range(len(y)))
+    random.shuffle(order)
+    probe = np.vstack([X, np.random.default_rng(seed).random((16, 2))])
+    for batch in (fit_tree(part, X, y), fit_tree(part, X[order], y[order])):
+        assert same_statistics(model, batch)
+        assert predict_tree(model, probe).tobytes() == predict_tree(batch, probe).tobytes()
+
+
+@PROPERTY
+@given(labelled_data(), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.sampled_from([0.0, 1.5, 4.0]))
+def test_forest_tree_m_equals_fit_tree_on_child_stream_m(data, seed, n_trees, lifetime):
+    X, y = data
+    forest = fit_forest(UNIT2, 2, lifetime, n_trees, X, y, master_seed=RngStream(seed))
+    for m, tree in enumerate(forest.trees):
+        part = sample_mondrian(UNIT2, lifetime, RngStream(seed).child(m))
+        assert tree.partition.structurally_equal(part)
+        assert same_statistics(tree, fit_tree(part, X, y))
+
+
 # -- forests -----------------------------------------------------------------
 
 def test_forest_of_one_tree_equals_tree():
@@ -209,6 +260,12 @@ def test_forest_unanimous_trees_return_common_value():
     forest = fit_forest(UNIT2, 2, 0.0, 5, X, np.full(30, 3.25), master_seed=41)
     assert np.all(forest.per_tree_predictions(np.array([0.5, 0.5])) == 3.25)
     assert predict_forest(forest, np.array([0.5, 0.5])) == 3.25
+
+
+@pytest.mark.parametrize("lifetime", [-1.0, math.inf, math.nan])
+def test_forest_rejects_bad_lifetime(lifetime):
+    with pytest.raises(ValueError, match="lifetime must be finite"):
+        fit_forest(UNIT2, 2, lifetime, 1, np.empty((0, 2)), np.empty(0), master_seed=1)
 
 
 def test_forest_dimension_checks():

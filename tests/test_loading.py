@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import sys
 import tempfile
 
 import numpy as np
@@ -26,7 +27,12 @@ from mondrianforest import (
     sample_mondrian,
 )
 from mondrianforest.cli import run
-from mondrianforest.estimators import forest_model_from_dict, tree_model_from_dict
+from mondrianforest.estimators import (
+    _MAX_SCALED,
+    LeafStatistics,
+    forest_model_from_dict,
+    tree_model_from_dict,
+)
 from mondrianforest.partition import MondrianPartition, validate_partition
 
 PART = sample_mondrian(BoxRegion.unit(2), 3.0, RngStream(11))
@@ -147,6 +153,21 @@ def test_tree_model_loader_rejects_defect(defect):
         tree_model_from_dict(doc)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_leaf_sum_beyond_float_range_rounds_to_infinity(sign):
+    total = sign * 2 * _MAX_SCALED
+    stats = LeafStatistics(2, total)
+    assert stats.label_sum == sign * math.inf
+    assert stats.mean == sign * sys.float_info.max
+    doc = copy.deepcopy(TREE_DOC)
+    doc["leaf_stats"][0] = [2, str(total)]
+    doc["n_seen"] = sum(c for c, _ in doc["leaf_stats"])
+    tree = tree_model_from_dict(doc)
+    assert tree.leaf_statistics()[0] == stats
+    box = tree.partition.leaves()[0].box
+    assert tree.predict((box.lower + box.upper) / 2) == sign * sys.float_info.max
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("trees"),
     lambda d: d.update(trees={}),
@@ -230,10 +251,17 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
     ["sample", "--d", "1", "--lifetime", "nan", "--max-splits", "0"],
     ["risk", "--n", "0", "--lifetime", "1"],
     ["tree-vs-forest", "--lambda-grid", "1,2", "--curved-n", "0"],
+    ["fit", "--data", "absent.csv", "--lifetime", "1", "--format", "csv"],
+    ["risk", "--n", "20", "--lifetime", "1", "--schedule", "lipschitz"],
+    ["verify-leaf-count", "--lifetime", "1", "--threads", "-5"],
+    ["fit", "--data", "absent.csv", "--lifetime", "1", "--threads", "0"],
+    ["predict", "--model", "absent.json", "--point", "0.5,0.5", "--threads", "0"],
 ], ids=["leaf-count-samples-0", "leaf-count-samples-minus-3", "restriction-samples-1",
         "diameter-samples-1", "cell-dist-samples-0", "risk-threads-0",
         "classify-replicates-1", "classify-n-test-0", "sample-lifetime-inf",
-        "sample-lifetime-nan", "risk-n-0", "tree-vs-forest-curved-n-0"])
+        "sample-lifetime-nan", "risk-n-0", "tree-vs-forest-curved-n-0",
+        "fit-format-csv", "risk-lifetime-and-schedule", "leaf-count-threads-minus-5",
+        "fit-threads-0", "predict-threads-0"])
 def test_bad_argument_exits_two_with_one_line(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -241,6 +269,17 @@ def test_bad_argument_exits_two_with_one_line(capsys, argv):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"mondrian-forest {argv[0]}: error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--data", "absent.csv", "--lifetime", "1", "--format", "csv"], "fit emits JSON only"),
+    (["fit", "--data", "absent.csv", "--lifetime", "1", "--threads", "0"], "--threads must be >= 1"),
+    (["predict", "--model", "absent.json", "--point", "0.5", "--threads", "0"],
+     "--threads must be >= 1"),
+], ids=["fit-format-csv", "fit-threads-0", "predict-threads-0"])
+def test_option_errors_are_reported_before_any_file_is_read(capsys, argv, message):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, line", [("", "line 1"), ("x1,y\n0.5\n", "line 2"),
@@ -259,6 +298,38 @@ def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, l
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert line in captured.err
+
+
+@pytest.mark.parametrize("header", ["x2,x1", "xa,zz,xb", "x1,x1", "x1,x3"])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_data_csv_columns_bind_by_name(tmp_path, capsys, command, header):
+    data = tmp_path / "data.csv"
+    width = header.count(",") + 2
+    data.write_text(f"{header},y\n" + ",".join(["0.5"] * width) + "\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(FOREST_DOC))
+    args = ["--lifetime", "1"] if command == "fit" else ["--model", str(model)]
+    code = run([command, "--data", str(data), *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"line 1: header '{header},y'" in captured.err
+
+
+def test_data_csv_y_column_may_stand_between_x_columns(tmp_path, capsys):
+    rows = np.column_stack([X, Y]).tolist()
+    ordered, mixed = tmp_path / "ordered.csv", tmp_path / "mixed.csv"
+    ordered.write_text("x1,x2,y\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+    mixed.write_text("x1,y,x2\n" + "".join(f"{a!r},{c!r},{b!r}\n" for a, b, c in rows))
+    outputs = []
+    for data in (ordered, mixed):
+        model = tmp_path / f"{data.stem}.json"
+        assert run(["fit", "--data", str(data), "--lifetime", "3", "--trees", "2",
+                    "--output", str(model)]) == 0
+        assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
+        outputs.append((model.read_text(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_classify_on_tree_model_uses_the_forest_rule(tmp_path, capsys):
