@@ -256,7 +256,7 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
 
 def _convert(opt: _Opt, raw):
     if raw is None:
-        return None
+        raise ValueError(f"--{opt.name} expects a value, got null")
     if opt.convert is bool:
         if isinstance(raw, bool):
             return raw
@@ -269,7 +269,14 @@ def _convert(opt: _Opt, raw):
     if isinstance(raw, str):
         return opt.convert(raw)
     if opt.convert in (int, float):
-        return opt.convert(raw)
+        # a JSON bool is not a number, and an int option takes only integral values
+        if isinstance(raw, bool) or (opt.convert is int and isinstance(raw, float)
+                                     and not raw.is_integer()):
+            raise ValueError(f"--{opt.name} expects {opt.convert.__name__}, got {raw!r}")
+        try:
+            return opt.convert(raw)
+        except OverflowError:  # a JSON int beyond the float range
+            raise ValueError(f"--{opt.name} is out of the float range") from None
     return opt.convert(str(raw))
 
 

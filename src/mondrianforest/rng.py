@@ -11,6 +11,16 @@ tree ``m`` of a forest sees the same randomness whether the forest has
 Exponential variates are generated by inverse CDF (``-log1p(-u) / rate``) so
 the draw sequence is exactly one uniform per variate and reproducible from
 the uniform stream alone.
+
+Scalar uniforms are served from blocks of ``_BLOCK`` doubles.  Philox is
+counter-based, so ``random(n)`` yields exactly the doubles of ``n``
+consecutive ``random()`` calls, and the block changes no draw.  The block
+reads ahead of the draws handed out; ``counter`` counts only the latter.
+Mixing scalar and bulk draws follows one resync rule: reading
+:attr:`RngStream.generator` rewinds the Philox state to just after the last
+scalar draw handed out, so bulk draws continue from there exactly as if every
+scalar draw had been taken one at a time, and later scalar draws follow the
+bulk ones.
 """
 
 from __future__ import annotations
@@ -20,6 +30,8 @@ import math
 import numpy as np
 
 __all__ = ["RngStream"]
+
+_BLOCK = 256
 
 
 class RngStream:
@@ -34,7 +46,7 @@ class RngStream:
         Use :meth:`child` rather than passing paths by hand.
     """
 
-    __slots__ = ("seed", "path", "counter", "_gen")
+    __slots__ = ("seed", "path", "counter", "_gen", "_block", "_state")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
         seed = int(seed)
@@ -45,6 +57,10 @@ class RngStream:
         self.counter = 0
         entropy = (self.seed,) + self.path
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        # unread draws of the current block, last draw first (so ``pop`` hands
+        # them out in order), and the Philox state the block was read from
+        self._block: list[float] = []
+        self._state = None
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream; pure in ``(seed, path, index)``."""
@@ -54,17 +70,26 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Underlying numpy Generator, for bulk (array) draws.
 
-        Bulk draws advance the same Philox state but are not counted in
-        ``counter``, which only tracks the scalar draws used by partition
-        sampling.  Do not interleave bulk and scalar draws if the scalar
-        draw count matters for provenance.
+        Reading it resyncs the stream: the unread part of the current block
+        is given back, so bulk draws continue right after the last scalar
+        draw handed out, and the next scalar draw follows them.  Take it anew
+        after any scalar draw; a reference held across one is stale.  Bulk
+        draws are not counted in ``counter``, which tracks only the scalar
+        draws used by partition sampling.
         """
+        if self._block:
+            self._gen.bit_generator.state = self._state
+            self._gen.random(_BLOCK - len(self._block))
+            self._block = []
         return self._gen
 
     def uniform(self) -> float:
         """One uniform draw on [0, 1)."""
         self.counter += 1
-        return self._gen.random()
+        if not self._block:
+            self._state = self._gen.bit_generator.state
+            self._block = self._gen.random(_BLOCK)[::-1].tolist()
+        return self._block.pop()
 
     def exponential(self, rate: float) -> float:
         """One strictly positive Exp(rate) draw via inverse CDF.

@@ -271,6 +271,34 @@ def test_bad_argument_exits_two_with_one_line(capsys, argv):
     assert captured.err.startswith(f"mondrian-forest {argv[0]}: error:")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"d": None}, "--d expects a value, got null"),
+    ({"d": 2.7}, "--d expects int, got 2.7"),
+    ({"d": True}, "--d expects int, got True"),
+    ({"lifetime": False}, "--lifetime expects float, got False"),
+    ({"lifetime": 10**400}, "--lifetime is out of the float range"),
+    ({"threads": None}, "--threads expects a value, got null"),
+], ids=["d-null", "d-float", "d-bool", "lifetime-bool", "lifetime-huge-int",
+         "threads-null"])
+def test_bad_config_value_exits_two_with_one_line(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = run(["sample", "--lifetime", "0", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("mondrian-forest sample: error:")
+    assert message in captured.err
+
+
+def test_integral_json_float_is_accepted_for_an_int_option(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"d": 3.0}), encoding="utf-8")
+    assert run(["sample", "--lifetime", "0", "--config", str(path)]) == 0
+    assert partition_from_dict(json.loads(capsys.readouterr().out)).dim == 3
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fit", "--data", "absent.csv", "--lifetime", "1", "--format", "csv"], "fit emits JSON only"),
     (["fit", "--data", "absent.csv", "--lifetime", "1", "--threads", "0"], "--threads must be >= 1"),

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -87,3 +89,70 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
+
+
+# -- block-served scalar draws equal scalar Philox draws ---------------------
+
+
+def reference(seed, path, n):
+    """The first ``n`` doubles of a fresh Philox Generator for ``(seed, *path)``."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *path))))
+    return gen.random(n).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_uniform_draws_equal_reference_philox_draws(n):
+    s = RngStream(21, (4, 7))
+    assert [s.uniform() for _ in range(n)] == reference(21, (4, 7), n)
+    assert s.counter == n
+
+
+@pytest.mark.parametrize("before, bulk, after", [
+    (0, 5, 3), (1, 10, 300), (255, 1, 2), (256, 3, 1), (257, 600, 257), (300, 0, 10),
+])
+def test_bulk_draws_between_scalar_draws_continue_the_sequence(before, bulk, after):
+    s = RngStream(8, (2,))
+    drawn = [s.uniform() for _ in range(before)]
+    drawn += s.generator.random(bulk).tolist()
+    drawn += [s.uniform() for _ in range(after)]
+    assert drawn == reference(8, (2,), before + bulk + after)
+    assert s.counter == before + after
+
+
+def test_repeated_generator_reads_consume_nothing():
+    s = RngStream(8, (2,))
+    s.uniform()
+    s.generator
+    s.generator
+    assert [s.uniform() for _ in range(3)] == reference(8, (2,), 4)[1:]
+
+
+def test_counter_counts_draws_handed_out_not_read_ahead():
+    s = RngStream(3)
+    for _ in range(10):
+        s.uniform()
+    s.exponential(1.0)
+    s.categorical([1.0, 2.0, 3.0])
+    assert s.counter == 12
+    s.generator.random(100)
+    assert s.counter == 12
+
+
+def test_exponential_zero_rate_consumes_nothing_mid_block():
+    s = RngStream(2)
+    s.uniform()
+    assert s.exponential(0.0) == math.inf
+    assert s.counter == 1
+    assert s.uniform() == reference(2, (), 2)[1]
+
+
+@pytest.mark.parametrize("dup", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_mid_block_stream_copies_continue_identically(dup):
+    s = RngStream(17, (1, 1))
+    for _ in range(100):
+        s.uniform()
+    twin = dup(s)
+    assert twin.counter == s.counter == 100
+    assert [twin.uniform() for _ in range(400)] == [s.uniform() for _ in range(400)]
+    assert twin.generator.random(5).tolist() == s.generator.random(5).tolist()

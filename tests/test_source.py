@@ -16,3 +16,27 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _draw_path_uses(tree):
+    """Lines that build a numpy Generator or bit generator, or touch ``_gen``."""
+    builders = {"Philox", "Generator", "default_rng"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in builders:
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "_gen":
+            yield node.lineno
+
+
+def test_rng_module_owns_the_only_draw_path():
+    # a second Generator, or a reach into RngStream._gen, would draw around the
+    # block buffer and break the scalar draw sequence and its count
+    found = [f"{path.name}:{line}"
+             for path in SOURCES if path.name != "rng.py"
+             for line in _draw_path_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+    rng_source = Path(mondrianforest.__file__).parent / "rng.py"
+    assert list(_draw_path_uses(ast.parse(rng_source.read_text(encoding="utf-8"))))
