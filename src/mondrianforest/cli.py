@@ -193,22 +193,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def load_config(path: str) -> dict:
     """Read a flat config file: JSON object, or one ``key=value`` per line.
 
-    Keys use flag names (dashes or underscores).  Duplicate keys and nested
-    JSON values are rejected.
+    Keys use flag names (dashes or underscores).  Duplicate keys, including
+    two spellings of one flag, and nested JSON values are rejected.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     stripped = text.strip()
-    values: dict[str, object] = {}
     if stripped.startswith("{"):
-        parsed = json.loads(stripped)
-        if not isinstance(parsed, dict):
-            raise ValueError("config JSON must be an object")
-        for key, value in parsed.items():
-            if isinstance(value, (dict, list)):
+        # pairs rather than a dict, so that a repeated key is seen, not overwritten
+        pairs = json.loads(stripped, object_pairs_hook=list)
+        for key, value in pairs:
+            if isinstance(value, list):  # an array, or a nested object's pairs
                 raise ValueError(f"config key {key!r} must be flat (no nesting)")
-            values[_norm_key(key)] = value
     else:
+        pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -216,10 +214,13 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            key = _norm_key(key.strip())
-            if key in values:
-                raise ValueError(f"duplicate config key {key!r}")
-            values[key] = value.strip()
+            pairs.append((key, value.strip()))
+    values: dict[str, object] = {}
+    for key, value in pairs:
+        key = _norm_key(key)
+        if key in values:
+            raise ValueError(f"duplicate config key {key!r}")
+        values[key] = value
     return values
 
 

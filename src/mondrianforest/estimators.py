@@ -411,18 +411,35 @@ def forest_model_to_dict(model: MondrianForestModel) -> dict:
     }
 
 
+def _master_seed(value):
+    """A forest's JSON ``master_seed``: a 64-bit seed, or a list of one and a path."""
+    seed, path = (value[0], value[1:]) if isinstance(value, list) and value else (value, [])
+    if not (_is_int(seed) and 0 <= seed < 2**64 and all(_is_int(p) and p >= 0 for p in path)):
+        raise ValueError(f"master_seed must be a 64-bit seed or a list of one and a path "
+                         f"of non-negative ints, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def forest_model_from_dict(data: dict) -> MondrianForestModel:
-    """Inverse of :func:`forest_model_to_dict`; ValueError for a malformed document."""
+    """Inverse of :func:`forest_model_to_dict`; ValueError for a malformed document.
+
+    Beyond the tree checks, ``lifetime`` must be a number equal to every
+    tree's partition lifetime, ``master_seed`` must be a seed a forest can be
+    grown from, and all trees must partition the same root box.
+    """
     try:
         if data.get("schema") != FOREST_MODEL_SCHEMA:
             raise ValueError(f"unsupported forest model schema: {data.get('schema')!r}")
         if not isinstance(data["trees"], list):
             raise ValueError("trees must be a list")
         trees = [tree_model_from_dict(t) for t in data["trees"]]
-        master_seed = data["master_seed"]
-        if isinstance(master_seed, list):
-            master_seed = tuple(master_seed)
-        return MondrianForestModel(trees, float(data["lifetime"]), master_seed)
+        lifetime = data["lifetime"]
+        if (isinstance(lifetime, bool) or not isinstance(lifetime, (int, float))
+                or any(tree.partition.lifetime != lifetime for tree in trees)):
+            raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
+        if any(tree.partition.box != trees[0].partition.box for tree in trees):
+            raise ValueError("the trees do not share one root box")
+        return MondrianForestModel(trees, lifetime, _master_seed(data["master_seed"]))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed forest model: {exc!r}") from None
 

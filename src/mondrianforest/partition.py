@@ -251,13 +251,10 @@ class PartitionNode:
     @property
     def children(self):
         """(left, right) for internal nodes, None for leaves."""
-        split = self.split
-        if split is None:
+        if self.is_leaf:
             return None
         p, i = self.partition, self.index
-        left_box, right_box = self.box.split(split.dim, split.threshold)
-        return (p._node(i + 1, left_box, split.time),
-                p._node(int(p.right[i]), right_box, split.time))
+        return p._node(i + 1), p._node(p.right.item(i))
 
     @property
     def left(self):
@@ -311,28 +308,37 @@ class MondrianPartition:
 
     # -- traversal ---------------------------------------------------------
 
-    def _node(self, index: int, box: BoxRegion, birth_time: float) -> PartitionNode:
+    def _node(self, index: int) -> PartitionNode:
+        # the one derivation of a cell: descend from the root, narrowing the box and taking
+        # the clock of each split passed; thresholds are interior, so a split opens the
+        # lower edge it moves and no other lower edge leaves the root's value
         node = self._views.get(index)
         if node is None:
-            node = self._views[index] = PartitionNode(self, index, box, birth_time)
+            box, at, birth = self.box, 0, 0.0
+            lower, upper = box.lower.tolist(), box.upper.tolist()
+            dims, thrs, clocks, rights = self._arrays()
+            while at != index:
+                axis, threshold, birth = dims.item(at), thrs.item(at), clocks.item(at)
+                if index < rights.item(at):
+                    upper[axis], at = threshold, at + 1
+                else:
+                    lower[axis], at = threshold, rights.item(at)
+            lower = np.array(lower)
+            cell = BoxRegion._make(lower, np.array(upper), box.left_closed & (lower == box.lower))
+            node = self._views[index] = PartitionNode(self, index, cell, birth)
         return node
 
     @property
     def root(self) -> PartitionNode:
-        return self._node(0, self.box, 0.0)
+        return self._node(0)
 
     def iter_nodes(self):
-        """Depth-first, left-before-right node iterator."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.extend(reversed(node.children))
+        """Depth-first, left-before-right node iterator (the array order)."""
+        return map(self._node, range(self.split_dim.size))
 
     def leaves(self):
         """Leaves in depth-first, left-first order."""
-        return [node for node in self.iter_nodes() if node.is_leaf]
+        return [self._node(i) for i in np.flatnonzero(self.split_dim < 0).tolist()]
 
     @property
     def n_leaves(self) -> int:
@@ -349,18 +355,11 @@ class MondrianPartition:
         x = np.asarray(x, dtype=np.float64)
         if not self.box.contains(x):
             raise ValueError(f"point {x.tolist()} is outside the root box")
-        lower, upper, closed = (a.tolist() for a in (self.box.lower, self.box.upper,
-                                                     self.box.left_closed))
-        dims, thrs, clocks, rights = self._arrays()
-        point, node, birth = x.tolist(), 0, 0.0
+        dims, thrs, rights = self.split_dim, self.threshold, self.right
+        point, node = x.tolist(), 0
         while dims.item(node) >= 0:
-            axis, threshold, birth = dims.item(node), thrs.item(node), clocks.item(node)
-            if point[axis] <= threshold:
-                upper[axis], node = threshold, node + 1
-            else:
-                lower[axis], closed[axis], node = threshold, False, rights.item(node)
-        box = BoxRegion._make(np.array(lower), np.array(upper), np.array(closed))
-        return self._node(node, box, birth)
+            node = node + 1 if point[dims.item(node)] <= thrs.item(node) else rights.item(node)
+        return self._node(node)
 
     def leaf_indices(self, X) -> np.ndarray:
         """DFS-left-first leaf index for each row of ``X`` (shape (n, dim))."""

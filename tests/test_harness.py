@@ -290,6 +290,16 @@ def test_rate_sweep_c2_schedule_reaches_smooth_rate():
     assert trees == sorted(trees) and trees[0] >= 1
 
 
+def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_two_dimensions():
+    # the Lipschitz rate n^(-2/(d+2)) holds in any dimension; at d=2 it is -1/2
+    task = SyntheticTask(kind="lipschitz_d", d=2, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "lipschitz", 1.0, 8,
+                        replicates=24, seed=1, n_test=4096, slope_tolerance=0.15)
+    assert report.oracle["slope_target"] == pytest.approx(-0.5)
+    assert abs(report.oracle["slope"] - (-0.5)) <= 0.15
+    assert report.passed
+
+
 def test_rate_sweep_fixed_schedule_is_shallower():
     task = SyntheticTask(kind="lipschitz_1d", sigma=0.1)
     tuned = rate_sweep(task, [256, 1024, 4096], "lipschitz", 1.0, 1,

@@ -168,20 +168,50 @@ def test_leaf_sum_beyond_float_range_rounds_to_infinity(sign):
     assert tree.predict((box.lower + box.upper) / 2) == sign * sys.float_info.max
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d.pop("trees"),
-    lambda d: d.update(trees={}),
-    lambda d: d.update(trees=[]),
-    lambda d: d.update(master_seed=None),
-    lambda d: d.update(master_seed=math.inf),
-    lambda d: d.update(lifetime=[3.0]),
-], ids=["trees-missing", "trees-as-dict", "no-trees", "seed-null", "seed-infinite",
-        "lifetime-as-list"])
-def test_forest_model_loader_rejects_defect(edit):
+def one_d_tree_doc():
+    part = sample_mondrian(BoxRegion.unit(1), 3.0, RngStream(5))
+    return json.loads(model_to_json(fit_tree(part, X[:, :1], Y)))
+
+
+FOREST_DEFECTS = {
+    "trees-missing": lambda d: d.pop("trees"),
+    "trees-as-dict": lambda d: d.update(trees={}),
+    "no-trees": lambda d: d.update(trees=[]),
+    "seed-null": lambda d: d.update(master_seed=None),
+    "seed-infinite": lambda d: d.update(master_seed=math.inf),
+    "lifetime-as-list": lambda d: d.update(lifetime=[3.0]),
+    "seed-fractional": set_key("master_seed", 1.5),
+    "seed-bool": set_key("master_seed", True),
+    "seed-negative": set_key("master_seed", -3),
+    "seed-2-to-the-70": set_key("master_seed", 2**70),
+    "seed-path-with-string": set_key("master_seed", [1, "x"]),
+    "seed-path-negative": set_key("master_seed", [1, -2]),
+    "seed-empty-list": set_key("master_seed", []),
+    "lifetime-as-string": set_key("lifetime", "nan"),
+    "lifetime-bool": set_key("lifetime", True),
+    "lifetime-not-the-trees": set_key("lifetime", 99.0),
+    "trees-of-two-dimensions": lambda d: d["trees"].__setitem__(1, one_d_tree_doc()),
+    "trees-of-two-boxes": lambda d: d["trees"][1]["partition"]["box"].update(upper=[1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FOREST_DEFECTS))
+def test_forest_model_loader_rejects_defect(defect):
     doc = copy.deepcopy(FOREST_DOC)
-    edit(doc)
+    FOREST_DEFECTS[defect](doc)
     with pytest.raises(ValueError):
         forest_model_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("master_seed", [4, 0, 7]), ("master_seed", 2**64 - 1),
+                                        ("lifetime", 3)],
+                         ids=["seed-with-path", "seed-largest", "lifetime-as-int"])
+def test_forest_model_loader_accepts_valid_metadata(key, value):
+    doc = copy.deepcopy(FOREST_DOC)
+    doc[key] = value
+    forest = forest_model_from_dict(doc)
+    assert json.loads(model_to_json(forest))[key] == value
+    assert np.array_equal(forest.predict(X), forest_model_from_dict(FOREST_DOC).predict(X))
 
 
 def test_model_loader_rejects_non_object():
@@ -217,7 +247,9 @@ def tree_part(doc, tree=0):
     lambda d: first(tree_part(d), "split").update(time=99),
     lambda d: first(tree_part(d), "leaf").update(pending_clock=0.1),
     lambda d: d["trees"][0]["leaf_stats"][0].__setitem__(0, -5),
-], ids=["split-dim-7", "nodes-deleted", "split-time-99", "pending-clock-0.1", "count-minus-5"])
+    *FOREST_DEFECTS.values(),
+], ids=["split-dim-7", "nodes-deleted", "split-time-99", "pending-clock-0.1", "count-minus-5",
+        *FOREST_DEFECTS])
 def test_predict_on_edited_model_exits_two_with_one_line(tmp_path, capsys, edit):
     doc = copy.deepcopy(FOREST_DOC)
     edit(doc)
@@ -290,6 +322,21 @@ def test_bad_config_value_exits_two_with_one_line(tmp_path, capsys, config, mess
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("mondrian-forest sample: error:")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("text", ['{"d": 2, "d": 3}', '{"max-splits": 5, "max_splits": 100000}',
+                                  "max-splits=5\nmax_splits=100000\n"],
+                         ids=["json-repeated-key", "json-dash-and-underscore",
+                              "lines-dash-and-underscore"])
+def test_duplicate_config_key_exits_two_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text, encoding="utf-8")
+    code = run(["sample", "--lifetime", "0", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("mondrian-forest sample: error: duplicate config key")
 
 
 def test_integral_json_float_is_accepted_for_an_int_option(tmp_path, capsys):

@@ -209,6 +209,58 @@ def test_batch_leaf_indices_reports_offender():
         part.leaf_indices(X)
 
 
+def reference_cells(part):
+    """(index, box, birth time) of every node in preorder, from ``BoxRegion.split``."""
+    out, stack = [], [(0, part.box, 0.0)]
+    while stack:
+        index, box, birth = stack.pop()
+        out.append((index, box, birth))
+        axis = int(part.split_dim[index])
+        if axis >= 0:
+            left, right = box.split(axis, float(part.threshold[index]))
+            clock = float(part.clock[index])
+            stack.append((int(part.right[index]), right, clock))
+            stack.append((index + 1, left, clock))
+    return out
+
+
+VIEW_PARTITIONS = {
+    "d1": lambda: sample_mondrian(BoxRegion.unit(1), 8.0, RngStream(40)),
+    "d2-open-axis": lambda: sample_mondrian(
+        BoxRegion([-1.0, 2.0], [3.0, 2.5], [True, False]), 3.0, RngStream(41)),
+    "d3": lambda: sample_mondrian(BoxRegion.unit(3), 4.0, RngStream(42)),
+    "d2-restricted": lambda: restrict(
+        sample(43, 8.0), BoxRegion([0.2, 0.1], [0.6, 0.4], [False, True])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_PARTITIONS))
+def test_views_match_a_reference_descent(name):
+    part = VIEW_PARTITIONS[name]()
+    assert part.n_splits > 3
+    ref = reference_cells(part)
+    nodes = list(part.iter_nodes())
+    assert [node.index for node in nodes] == [index for index, _, _ in ref]
+    for node, (_, box, birth) in zip(nodes, ref):
+        assert node.box == box
+        assert node.birth_time == birth
+    leaves = part.leaves()
+    assert len(leaves) == part.n_leaves
+    assert all(a is b for a, b in zip(leaves, [node for node in nodes if node.is_leaf], strict=True))
+    # a point on a threshold: the reference leaf is the one whose cell holds it
+    ref_leaves = [(index, box) for index, box, _ in ref if part.split_dim[index] < 0]
+    for node, (_, box, _) in zip(nodes, ref):
+        if node.split is None:
+            continue
+        x = (box.lower + box.upper) / 2
+        x[node.split.dim] = node.split.threshold
+        owners = [index for index, box in ref_leaves if box.contains(x)]
+        assert len(owners) == 1
+        leaf = locate_leaf(part, x)
+        assert leaf.index == owners[0]
+        assert leaf is leaves[[index for index, _ in ref_leaves].index(owners[0])]
+
+
 def test_leaf_cells_orders_and_volumes():
     part = sample(3, 5.0)
     cells = leaf_cells(part)

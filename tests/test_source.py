@@ -40,3 +40,25 @@ def test_rng_module_owns_the_only_draw_path():
     assert found == []
     rng_source = Path(mondrianforest.__file__).parent / "rng.py"
     assert list(_draw_path_uses(ast.parse(rng_source.read_text(encoding="utf-8"))))
+
+
+def _calls(tree, name, scope=""):
+    """The enclosing qualified name of every call to ``name`` in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                yield scope
+        yield from _calls(node, name, inner)
+
+
+def test_partition_node_views_have_one_constructor():
+    # MondrianPartition._node is the one derivation of a view's cell and birth
+    # time; a second PartitionNode(...) call would bring back a second one
+    found = [(path.name, scope)
+             for path in SOURCES
+             for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "PartitionNode")]
+    assert found == [("partition.py", "MondrianPartition._node")]
