@@ -425,7 +425,8 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
 
     Beyond the tree checks, ``lifetime`` must be a number equal to every
     tree's partition lifetime, ``master_seed`` must be a seed a forest can be
-    grown from, and all trees must partition the same root box.
+    grown from, and all trees must partition the same root box and count the
+    same number of rows (every tree of a forest is fitted on all of its data).
     """
     try:
         if data.get("schema") != FOREST_MODEL_SCHEMA:
@@ -439,6 +440,9 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
             raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
         if any(tree.partition.box != trees[0].partition.box for tree in trees):
             raise ValueError("the trees do not share one root box")
+        if any(tree.n_seen != trees[0].n_seen for tree in trees):
+            raise ValueError("the trees do not share one n_seen, so they were fitted on "
+                             "different data")
         return MondrianForestModel(trees, lifetime, _master_seed(data["master_seed"]))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed forest model: {exc!r}") from None

@@ -19,10 +19,11 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
@@ -184,8 +185,8 @@ class SyntheticTask:
             raise ValueError(f"{self.kind} requires d = 1")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and >= 0")
         target = self.target or _TASK_KINDS[self.kind]
         if target not in _TARGETS:
             raise ValueError(f"unknown target {target!r}")
@@ -313,7 +314,7 @@ class ExperimentReport:
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=2)
+        return json.dumps(self.to_dict(include_timing=include_timing), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         """Grid rows as CSV (columns: n, lifetime, n_trees, risk, se, then
@@ -329,8 +330,7 @@ class ExperimentReport:
         else:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["verdict", "passed", "statistic", "threshold", "rule", "sample_size"])
-            for v in self.verdicts:
-                writer.writerow([v.name, v.passed, v.statistic, v.threshold, v.rule, v.sample_size])
+            writer.writerows(astuple(v) for v in self.verdicts)
         return buf.getvalue()
 
 
@@ -342,28 +342,15 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _band_verdict(name: str, value: float, center: float, se: float, n: int,
-                  k: float = MEAN_BAND_SE) -> Verdict:
-    deviation = abs(value - center)
-    return Verdict(
-        name=name,
-        passed=bool(deviation <= k * se),
-        statistic=deviation,
-        threshold=k * se,
-        rule=f"|mean - {center:.10g}| <= {k:g} * SE",
-        sample_size=n,
-    )
+def _verdict(name: str, statistic: float, holds, threshold: float, rule: str, n: int) -> Verdict:
+    """The one pass/fail decision: ``holds(statistic, threshold)``, with
+    ``holds`` a comparison such as ``operator.le``."""
+    return Verdict(name, bool(holds(statistic, threshold)), statistic, threshold, rule, n)
 
 
-def _upper_verdict(name: str, value: float, bound: float, slack: float, n: int, rule: str) -> Verdict:
-    return Verdict(
-        name=name,
-        passed=bool(value <= bound + slack),
-        statistic=value,
-        threshold=bound + slack,
-        rule=rule,
-        sample_size=n,
-    )
+def _band_verdict(name: str, value: float, center: float, se: float, n: int) -> Verdict:
+    return _verdict(name, abs(value - center), operator.le, MEAN_BAND_SE * se,
+                    f"|mean - {center:.10g}| <= {MEAN_BAND_SE:g} * SE", n)
 
 
 # -- risk estimation ---------------------------------------------------------
@@ -495,14 +482,10 @@ def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> Exper
              "oracle": oracle}]
     if d == 1 and lifetime > 0:
         chi2_stat, dof, pvalue = _poisson_chisquare(counts - 1, lifetime)
-        verdicts.append(Verdict(
-            name="poisson-splits-gof",
-            passed=bool(pvalue >= FAMILY_SIGNIFICANCE),
-            statistic=pvalue,
-            threshold=FAMILY_SIGNIFICANCE,
-            rule=f"chi-square GOF vs Poisson({lifetime:g}), stat={chi2_stat:.4f}, dof={dof}, p >= 1e-3",
-            sample_size=samples,
-        ))
+        verdicts.append(_verdict(
+            "poisson-splits-gof", pvalue, operator.ge, FAMILY_SIGNIFICANCE,
+            f"chi-square GOF vs Poisson({lifetime:g}), stat={chi2_stat:.4f}, dof={dof}, p >= 1e-3",
+            samples))
     return ExperimentReport(
         name="verify-leaf-count",
         config={"d": d, "lifetime": lifetime, "samples": samples, "seed": seed},
@@ -549,12 +532,8 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
         verdicts.append(_band_verdict(f"atom-{label}", atom_freq, atom_p, atom_se, samples))
         interior = column[column < margin]
         if interior.size < 2:
-            verdicts.append(Verdict(
-                name=f"ks-{label}", passed=False, statistic=float("nan"),
-                threshold=per_test_alpha,
-                rule="insufficient interior samples for the KS test",
-                sample_size=int(interior.size),
-            ))
+            verdicts.append(_verdict(f"ks-{label}", int(interior.size), operator.ge, 2,
+                                     "interior samples >= 2 for the KS test", samples))
             continue
         total_mass = -math.expm1(-lifetime * margin)
 
@@ -562,28 +541,20 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
             return truncated_exp_cdf(np.clip(t, 0.0, None), lifetime, margin) / total_mass
 
         result = stats.kstest(interior, np.vectorize(conditional_cdf), mode="asymp")
-        verdicts.append(Verdict(
-            name=f"ks-{label}",
-            passed=bool(result.pvalue >= per_test_alpha),
-            statistic=float(result.pvalue),
-            threshold=per_test_alpha,
-            rule=f"KS vs exponential({lifetime:g}) conditioned below {margin:g}, "
-                 f"D={result.statistic:.5f}, p >= 1e-3/{2*d} (Bonferroni)",
-            sample_size=int(interior.size),
-        ))
+        verdicts.append(_verdict(
+            f"ks-{label}", float(result.pvalue), operator.ge, per_test_alpha,
+            f"KS vs exponential({lifetime:g}) conditioned below {margin:g}, "
+            f"D={result.statistic:.5f}, p >= 1e-3/{2*d} (Bonferroni)",
+            int(interior.size)))
     corr_limit = 4.0 / math.sqrt(samples)
-    corr = np.corrcoef(dists, rowvar=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = np.corrcoef(dists, rowvar=False)
     corr = np.nan_to_num(corr, nan=0.0)  # constant column => independent
     for a in range(2 * d):
         for b in range(a + 1, 2 * d):
-            verdicts.append(Verdict(
-                name=f"independence-{labels[a]}-{labels[b]}",
-                passed=bool(abs(corr[a, b]) < corr_limit),
-                statistic=float(abs(corr[a, b])),
-                threshold=corr_limit,
-                rule="|pairwise correlation| < 4 / sqrt(samples)",
-                sample_size=samples,
-            ))
+            verdicts.append(_verdict(
+                f"independence-{labels[a]}-{labels[b]}", float(abs(corr[a, b])), operator.lt,
+                corr_limit, "|pairwise correlation| < 4 / sqrt(samples)", samples))
     return ExperimentReport(
         name="verify-cell-dist",
         config={"d": d, "lifetime": lifetime, "x": x.tolist(), "samples": samples, "seed": seed},
@@ -609,6 +580,8 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
         raise ValueError("lifetime must be > 0")
     if delta_grid is None:
         delta_grid = np.linspace(0.5, 8.0, 10) * math.sqrt(d) / lifetime
+    if not all(math.isfinite(delta) and delta >= 0 for delta in delta_grid):
+        raise ValueError("every delta must be finite and >= 0")
     box = BoxRegion.unit(d)
     diameters = np.array([
         sample_mondrian(box, lifetime, RngStream(seed, (i,))).locate_leaf(x).box.l2_diameter
@@ -616,19 +589,16 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
     ])
     sq_mean, sq_se = _mean_se(diameters**2)
     bound = diameter_second_moment_bound(lifetime, d)
-    verdicts = [_upper_verdict(
-        "second-moment", sq_mean, bound, MEAN_BAND_SE * sq_se, samples,
-        rule="mean(D^2) <= 4d/lifetime^2 + 4 * SE",
-    )]
+    verdicts = [_verdict("second-moment", sq_mean, operator.le, bound + MEAN_BAND_SE * sq_se,
+                         "mean(D^2) <= 4d/lifetime^2 + 4 * SE", samples)]
     grid = []
     for delta in np.asarray(delta_grid, dtype=np.float64):
         freq = float(np.mean(diameters >= delta))
         se = math.sqrt(freq * (1.0 - freq) / samples)
         tail = diameter_tail_bound(delta, lifetime, d)
-        verdicts.append(_upper_verdict(
-            f"tail@delta={delta:.6g}", freq, tail, MEAN_BAND_SE * se, samples,
-            rule="P(D >= delta) <= d(1 + L*delta/sqrt(d)) exp(-L*delta/sqrt(d)) + 4 * SE",
-        ))
+        verdicts.append(_verdict(
+            f"tail@delta={delta:.6g}", freq, operator.le, tail + MEAN_BAND_SE * se,
+            "P(D >= delta) <= d(1 + L*delta/sqrt(d)) exp(-L*delta/sqrt(d)) + 4 * SE", samples))
         grid.append({"delta": float(delta), "tail_freq": freq, "se": se, "bound": tail})
     return ExperimentReport(
         name="verify-diameter",
@@ -669,26 +639,16 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
     d_mean, d_se = _mean_se(direct)
     verdicts = [
         _band_verdict("restricted-mean-vs-product-law", r_mean, oracle, r_se, samples),
-        Verdict(
-            name="restricted-vs-direct-means",
-            passed=bool(abs(r_mean - d_mean) <= MEAN_BAND_SE * math.hypot(r_se, d_se)),
-            statistic=abs(r_mean - d_mean),
-            threshold=MEAN_BAND_SE * math.hypot(r_se, d_se),
-            rule="|mean_restricted - mean_direct| <= 4 * sqrt(SE_r^2 + SE_d^2)",
-            sample_size=samples,
-        ),
+        _verdict("restricted-vs-direct-means", abs(r_mean - d_mean), operator.le,
+                 MEAN_BAND_SE * math.hypot(r_se, d_se),
+                 "|mean_restricted - mean_direct| <= 4 * sqrt(SE_r^2 + SE_d^2)", samples),
     ]
     if two_sample:
         ks = stats.ks_2samp(restricted, direct, mode="asymp")
-        verdicts.append(Verdict(
-            name="restricted-vs-direct-ks",
-            passed=bool(ks.pvalue >= FAMILY_SIGNIFICANCE),
-            statistic=float(ks.pvalue),
-            threshold=FAMILY_SIGNIFICANCE,
-            rule=f"two-sample KS on leaf counts, D={ks.statistic:.5f}, p >= 1e-3 "
-                 "(conservative under ties)",
-            sample_size=samples,
-        ))
+        verdicts.append(_verdict(
+            "restricted-vs-direct-ks", float(ks.pvalue), operator.ge, FAMILY_SIGNIFICANCE,
+            f"two-sample KS on leaf counts, D={ks.statistic:.5f}, p >= 1e-3 "
+            "(conservative under ties)", samples))
     return ExperimentReport(
         name="verify-restriction",
         config={"d": d, "lifetime": lifetime, "sub_lower": sub.lower.tolist(),
@@ -710,10 +670,7 @@ def _ols_slope(log_n: np.ndarray, log_risk: np.ndarray) -> tuple[float, float]:
     slope = float(np.dot(x, log_risk) / np.dot(x, x))
     intercept = float(log_risk.mean() - slope * log_n.mean())
     residuals = log_risk - (intercept + slope * log_n)
-    dof = log_n.size - 2
-    if dof <= 0:
-        return slope, float("inf")
-    s2 = float(np.dot(residuals, residuals) / dof)
+    s2 = float(np.dot(residuals, residuals) / (log_n.size - 2))
     return slope, math.sqrt(s2 / float(np.dot(x, x)))
 
 
@@ -749,15 +706,17 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     for the sample-size-dependent rule.  The verdict compares the fitted
     slope against the schedule's theoretical exponent within
     ``slope_tolerance`` (use at least 5 geometrically spaced sample sizes
-    for a meaningful fit; fewer than 3 is an error).
+    for a meaningful fit; fewer than 3 distinct sizes is an error).
     """
     n_grid = [int(n) for n in n_grid]
-    if len(n_grid) < 3:
-        raise ValueError("n_grid must contain at least 3 points")
+    if len(set(n_grid)) < 3:
+        raise ValueError("n_grid must contain at least 3 distinct sizes")
     if schedule not in ("lipschitz", "c2", "consistency", "fixed"):
         raise ValueError(f"unknown schedule {schedule!r}")
     if not 0.0 <= eval_margin < 0.5:
         raise ValueError("eval_margin must be in [0, 1/2)")
+    if not 0.0 <= slope_tolerance < math.inf:
+        raise ValueError("slope_tolerance must be finite and >= 0")
     t0 = time.perf_counter()
     grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, task.d, scale),
              "n_trees": _resolve_trees(m_rule, n, task.d)} for n in n_grid]
@@ -773,15 +732,10 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     if schedule in _SLOPE_TARGETS:
         target = _SLOPE_TARGETS[schedule](task.d)
         oracle["slope_target"] = target
-        verdicts.append(Verdict(
-            name="rate-slope",
-            passed=bool(abs(slope - target) <= slope_tolerance),
-            statistic=slope,
-            threshold=slope_tolerance,
-            rule=f"|OLS slope - ({target:.6g})| <= {slope_tolerance:g} "
-                 f"(slope SE {slope_se:.4g})",
-            sample_size=len(n_grid) * replicates,
-        ))
+        verdicts.append(_verdict(
+            "rate-slope", slope, lambda s, tol: abs(s - target) <= tol, slope_tolerance,
+            f"|OLS slope - ({target:.6g})| <= {slope_tolerance:g} (slope SE {slope_se:.4g})",
+            len(n_grid) * replicates))
     return ExperimentReport(
         name="rate-sweep",
         config={"task": task.kind, "target": task.target, "d": task.d,
@@ -812,6 +766,8 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
         raise ValueError("the lower bound requires n >= 18")
     if m_large < 1:
         raise ValueError("m_large must be >= 1")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError("sigma2 must be finite and >= 0")
     t0 = time.perf_counter()
     lambda_grid = [float(v) for v in lambda_grid]
     if curved_lambda_grid is None:
@@ -833,25 +789,14 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     curved_tree = [row["risk"] for row in grid[len(lambda_grid)::2]]
     curved_forest = [row["risk"] for row in grid[len(lambda_grid) + 1::2]]
     lower = tree_lower_bound_1d(n, sigma2)
-    tree_min = min(linear_tree)
-    verdicts = [Verdict(
-        name="tree-lower-bound",
-        passed=bool(tree_min >= 0.9 * lower),
-        statistic=tree_min,
-        threshold=0.9 * lower,
-        rule="min over lifetime grid of single-tree risk >= 0.9 * (1/4)(3 sigma2/n)^(2/3)",
-        sample_size=len(lambda_grid) * replicates,
-    )]
-    curved_tree_min = min(curved_tree)
-    curved_forest_min = min(curved_forest)
-    verdicts.append(Verdict(
-        name="forest-beats-tree",
-        passed=bool(curved_forest_min <= 0.95 * curved_tree_min),
-        statistic=curved_forest_min,
-        threshold=0.95 * curved_tree_min,
-        rule="grid-min forest risk <= 0.95 * grid-min tree risk on the curved target",
-        sample_size=len(curved_lambda_grid) * replicates,
-    ))
+    verdicts = [
+        _verdict("tree-lower-bound", min(linear_tree), operator.ge, 0.9 * lower,
+                 "min over lifetime grid of single-tree risk >= 0.9 * (1/4)(3 sigma2/n)^(2/3)",
+                 len(lambda_grid) * replicates),
+        _verdict("forest-beats-tree", min(curved_forest), operator.le, 0.95 * min(curved_tree),
+                 "grid-min forest risk <= 0.95 * grid-min tree risk on the curved target",
+                 len(curved_lambda_grid) * replicates),
+    ]
     return ExperimentReport(
         name="tree-vs-forest",
         config={"n": n, "lambda_grid": lambda_grid, "m_large": m_large,
@@ -904,11 +849,14 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
     The Bayes risk comes from quadrature of ``min(eta, 1 - eta)``; the
     classifier risk is evaluated with the true conditional probability on
     fresh test points.  Verdict: the excess risk decreases strictly between
-    consecutive grid points beyond twice the joint standard error.
+    consecutive grid points beyond twice the joint standard error, so the
+    sizes must increase strictly.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 2:
         raise ValueError("n_grid must contain at least 2 points")
+    if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid sizes must increase strictly")
     t0 = time.perf_counter()
     task = SyntheticTask(kind="classification_d", d=d, target=target)
     bayes = task.bayes_risk()
@@ -917,18 +865,12 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
              "n_trees": _resolve_trees(m_rule, n, d)} for n in n_grid]
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
                    _excess_classification_risk, bayes, replicates, n_test, seed, workers)
-    verdicts = []
-    for prev, cur in zip(grid, grid[1:]):
-        drop = prev["risk"] - cur["risk"]
-        joint_se = math.hypot(prev["se"], cur["se"])
-        verdicts.append(Verdict(
-            name=f"excess-risk-decrease-{prev['n']}-to-{cur['n']}",
-            passed=bool(drop > 2.0 * joint_se),
-            statistic=drop,
-            threshold=2.0 * joint_se,
-            rule="excess(n_i) - excess(n_{i+1}) > 2 * sqrt(SE_i^2 + SE_{i+1}^2)",
-            sample_size=replicates,
-        ))
+    verdicts = [
+        _verdict(f"excess-risk-decrease-{prev['n']}-to-{cur['n']}", prev["risk"] - cur["risk"],
+                 operator.gt, 2.0 * math.hypot(prev["se"], cur["se"]),
+                 "excess(n_i) - excess(n_{i+1}) > 2 * sqrt(SE_i^2 + SE_{i+1}^2)", replicates)
+        for prev, cur in zip(grid, grid[1:])
+    ]
     return ExperimentReport(
         name="classify-sweep",
         config={"d": d, "target": task.target, "n_grid": n_grid, "schedule": schedule,

@@ -10,14 +10,20 @@ extend to 5 on the same stream, prune back to 2.5 and restrict the extension.
 They fix the draws each operation takes from its stream, so a change in how
 ``RngStream`` serves uniforms shows here.
 
-The digests are fixed: a change that alters them alters the sampler.
+The experiment reports are pinned too, one small report per experiment, as
+the sha256 of ``to_json()`` and of ``to_csv()``.  ``verify_leaf_count`` runs at
+d=1, where it adds the Poisson goodness-of-fit verdict.
+
+The digests are fixed: a change that alters them alters the sampler or a
+verdict.
 """
 
 import hashlib
 
 import pytest
 
-from mondrianforest import BoxRegion, RngStream, extend, partition_to_json, prune, restrict, sample_mondrian
+from mondrianforest import BoxRegion, RngStream, extend, harness, partition_to_json, prune, restrict, sample_mondrian
+from mondrianforest.harness import SyntheticTask
 
 BOX9 = BoxRegion([-0.5 + 0.1 * j for j in range(9)], [0.25 + 0.15 * j for j in range(9)])
 SUB9 = BoxRegion([-0.4 + 0.1 * j for j in range(9)], [0.1 + 0.12 * j for j in range(9)])
@@ -75,3 +81,50 @@ def test_d2_extension_leg_is_pinned(op):
         leaves += part.n_leaves
         draws += part.seed_provenance.get("draws", 0)
     assert (digest.hexdigest(), leaves, draws) == PINNED_D2[op]
+
+
+# (sha256 of to_json(), sha256 of to_csv())
+PINNED_REPORTS = {
+    "verify-leaf-count-d1": (
+        "f23b2c04b8ed51b40d4dbe690c7a0da1a5a587578017888c086b2d4b69a2548c",
+        "cf745541a966c0fa0ca9d22aec63d3040451b0366afd280337136921b140f60d"),
+    "verify-cell-dist": (
+        "ebe226a279645dda1ee813a18e45084a25bdcc371377ed6686b1c868b8c80840",
+        "2ae0b36a1e8c2888e080357dd40ee3fe37b9e64692a062beabf87adcbf000bdf"),
+    "verify-diameter": (
+        "9652f7644fc9cac61c27468d236d5bbda030a1847bb511be9ecf64bda58ef24e",
+        "cd66a9a687772bb79f12f17f120ecc16397de884e32d0321d2721f480f24fb99"),
+    "verify-restriction": (
+        "701c6e6391985bc49862b08868b2c101d309449bed695f2d34386fb7880bc02a",
+        "fa3ae1f6b25b521182165492f52cea7396563385afd3d87887a5caf967a8db52"),
+    "rate-sweep": (
+        "3eae9f9b5eb166f64ee2a4bfb86a7dec23bdfcb45ff34e4d258f65a21621da45",
+        "f3868d84304486a7be9becea5156a994648551056fa686630ce3de0675603714"),
+    "tree-vs-forest": (
+        "0c5458bb845ffc88d81bf76277db457a3db8952396811f525fda929a7b00fa71",
+        "192842d1e3b34c5a8695df022a2334631f227dacb9e251d4bede82c7fd9d0ab3"),
+    "classify-sweep": (
+        "361bea8c71001b7d23d59fc4804fa64eb96ead1a42f06602fb884a9fb70c664a",
+        "18434bc2e4ea8a847a6bfd6710a93dcaef16e794e2c984ca313852864f2dd90d"),
+}
+
+REPORTS = {
+    "verify-leaf-count-d1": lambda: harness.verify_leaf_count(1, 2.0, 200, 0),
+    "verify-cell-dist": lambda: harness.verify_cell_distribution(2, 3.0, [0.3, 0.6], 200, 0),
+    "verify-diameter": lambda: harness.verify_diameter(2, 3.0, [0.5, 0.5], 100, 0),
+    "verify-restriction": lambda: harness.verify_restriction(
+        2, 2.0, BoxRegion([0.1, 0.2], [0.6, 0.7]), 100, 0),
+    "rate-sweep": lambda: harness.rate_sweep(
+        SyntheticTask("lipschitz_1d", sigma=0.1), [32, 64, 128], "lipschitz", 1.0, 2, 2, 0,
+        n_test=64),
+    "tree-vs-forest": lambda: harness.tree_vs_forest(32, [1.0, 4.0], 3, 2, 0, n_test=64,
+                                                     curved_n=64),
+    "classify-sweep": lambda: harness.classification_sweep(1, [32, 128], "lipschitz", 2, 2, 0),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(experiment):
+    report = REPORTS[experiment]()
+    assert (hashlib.sha256(report.to_json().encode("utf-8")).hexdigest(),
+            hashlib.sha256(report.to_csv().encode("utf-8")).hexdigest()) == PINNED_REPORTS[experiment]

@@ -58,6 +58,21 @@ def test_failing_verdict_exits_one(capsys):
     assert json.loads(out)["passed"] is False
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_zero_lifetime_cell_report_is_strict_json(capsys):
+    # at lifetime 0 every cell is the whole cube: no interior samples for the
+    # KS tests and constant columns for the correlations
+    code, out, _ = invoke(["verify-cell-dist", "--d", "1", "--lifetime", "0", "--x", "0.5",
+                           "--samples", "10"], capsys)
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    ks = [v for v in doc["verdicts"] if v["name"].startswith("ks-")]
+    assert [(v["passed"], v["statistic"], v["threshold"]) for v in ks] == [(False, 0, 2)] * 2
+
+
 def test_rate_sweep_two_grid_points_is_usage_error(capsys):
     code, _, err = invoke(["rate-sweep", "--n-grid", "256,512", "--seed", "1"], capsys)
     assert code == 2

@@ -173,6 +173,12 @@ def one_d_tree_doc():
     return json.loads(model_to_json(fit_tree(part, X[:, :1], Y)))
 
 
+def small_forest_tree_doc():
+    # tree 1 of a forest with the same box and lifetime, fitted on 5 other rows
+    small = fit_forest(BoxRegion.unit(2), 2, 3.0, 2, X[:5], Y[:5] + 100.0, master_seed=4)
+    return json.loads(model_to_json(small))["trees"][1]
+
+
 FOREST_DEFECTS = {
     "trees-missing": lambda d: d.pop("trees"),
     "trees-as-dict": lambda d: d.update(trees={}),
@@ -192,6 +198,7 @@ FOREST_DEFECTS = {
     "lifetime-not-the-trees": set_key("lifetime", 99.0),
     "trees-of-two-dimensions": lambda d: d["trees"].__setitem__(1, one_d_tree_doc()),
     "trees-of-two-boxes": lambda d: d["trees"][1]["partition"]["box"].update(upper=[1.0, 2.0]),
+    "trees-of-two-datasets": lambda d: d["trees"].__setitem__(1, small_forest_tree_doc()),
 }
 
 
@@ -288,12 +295,22 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
     ["verify-leaf-count", "--lifetime", "1", "--threads", "-5"],
     ["fit", "--data", "absent.csv", "--lifetime", "1", "--threads", "0"],
     ["predict", "--model", "absent.json", "--point", "0.5,0.5", "--threads", "0"],
+    ["rate-sweep", "--task", "lipschitz_1d", "--n-grid", "64,64,64", "--replicates", "2",
+     "--n-test", "16", "--trees", "1"],
+    ["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,0.5", "--delta-grid", "nan"],
+    ["risk", "--n", "16", "--lifetime", "1", "--sigma", "nan"],
+    ["rate-sweep", "--task", "lipschitz_1d", "--n-grid", "32,64,128", "--replicates", "2",
+     "--n-test", "16", "--trees", "1", "--slope-tolerance", "nan"],
+    ["classify-sweep", "--n-grid", "16,16", "--replicates", "2", "--trees", "1"],
+    ["tree-vs-forest", "--lambda-grid", "1,2", "--sigma2", "-1"],
 ], ids=["leaf-count-samples-0", "leaf-count-samples-minus-3", "restriction-samples-1",
         "diameter-samples-1", "cell-dist-samples-0", "risk-threads-0",
         "classify-replicates-1", "classify-n-test-0", "sample-lifetime-inf",
         "sample-lifetime-nan", "risk-n-0", "tree-vs-forest-curved-n-0",
         "fit-format-csv", "risk-lifetime-and-schedule", "leaf-count-threads-minus-5",
-        "fit-threads-0", "predict-threads-0"])
+        "fit-threads-0", "predict-threads-0", "rate-sweep-repeated-sizes",
+        "diameter-delta-nan", "risk-sigma-nan", "rate-sweep-tolerance-nan",
+        "classify-repeated-sizes", "tree-vs-forest-sigma2-minus-1"])
 def test_bad_argument_exits_two_with_one_line(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()

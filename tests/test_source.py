@@ -62,3 +62,12 @@ def test_partition_node_views_have_one_constructor():
              for path in SOURCES
              for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "PartitionNode")]
     assert found == [("partition.py", "MondrianPartition._node")]
+
+
+def test_verdicts_have_one_constructor():
+    # harness._verdict is the one pass/fail decision; a second Verdict(...)
+    # call would bring back a PASS/FAIL worked out apart from its statistic
+    found = [(path.name, scope)
+             for path in SOURCES
+             for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "Verdict")]
+    assert found == [("harness.py", "_verdict")]
