@@ -178,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     for name, opts in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=(opts[0].help if opts else ""))
+        sub = subparsers.add_parser(name, help=_HANDLERS[name].__doc__)
         for opt in opts + _COMMON:
             flag = "--" + opt.name
             if opt.convert is bool:
@@ -291,14 +291,6 @@ def _write_output(text: str, path: str) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_report(report: ExperimentReport, cfg: dict) -> int:
-    if cfg["format"] == "csv":
-        _write_output(report.to_csv(), cfg["output"])
-    else:
-        _write_output(report.to_json(), cfg["output"])
-    return 0 if report.passed else VERDICT_FAILURE
-
-
 def _make_task(cfg: dict) -> SyntheticTask:
     return SyntheticTask(kind=cfg["task"], d=cfg["d"], target=cfg.get("target") or "",
                          sigma=cfg["sigma"])
@@ -338,38 +330,36 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
 # -- subcommand implementations ----------------------------------------------
 
 
-def _cmd_sample(cfg: dict) -> int:
+def _cmd_sample(cfg: dict) -> str:
+    """Sample a Mondrian partition of the unit cube, written as JSON."""
     if cfg["format"] == "csv":
         raise ValueError("sample emits JSON only")
     part = sample_mondrian(BoxRegion.unit(cfg["d"]), cfg["lifetime"],
                            RngStream(cfg["seed"]), max_splits=cfg["max_splits"])
-    _write_output(partition_to_json(part), cfg["output"])
-    return 0
+    return partition_to_json(part)
 
 
-def _cmd_verify_leaf_count(cfg: dict) -> int:
-    report = harness.verify_leaf_count(cfg["d"], cfg["lifetime"], cfg["samples"], cfg["seed"])
-    return _emit_report(report, cfg)
+def _cmd_verify_leaf_count(cfg: dict) -> ExperimentReport:
+    """Check the mean leaf count against (1 + lifetime)^d; at d=1, the Poisson split law."""
+    return harness.verify_leaf_count(cfg["d"], cfg["lifetime"], cfg["samples"], cfg["seed"])
 
 
-def _cmd_verify_cell_dist(cfg: dict) -> int:
-    report = harness.verify_cell_distribution(cfg["d"], cfg["lifetime"], cfg["x"],
-                                              cfg["samples"], cfg["seed"])
-    return _emit_report(report, cfg)
+def _cmd_verify_cell_dist(cfg: dict) -> ExperimentReport:
+    """Check the law of the cell around a point: edge atoms, KS fits, independence."""
+    return harness.verify_cell_distribution(cfg["d"], cfg["lifetime"], cfg["x"],
+                                            cfg["samples"], cfg["seed"])
 
 
-def _cmd_verify_diameter(cfg: dict) -> int:
-    report = harness.verify_diameter(cfg["d"], cfg["lifetime"], cfg["x"],
-                                     cfg["samples"], cfg["seed"],
-                                     delta_grid=cfg["delta_grid"])
-    return _emit_report(report, cfg)
+def _cmd_verify_diameter(cfg: dict) -> ExperimentReport:
+    """Check the cell diameter at a point against its tail and second-moment bounds."""
+    return harness.verify_diameter(cfg["d"], cfg["lifetime"], cfg["x"], cfg["samples"],
+                                   cfg["seed"], delta_grid=cfg["delta_grid"])
 
 
-def _cmd_verify_restriction(cfg: dict) -> int:
+def _cmd_verify_restriction(cfg: dict) -> ExperimentReport:
+    """Check leaf counts of partitions restricted to a sub-box against the product law."""
     sub = BoxRegion(cfg["sub_lower"], cfg["sub_upper"])
-    report = harness.verify_restriction(cfg["d"], cfg["lifetime"], sub,
-                                        cfg["samples"], cfg["seed"])
-    return _emit_report(report, cfg)
+    return harness.verify_restriction(cfg["d"], cfg["lifetime"], sub, cfg["samples"], cfg["seed"])
 
 
 def _resolved_lifetime(cfg: dict, n: int, d: int) -> float:
@@ -380,7 +370,8 @@ def _resolved_lifetime(cfg: dict, n: int, d: int) -> float:
     return lifetime_schedule(cfg["schedule"], n, d, cfg["scale"])
 
 
-def _cmd_risk(cfg: dict) -> int:
+def _cmd_risk(cfg: dict) -> ExperimentReport:
+    """Estimate the quadratic risk of a tree or forest over fresh replicates."""
     task = _make_task(cfg)
     lifetime = _resolved_lifetime(cfg, cfg["n"], task.d)
     trees = cfg["trees"]
@@ -389,7 +380,7 @@ def _cmd_risk(cfg: dict) -> int:
                                      cfg["replicates"], cfg["n_test"], cfg["seed"],
                                      workers=cfg["threads"],
                                      eval_margin=cfg["eval_margin"])
-    report = ExperimentReport(
+    return ExperimentReport(
         name="risk",
         config={k: cfg[k] for k in ("task", "target", "d", "sigma", "n",
                                     "replicates", "n_test", "seed", "eval_margin")}
@@ -397,41 +388,37 @@ def _cmd_risk(cfg: dict) -> int:
         grid=[{"n": cfg["n"], "lifetime": lifetime, "n_trees": n_trees,
                "risk": risk, "se": se}],
     )
-    return _emit_report(report, cfg)
 
 
-def _cmd_rate_sweep(cfg: dict) -> int:
+def _cmd_rate_sweep(cfg: dict) -> ExperimentReport:
+    """Fit the log-log slope of risk against n and compare it with the schedule's rate."""
     task = _make_task(cfg)
-    report = harness.rate_sweep(task, cfg["n_grid"], cfg["schedule"], cfg["scale"],
-                                cfg["trees"], cfg["replicates"], cfg["seed"],
-                                n_test=cfg["n_test"],
-                                slope_tolerance=cfg["slope_tolerance"],
-                                workers=cfg["threads"],
-                                eval_margin=cfg["eval_margin"])
-    return _emit_report(report, cfg)
+    return harness.rate_sweep(task, cfg["n_grid"], cfg["schedule"], cfg["scale"],
+                              cfg["trees"], cfg["replicates"], cfg["seed"],
+                              n_test=cfg["n_test"], slope_tolerance=cfg["slope_tolerance"],
+                              workers=cfg["threads"], eval_margin=cfg["eval_margin"])
 
 
-def _cmd_tree_vs_forest(cfg: dict) -> int:
-    report = harness.tree_vs_forest(cfg["n"], cfg["lambda_grid"], cfg["m_large"],
-                                    cfg["replicates"], cfg["seed"],
-                                    sigma2=cfg["sigma2"], n_test=cfg["n_test"],
-                                    curved_n=cfg["curved_n"],
-                                    curved_lambda_grid=cfg["curved_lambda_grid"],
-                                    curved_sigma=cfg["curved_sigma"],
-                                    workers=cfg["threads"])
-    return _emit_report(report, cfg)
+def _cmd_tree_vs_forest(cfg: dict) -> ExperimentReport:
+    """Check the single-tree risk floor and the forest's gain on a curved target."""
+    return harness.tree_vs_forest(cfg["n"], cfg["lambda_grid"], cfg["m_large"],
+                                  cfg["replicates"], cfg["seed"],
+                                  sigma2=cfg["sigma2"], n_test=cfg["n_test"],
+                                  curved_n=cfg["curved_n"],
+                                  curved_lambda_grid=cfg["curved_lambda_grid"],
+                                  curved_sigma=cfg["curved_sigma"], workers=cfg["threads"])
 
 
-def _cmd_classify_sweep(cfg: dict) -> int:
-    report = harness.classification_sweep(cfg["d"], cfg["n_grid"], cfg["schedule"],
-                                          cfg["trees"], cfg["replicates"], cfg["seed"],
-                                          scale=cfg["scale"], n_test=cfg["n_test"],
-                                          target=cfg.get("target") or "",
-                                          workers=cfg["threads"])
-    return _emit_report(report, cfg)
+def _cmd_classify_sweep(cfg: dict) -> ExperimentReport:
+    """Check that the plug-in classifier's excess risk falls along an n grid."""
+    return harness.classification_sweep(cfg["d"], cfg["n_grid"], cfg["schedule"],
+                                        cfg["trees"], cfg["replicates"], cfg["seed"],
+                                        scale=cfg["scale"], n_test=cfg["n_test"],
+                                        target=cfg.get("target") or "", workers=cfg["threads"])
 
 
-def _cmd_fit(cfg: dict) -> int:
+def _cmd_fit(cfg: dict) -> str:
+    """Fit a forest to a data CSV, written as a JSON model."""
     if cfg["format"] == "csv":
         raise ValueError("fit emits JSON only")
     X, y, d = _read_csv_matrix(cfg["data"])
@@ -439,11 +426,11 @@ def _cmd_fit(cfg: dict) -> int:
         raise ValueError("fit needs a y column in the data file")
     model = fit_forest(BoxRegion.unit(d), d, cfg["lifetime"], cfg["trees"],
                        X, y, master_seed=cfg["seed"])
-    _write_output(model_to_json(model), cfg["output"])
-    return 0
+    return model_to_json(model)
 
 
-def _cmd_predict(cfg: dict) -> int:
+def _cmd_predict(cfg: dict) -> str:
+    """Predict values or class labels from a model file, as JSON or CSV."""
     with open(cfg["model"], "r", encoding="utf-8") as handle:
         model = model_from_json(handle.read())
     if (cfg.get("data") is None) == (cfg.get("point") is None):
@@ -456,11 +443,8 @@ def _cmd_predict(cfg: dict) -> int:
     if cfg["format"] == "csv":
         lines = ["prediction"] + [repr(v) if isinstance(v, float) else str(v)
                                   for v in np.asarray(values).tolist()]
-        _write_output("\n".join(lines) + "\n", cfg["output"])
-    else:
-        _write_output(json.dumps({"predictions": np.asarray(values).tolist()}, indent=2),
-                      cfg["output"])
-    return 0
+        return "\n".join(lines) + "\n"
+    return json.dumps({"predictions": np.asarray(values).tolist()}, indent=2)
 
 
 _HANDLERS = {
@@ -479,7 +463,11 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and return the process exit code."""
+    """Parse arguments, dispatch, write the handler's artifact, and return the exit code.
+
+    The one writer of output: a report is written as JSON or CSV and exits 0
+    only when every verdict passed; any other artifact is text and exits 0.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.subcommand is None:
@@ -487,7 +475,12 @@ def run(argv=None) -> int:
         return USAGE_ERROR
     try:
         cfg = _resolve_options(args, _SUBCOMMANDS[args.subcommand])
-        return _HANDLERS[args.subcommand](cfg)
+        artifact, code = _HANDLERS[args.subcommand](cfg), 0
+        if isinstance(artifact, ExperimentReport):
+            code = 0 if artifact.passed else VERDICT_FAILURE
+            artifact = artifact.to_csv() if cfg["format"] == "csv" else artifact.to_json()
+        _write_output(artifact, cfg["output"])
+        return code
     except (ValueError, OSError, SplitLimitError) as exc:
         print(f"mondrian-forest {args.subcommand}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -430,12 +430,14 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
 # -- partition statistics ----------------------------------------------------
 
 
-def _poisson_chisquare(values, lam: float, min_expected: float = 5.0) -> tuple[float, int, float]:
+def _poisson_chisquare(values, lam: float,
+                       min_expected: float = 5.0) -> tuple[float | None, int, float | None]:
     """Chi-square GOF statistic, dof, p-value of counts against Poisson(lam).
 
     Bins are built from the theoretical pmf only, greedily merged left to
     right until each expected count reaches ``min_expected``; the remainder
-    tail joins the last bin.
+    tail joins the last bin.  Fewer than two bins leave no test: the
+    statistic and p-value are then None, and dof is the bin count minus one.
     """
     values = np.asarray(values, dtype=np.int64)
     n = values.size
@@ -449,8 +451,8 @@ def _poisson_chisquare(values, lam: float, min_expected: float = 5.0) -> tuple[f
         if acc * n >= min_expected:
             edges.append((start, k + 1, acc))
             start, acc = k + 1, 0.0
-    if not edges:
-        raise ValueError("not enough samples for the chi-square binning")
+    if len(edges) < 2:
+        return None, len(edges) - 1, None
     s, _, a = edges[-1]  # the final bin takes the short remainder, if any
     edges[-1] = (s, hi + 1, a + acc)
     observed = np.array([np.sum((values >= s) & (values < e)) for s, e, _ in edges])
@@ -482,10 +484,14 @@ def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> Exper
              "oracle": oracle}]
     if d == 1 and lifetime > 0:
         chi2_stat, dof, pvalue = _poisson_chisquare(counts - 1, lifetime)
-        verdicts.append(_verdict(
-            "poisson-splits-gof", pvalue, operator.ge, FAMILY_SIGNIFICANCE,
-            f"chi-square GOF vs Poisson({lifetime:g}), stat={chi2_stat:.4f}, dof={dof}, p >= 1e-3",
-            samples))
+        if pvalue is None:
+            verdicts.append(_verdict("poisson-splits-gof", dof + 1, operator.ge, 2,
+                                     "chi-square bins >= 2 for the GOF test", samples))
+        else:
+            verdicts.append(_verdict(
+                "poisson-splits-gof", pvalue, operator.ge, FAMILY_SIGNIFICANCE,
+                f"chi-square GOF vs Poisson({lifetime:g}), stat={chi2_stat:.4f}, dof={dof}, "
+                "p >= 1e-3", samples))
     return ExperimentReport(
         name="verify-leaf-count",
         config={"d": d, "lifetime": lifetime, "samples": samples, "seed": seed},

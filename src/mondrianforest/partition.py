@@ -355,11 +355,15 @@ class MondrianPartition:
         x = np.asarray(x, dtype=np.float64)
         if not self.box.contains(x):
             raise ValueError(f"point {x.tolist()} is outside the root box")
+        return self._node(self._descend(x.tolist()))
+
+    def _descend(self, point: list) -> int:
+        # the scalar walk from the root to the leaf holding ``point``; ties go left
         dims, thrs, rights = self.split_dim, self.threshold, self.right
-        point, node = x.tolist(), 0
+        node = 0
         while dims.item(node) >= 0:
             node = node + 1 if point[dims.item(node)] <= thrs.item(node) else rights.item(node)
-        return self._node(node)
+        return node
 
     def leaf_indices(self, X) -> np.ndarray:
         """DFS-left-first leaf index for each row of ``X`` (shape (n, dim))."""
@@ -372,6 +376,10 @@ class MondrianPartition:
         if bad.size:
             raise ValueError(f"points outside the root box at indices {bad.tolist()}")
         dim, thr, right = self.split_dim, self.threshold, self.right
+        leaf_rank = np.cumsum(dim < 0) - 1
+        if X.shape[0] == 1:
+            # one row (as in update_tree): the level loop's numpy calls cost more than the walk
+            return leaf_rank[[self._descend(X[0].tolist())]]
         pos = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         while rows.size:
@@ -383,7 +391,6 @@ class MondrianPartition:
             cur = cur[internal]
             go_left = X[rows, dim[cur]] <= thr[cur]
             pos[rows] = np.where(go_left, cur + 1, right[cur])
-        leaf_rank = np.cumsum(dim < 0) - 1
         return leaf_rank[pos]
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:
@@ -421,6 +428,8 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
     interior of the cell, which happens only under :func:`restrict`, is
     dropped for the child that covers the cell.
     """
+    if max_splits < 0:
+        raise ValueError("max_splits must be >= 0")
     if source is not None:
         src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
     dims, thrs, clocks, rights = [], [], [], []
@@ -485,7 +494,7 @@ def sample_mondrian(box: BoxRegion, lifetime: float, rng: RngStream,
     Raises
     ------
     ValueError
-        If ``lifetime`` is negative or not finite.
+        If ``lifetime`` is negative or not finite, or ``max_splits`` is negative.
     SplitLimitError
         If the construction would exceed ``max_splits`` splits.
     """
@@ -525,7 +534,7 @@ def extend(partition: MondrianPartition, new_lifetime: float, rng: RngStream,
     their clocks.  Because the retained clock has the memoryless conditional
     law, the output is marginally a Mondrian partition at the new lifetime,
     and pruning back at the old lifetime restores the input exactly.
-    ``max_splits`` bounds the number of new splits.
+    ``max_splits`` bounds the number of new splits and must be >= 0.
     """
     _check_lifetime(new_lifetime, "new_lifetime")
     if new_lifetime < partition.lifetime:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mondrianforest.cli import _SUBCOMMANDS, load_config, run
+from mondrianforest.cli import _HANDLERS, _SUBCOMMANDS, load_config, run
 
 
 def invoke(argv, capsys):
@@ -71,6 +71,21 @@ def test_zero_lifetime_cell_report_is_strict_json(capsys):
     doc = json.loads(out, parse_constant=_reject_constant)
     ks = [v for v in doc["verdicts"] if v["name"].startswith("ks-")]
     assert [(v["passed"], v["statistic"], v["threshold"]) for v in ks] == [(False, 0, 2)] * 2
+
+
+@pytest.mark.parametrize("lifetime, samples, bins", [("0.0001", "10000", 1), ("1", "10", 1),
+                                                     ("1", "2", 0)])
+def test_poisson_test_without_two_bins_fails_as_a_count_check(capsys, lifetime, samples, bins):
+    # too few splits or samples for two chi-square bins: no p-value, a failed count
+    # check instead (the leaf-count mean still passes)
+    code, out, _ = invoke(["verify-leaf-count", "--d", "1", "--lifetime", lifetime,
+                           "--samples", samples], capsys)
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    mean, gof = doc["verdicts"]
+    assert (mean["name"], mean["passed"]) == ("leaf-count-mean", True)
+    assert (gof["name"], gof["passed"], gof["statistic"], gof["threshold"]) == (
+        "poisson-splits-gof", False, bins, 2)
 
 
 def test_rate_sweep_two_grid_points_is_usage_error(capsys):
@@ -171,6 +186,16 @@ def test_every_subcommand_help_mentions_its_flags(capsys):
             assert "--" + opt.name in text
         for flag in ("--seed", "--output", "--format", "--config", "--threads"):
             assert flag in text
+
+
+def test_top_level_help_lists_each_subcommand_with_its_handler_docstring(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a summary
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())
+    for name in _SUBCOMMANDS:
+        assert f" {name} {_HANDLERS[name].__doc__} " in words
 
 
 def test_fit_and_predict_roundtrip(tmp_path, capsys):

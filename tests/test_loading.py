@@ -303,6 +303,7 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
      "--n-test", "16", "--trees", "1", "--slope-tolerance", "nan"],
     ["classify-sweep", "--n-grid", "16,16", "--replicates", "2", "--trees", "1"],
     ["tree-vs-forest", "--lambda-grid", "1,2", "--sigma2", "-1"],
+    ["sample", "--d", "2", "--lifetime", "0", "--max-splits", "-1"],
 ], ids=["leaf-count-samples-0", "leaf-count-samples-minus-3", "restriction-samples-1",
         "diameter-samples-1", "cell-dist-samples-0", "risk-threads-0",
         "classify-replicates-1", "classify-n-test-0", "sample-lifetime-inf",
@@ -310,7 +311,8 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
         "fit-format-csv", "risk-lifetime-and-schedule", "leaf-count-threads-minus-5",
         "fit-threads-0", "predict-threads-0", "rate-sweep-repeated-sizes",
         "diameter-delta-nan", "risk-sigma-nan", "rate-sweep-tolerance-nan",
-        "classify-repeated-sizes", "tree-vs-forest-sigma2-minus-1"])
+        "classify-repeated-sizes", "tree-vs-forest-sigma2-minus-1",
+        "sample-max-splits-minus-1"])
 def test_bad_argument_exits_two_with_one_line(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()

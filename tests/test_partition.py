@@ -113,6 +113,17 @@ def test_non_finite_lifetime_rejected(grow, lifetime):
         grow(lifetime)
 
 
+@pytest.mark.parametrize("grow", [
+    lambda rng: sample_mondrian(BoxRegion.unit(2), 0.0, rng, max_splits=-1),
+    lambda rng: extend(sample(3, 1.0), 5.0, rng, max_splits=-3),
+], ids=["sample", "extend"])
+def test_negative_split_budget_rejected_before_growing(grow):
+    rng = RngStream(9)
+    with pytest.raises(ValueError, match="max_splits must be >= 0"):
+        grow(rng)
+    assert rng.counter == 0
+
+
 def test_split_budget_guard_raises():
     with pytest.raises(SplitLimitError):
         sample_mondrian(BoxRegion.unit(1), 60.0, RngStream(5), max_splits=5)
@@ -455,3 +466,30 @@ def test_infinite_pending_clock_roundtrips():
     part = sample_mondrian(box, 3.0, RngStream(1))
     clone = partition_from_json(partition_to_json(part))
     assert math.isinf(clone.root.pending_clock)
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_PARTITIONS))
+def test_one_row_leaf_indices_match_the_batch(name):
+    # a single row takes the scalar walk, a batch the level loop: they must agree,
+    # points on thresholds included
+    part = VIEW_PARTITIONS[name]()
+    box = part.box
+    rows = [box.lower + (box.upper - box.lower) * u
+            for u in np.random.default_rng(3).uniform(0.01, 1.0, (40, part.dim))]
+    for index, cell, _ in reference_cells(part):
+        axis = int(part.split_dim[index])
+        if axis >= 0:
+            x = (cell.lower + cell.upper) / 2
+            x[axis] = part.threshold[index]
+            rows.append(x)
+    X = np.array(rows)
+    batch = part.leaf_indices(X)
+    assert [part.leaf_indices(X[i:i + 1]).tolist() for i in range(len(X))] == [
+        [rank] for rank in batch.tolist()]
+
+
+def test_one_row_on_an_open_lower_edge_is_rejected():
+    part = VIEW_PARTITIONS["d2-open-axis"]()
+    assert part.leaf_indices([[0.5, 2.1]]).shape == (1,)
+    with pytest.raises(ValueError, match=r"indices \[0\]"):
+        part.leaf_indices([[0.5, 2.0]])

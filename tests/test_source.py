@@ -71,3 +71,12 @@ def test_verdicts_have_one_constructor():
              for path in SOURCES
              for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "Verdict")]
     assert found == [("harness.py", "_verdict")]
+
+
+def test_cli_run_is_the_only_writer_of_output():
+    # handlers return their artifact; cli.run alone writes it and turns a
+    # report's verdicts into the exit code
+    found = [(path.name, scope)
+             for path in SOURCES
+             for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "_write_output")]
+    assert found == [("cli.py", "run")]
