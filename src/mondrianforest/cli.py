@@ -33,7 +33,8 @@ from .estimators import (
     predict_class,
 )
 from .harness import ExperimentReport, SyntheticTask
-from .partition import DEFAULT_MAX_SPLITS, BoxRegion, SplitLimitError, partition_to_json, sample_mondrian
+from .partition import (DEFAULT_MAX_SPLITS, BoxRegion, SplitLimitError, _json_loads,
+                        partition_to_json, sample_mondrian)
 from .rng import RngStream
 
 USAGE_ERROR = 2
@@ -201,7 +202,7 @@ def load_config(path: str) -> dict:
     stripped = text.strip()
     if stripped.startswith("{"):
         # pairs rather than a dict, so that a repeated key is seen, not overwritten
-        pairs = json.loads(stripped, object_pairs_hook=list)
+        pairs = _json_loads(stripped, "config JSON", object_pairs_hook=list)
         for key, value in pairs:
             if isinstance(value, list):  # an array, or a nested object's pairs
                 raise ValueError(f"config key {key!r} must be flat (no nesting)")

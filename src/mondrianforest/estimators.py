@@ -24,8 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import (
+    _NUMBER,
     BoxRegion,
     MondrianPartition,
+    _field,
+    _json_loads,
     partition_from_dict,
     partition_to_dict,
     sample_mondrian,
@@ -136,13 +139,12 @@ class MondrianTreeModel:
     label accumulation is exact.
     """
 
-    __slots__ = ("partition", "_counts", "_totals", "_means")
+    __slots__ = ("partition", "_counts", "_totals")
 
     def __init__(self, partition: MondrianPartition, counts: np.ndarray, totals: list[int]):
         self.partition = partition
         self._counts = counts
         self._totals = totals
-        self._means = None
 
     @property
     def n_leaves(self) -> int:
@@ -161,21 +163,15 @@ class MondrianTreeModel:
         """Map from leaf node to its statistics."""
         return dict(zip(self.partition.leaves(), self.leaf_statistics()))
 
-    def _leaf_means(self) -> np.ndarray:
-        if self._means is None:
-            self._means = np.array(
-                [_leaf_mean(t, c) for c, t in zip(self._counts.tolist(), self._totals)],
-                dtype=np.float64,
-            )
-        return self._means
-
     def predict(self, x):
         """Prediction at a point (1-d input) or batch of points (2-d input)."""
+        # the one path from rows to leaf means, derived from the exact sums on each call
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             return float(self.predict(x[None, :])[0])
-        ranks = self.partition.leaf_indices(x)
-        return self._leaf_means()[ranks]
+        means = np.array([_leaf_mean(t, c) for c, t in zip(self._counts.tolist(), self._totals)],
+                         dtype=np.float64)
+        return means[self.partition.leaf_indices(x)]
 
 
 def fit_tree(partition: MondrianPartition, X, y) -> MondrianTreeModel:
@@ -250,22 +246,14 @@ class MondrianForestModel:
         return len(self.trees)
 
     def per_tree_predictions(self, x) -> np.ndarray:
+        """Each tree's prediction, one row (or one value for a point) per tree."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        preds = np.stack([tree.predict(x) for tree in self.trees])
-        return preds[:, 0] if single else preds
+        return np.array([tree.predict(x) for tree in self.trees])
 
     def predict(self, x):
-        """Arithmetic mean of tree predictions, summed in tree order."""
+        """Arithmetic mean of tree predictions, summed in tree order; a float for a point."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(self.predict(x[None, :])[0])
-        acc = np.zeros(x.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            acc += tree.predict(x)
-        return acc / self.n_trees
+        return sum(tree.predict(x) for tree in self.trees) / self.n_trees
 
     def predict_class(self, x):
         """Plug-in classifier: 1 where the regression estimate is >= 1/2."""
@@ -367,10 +355,6 @@ def tree_model_to_dict(model: MondrianTreeModel) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def tree_model_from_dict(data: dict) -> MondrianTreeModel:
     """Inverse of :func:`tree_model_to_dict`; ValueError for a malformed document.
 
@@ -387,15 +371,15 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
             raise ValueError("leaf_stats length does not match the partition")
         counts, totals = [], []
         for entry in stats:
-            if not (isinstance(entry, list) and len(entry) == 2 and _is_int(entry[0])
-                    and entry[0] >= 0 and isinstance(entry[1], str)):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and _field(entry[0], int, "leaf count") >= 0):
                 raise ValueError(f"malformed leaf_stats entry: {entry!r}")
             counts.append(entry[0])
-            totals.append(int(entry[1]))
+            totals.append(int(_field(entry[1], str, "leaf sum")))
             if abs(totals[-1]) > counts[-1] * _MAX_SCALED:
                 raise ValueError(f"leaf_stats sum out of range for count {counts[-1]}")
-        n_seen = data["n_seen"]
-        if not _is_int(n_seen) or n_seen != sum(counts):
+        n_seen = _field(data["n_seen"], int, "n_seen")
+        if n_seen != sum(counts):
             raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
         return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -414,7 +398,8 @@ def forest_model_to_dict(model: MondrianForestModel) -> dict:
 def _master_seed(value):
     """A forest's JSON ``master_seed``: a 64-bit seed, or a list of one and a path."""
     seed, path = (value[0], value[1:]) if isinstance(value, list) and value else (value, [])
-    if not (_is_int(seed) and 0 <= seed < 2**64 and all(_is_int(p) and p >= 0 for p in path)):
+    if not (0 <= _field(seed, int, "master_seed") < 2**64
+            and all(_field(p, int, "master_seed path") >= 0 for p in path)):
         raise ValueError(f"master_seed must be a 64-bit seed or a list of one and a path "
                          f"of non-negative ints, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
@@ -434,9 +419,8 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
         if not isinstance(data["trees"], list):
             raise ValueError("trees must be a list")
         trees = [tree_model_from_dict(t) for t in data["trees"]]
-        lifetime = data["lifetime"]
-        if (isinstance(lifetime, bool) or not isinstance(lifetime, (int, float))
-                or any(tree.partition.lifetime != lifetime for tree in trees)):
+        lifetime = _field(data["lifetime"], _NUMBER, "forest lifetime")
+        if any(tree.partition.lifetime != lifetime for tree in trees):
             raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
         if any(tree.partition.box != trees[0].partition.box for tree in trees):
             raise ValueError("the trees do not share one root box")
@@ -457,7 +441,7 @@ def model_to_json(model) -> str:
 
 
 def model_from_json(text: str):
-    data = json.loads(text)
+    data = _json_loads(text, "model JSON")
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema == FOREST_MODEL_SCHEMA:
         return forest_model_from_dict(data)

@@ -56,6 +56,8 @@ __all__ = [
 
 FAMILY_SIGNIFICANCE = 1e-3
 MEAN_BAND_SE = 4.0
+_QUAD_TOL = 1e-9  # absolute and relative tolerance of the Bayes-risk quadrature
+_MIN_EXPECTED = 5.0  # smallest expected count of a Poisson chi-square bin
 
 
 # -- synthetic tasks ---------------------------------------------------------
@@ -100,8 +102,7 @@ class _TargetSpec:
     sup_f: object
     grad_sup: object
     hess_sup: object
-    is_probability: bool = False
-    eta_antiderivative: object = None  # 1-d antiderivative of the probability
+    eta_antiderivative: object = None  # 1-d antiderivative; set exactly for probability targets
 
 
 def _sine_wave_probability_cdf(x):
@@ -141,17 +142,17 @@ _TARGETS = {
     "sine_wave_probability": _TargetSpec(
         _sine_wave_probability,
         lambda d: math.pi, lambda d: 1.0, lambda d: math.pi, lambda d: 2.0 * math.pi**2,
-        is_probability=True, eta_antiderivative=_sine_wave_probability_cdf,
+        eta_antiderivative=_sine_wave_probability_cdf,
     ),
     "certain_one": _TargetSpec(
         _certain_one,
         lambda d: 0.0, lambda d: 1.0, lambda d: 0.0, lambda d: 0.0,
-        is_probability=True, eta_antiderivative=_certain_one_cdf,
+        eta_antiderivative=_certain_one_cdf,
     ),
     "coin_flip": _TargetSpec(
         _coin_flip,
         lambda d: 0.0, lambda d: 0.5, lambda d: 0.0, lambda d: 0.0,
-        is_probability=True, eta_antiderivative=_coin_flip_cdf,
+        eta_antiderivative=_coin_flip_cdf,
     ),
 }
 
@@ -192,10 +193,9 @@ class SyntheticTask:
             raise ValueError(f"unknown target {target!r}")
         if self.kind == "linear_1d" and target != "affine_plus_one":
             raise ValueError("linear_1d is exactly the affine_plus_one target")
-        is_classification = self.kind == "classification_d"
-        if _TARGETS[target].is_probability != is_classification:
-            raise ValueError(f"target {target!r} does not fit task kind {self.kind!r}")
         object.__setattr__(self, "target", target)
+        if self.is_classification != (self.kind == "classification_d"):
+            raise ValueError(f"target {target!r} does not fit task kind {self.kind!r}")
 
     @property
     def spec(self) -> _TargetSpec:
@@ -203,7 +203,7 @@ class SyntheticTask:
 
     @property
     def is_classification(self) -> bool:
-        return self.spec.is_probability
+        return self.spec.eta_antiderivative is not None
 
     def f(self, X) -> np.ndarray:
         """True regression function (the conditional probability for
@@ -237,7 +237,7 @@ class SyntheticTask:
             y = signal + self.sigma * gen.standard_normal(n) if self.sigma > 0 else signal.copy()
         return X, y
 
-    def bayes_risk(self, tol: float = 1e-9) -> float:
+    def bayes_risk(self) -> float:
         """0-1 risk of the optimal classifier, by quadrature to ~1e-6 or better."""
         if not self.is_classification:
             raise ValueError("bayes_risk is defined for classification tasks")
@@ -253,7 +253,7 @@ class SyntheticTask:
             return min(eta, 1.0 - eta)
 
         value, _ = integrate.quad(integrand, 0.0, 1.0, points=[0.25, 0.5, 0.75],
-                                  limit=200, epsabs=tol, epsrel=tol)
+                                  limit=200, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
         return value
 
 
@@ -430,12 +430,11 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
 # -- partition statistics ----------------------------------------------------
 
 
-def _poisson_chisquare(values, lam: float,
-                       min_expected: float = 5.0) -> tuple[float | None, int, float | None]:
+def _poisson_chisquare(values, lam: float) -> tuple[float | None, int, float | None]:
     """Chi-square GOF statistic, dof, p-value of counts against Poisson(lam).
 
     Bins are built from the theoretical pmf only, greedily merged left to
-    right until each expected count reaches ``min_expected``; the remainder
+    right until each expected count reaches ``_MIN_EXPECTED``; the remainder
     tail joins the last bin.  Fewer than two bins leave no test: the
     statistic and p-value are then None, and dof is the bin count minus one.
     """
@@ -448,7 +447,7 @@ def _poisson_chisquare(values, lam: float,
     start, acc = 0, 0.0
     for k, p in enumerate(pmf):
         acc += p
-        if acc * n >= min_expected:
+        if acc * n >= _MIN_EXPECTED:
             edges.append((start, k + 1, acc))
             start, acc = k + 1, 0.0
     if len(edges) < 2:
@@ -836,9 +835,9 @@ def _exact_classifier_risk_1d(model, eta_antiderivative) -> float:
 
 
 def _excess_classification_risk(task, model, stream, n_test, bayes) -> float:
-    antideriv = task.spec.eta_antiderivative
-    if task.d == 1 and antideriv is not None:
-        risk = _exact_classifier_risk_1d(model, antideriv)
+    # every probability target has an antiderivative, so 1-d risk is always exact
+    if task.d == 1:
+        risk = _exact_classifier_risk_1d(model, task.spec.eta_antiderivative)
     else:
         X_test = stream.child(2).generator.random((n_test, task.d))
         eta = task.f(X_test)
@@ -866,7 +865,6 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
     t0 = time.perf_counter()
     task = SyntheticTask(kind="classification_d", d=d, target=target)
     bayes = task.bayes_risk()
-    exact_eval = d == 1 and task.spec.eta_antiderivative is not None
     grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, d, scale),
              "n_trees": _resolve_trees(m_rule, n, d)} for n in n_grid]
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
@@ -882,7 +880,7 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
         config={"d": d, "target": task.target, "n_grid": n_grid, "schedule": schedule,
                 "scale": scale, "m_rule": m_rule, "replicates": replicates,
                 "n_test": n_test, "seed": seed,
-                "evaluation": "exact-1d" if exact_eval else "monte-carlo"},
+                "evaluation": "exact-1d" if d == 1 else "monte-carlo"},
         grid=grid,
         oracle={"bayes_risk": bayes},
         verdicts=verdicts,

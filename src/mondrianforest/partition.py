@@ -97,6 +97,9 @@ class BoxRegion:
             raise ValueError("box bounds must be finite")
         if np.any(lower > upper):
             raise ValueError("lower must be <= upper on every axis")
+        with np.errstate(over="ignore"):  # an infinite |C| draws clock 0 and never a threshold
+            if not math.isfinite((upper - lower).sum()):
+                raise ValueError("box side lengths must sum to a finite value")
         if left_closed is None:
             left_closed = np.ones(lower.shape, dtype=bool)
         else:
@@ -723,5 +726,13 @@ def partition_to_json(partition: MondrianPartition, **kwargs) -> str:
     return json.dumps(partition_to_dict(partition, **kwargs), indent=2)
 
 
+def _json_loads(text: str, what: str, **kwargs):
+    """``json.loads``, with a document nested past the recursion limit as a ValueError."""
+    try:
+        return json.loads(text, **kwargs)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def partition_from_json(text: str) -> MondrianPartition:
-    return partition_from_dict(json.loads(text))
+    return partition_from_dict(_json_loads(text, "partition JSON"))

@@ -254,6 +254,37 @@ def test_forest_mean_matches_per_tree_predictions():
     assert np.max(np.abs(predict_forest(forest, probe) - mean)) < 1e-14
 
 
+def tree_order_mean(forest, x):
+    """The forest rule written out: tree predictions summed in tree order, over the tree count."""
+    total = 0.0
+    for tree in forest.trees:
+        total = total + predict_tree(tree, x)
+    return total / forest.n_trees
+
+
+def test_forest_predict_is_the_tree_order_mean_bit_for_bit():
+    X, y = make_data(400)
+    # 13 trees: dividing by a power of two would be exact and hide the order
+    forest = fit_forest(UNIT2, 2, 5.0, 13, X, y, master_seed=31)
+    probe = np.random.default_rng(7).random((64, 2))
+    batch = predict_forest(forest, probe)
+    assert batch.dtype == np.float64 and batch.tobytes() == tree_order_mean(forest, probe).tobytes()
+    point = predict_forest(forest, probe[5])
+    assert type(point) is float and point == tree_order_mean(forest, probe[5]) == batch[5]
+    assert predict_forest(forest, probe.tolist()).tobytes() == batch.tobytes()
+    assert predict_forest(forest, probe[5].tolist()) == point
+
+
+def test_per_tree_predictions_of_one_point_has_one_value_per_tree():
+    X, y = make_data()
+    forest = fit_forest(UNIT2, 2, 4.0, 6, X, y, master_seed=12)
+    probe = np.random.default_rng(8).random((9, 2))
+    single = forest.per_tree_predictions(probe[3])
+    assert single.shape == (6,) and single.dtype == np.float64
+    assert np.array_equal(single, forest.per_tree_predictions(probe)[:, 3])
+    assert single.tolist() == [predict_tree(tree, probe[3]) for tree in forest.trees]
+
+
 def test_forest_unanimous_trees_return_common_value():
     # single-leaf trees all see every sample, so every tree predicts 3.25
     X = np.random.default_rng(0).random((30, 2))

@@ -22,6 +22,7 @@ from mondrianforest import (
     model_from_json,
     model_to_json,
     partition_from_dict,
+    partition_from_json,
     partition_to_dict,
     predict_class,
     sample_mondrian,
@@ -89,6 +90,7 @@ PARTITION_DEFECTS = {
     "truncated-nodes": lambda d: d["nodes"].pop(),
     "extra-nodes": lambda d: d["nodes"].append({"leaf": {"pending_clock": None}}),
     "huge-integer-time": lambda d: first(d, "split").update(time=10**400),
+    "box-sides-overflow": lambda d: d["box"].update(lower=[-1e308, 0.0], upper=[1e308, 1.0]),
 }
 
 
@@ -265,6 +267,52 @@ def test_predict_on_edited_model_exits_two_with_one_line(tmp_path, capsys, edit)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("mondrian-forest predict: error:")
+
+
+def nested_text(doc, key, depth):
+    """``doc`` as JSON text with ``key`` set to an array nested ``depth`` deep."""
+    return json.dumps(dict(doc, **{key: "@"})).replace('"@"', "[" * depth + "]" * depth)
+
+
+def overflowing_box(doc):
+    for tree in doc["trees"]:
+        tree["partition"]["box"].update(lower=[-1e308, 0.0], upper=[1e308, 1.0])
+
+
+def assert_one_line_exit_two(code, captured, command, message):
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"mondrian-forest {command}: error:")
+    assert message in captured.err
+
+
+def test_model_whose_box_sides_overflow_exits_two_with_one_line(tmp_path, capsys):
+    doc = copy.deepcopy(FOREST_DOC)
+    overflowing_box(doc)
+    code, captured = predict_file(tmp_path, capsys, doc)
+    assert_one_line_exit_two(code, captured, "predict", "sum to a finite value")
+
+
+def test_sub_box_whose_sides_overflow_exits_two_with_one_line(capsys):
+    code = run(["verify-restriction", "--lifetime", "1", "--sub-lower=-1e308,0",
+                "--sub-upper", "1e308,1", "--samples", "10"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "verify-restriction",
+                             "sum to a finite value")
+
+
+def test_deeply_nested_model_file_exits_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(nested_text(FOREST_DOC, "trees", 5000))
+    code = run(["predict", "--model", str(path), "--point", "0.5,0.5"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "predict", "nested too deeply")
+
+
+def test_deeply_nested_config_value_exits_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(nested_text({}, "d", 5000))
+    code = run(["sample", "--lifetime", "0", "--config", str(path)])
+    assert_one_line_exit_two(code, capsys.readouterr(), "sample", "nested too deeply")
 
 
 def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
@@ -502,3 +550,18 @@ def test_mutated_model_loads_valid_and_predict_exits_zero_or_two(doc):
             code = run(["predict", "--model", path, "--point", "0.3,0.6",
                         "--output", os.path.join(tmp, "out.json"), *extra])
             assert code in (0, 2)
+
+
+NESTED_VALUES = [(PART_DOC, "nodes", partition_from_json), (PART_DOC, "box", partition_from_json),
+                 (TREE_DOC, "leaf_stats", model_from_json), (FOREST_DOC, "trees", model_from_json),
+                 (FOREST_DOC, "master_seed", model_from_json)]
+
+
+@FUZZ
+@given(st.integers(1, 10_000), st.sampled_from(range(len(NESTED_VALUES))))
+def test_nested_value_raises_value_error_at_any_depth(depth, case):
+    # below the recursion limit the value is ill-typed; past it the decoder
+    # gives up, and either way the loader raises ValueError
+    doc, key, load = NESTED_VALUES[case]
+    with pytest.raises(ValueError):
+        load(nested_text(doc, key, depth))

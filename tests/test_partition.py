@@ -48,6 +48,21 @@ def test_box_validation():
         BoxRegion([0.0], [math.inf])
 
 
+@pytest.mark.parametrize("lower, upper", [([-1e308], [1e308]), ([0.0, 0.0], [1e308, 1e308])],
+                         ids=["side-overflows", "sides-sum-overflows"])
+def test_box_whose_side_lengths_overflow_is_rejected(lower, upper):
+    # an infinite linear dimension draws clock 0 and no interior threshold, so
+    # sampling such a box would spin or exhaust the split budget
+    with pytest.raises(ValueError, match="sum to a finite value"):
+        BoxRegion(lower, upper)
+
+
+def test_box_with_the_largest_finite_linear_dimension_is_accepted():
+    box = BoxRegion([0.0, 0.0], [1e308, 7e307])
+    assert box.linear_dimension == 1.7e308
+    assert sample_mondrian(box, 0.0, RngStream(0)).n_leaves == 1
+
+
 def test_unit_box_closed_everywhere():
     box = BoxRegion.unit(3)
     assert box.left_closed.all()

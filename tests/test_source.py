@@ -80,3 +80,20 @@ def test_cli_run_is_the_only_writer_of_output():
              for path in SOURCES
              for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), "_write_output")]
     assert found == [("cli.py", "run")]
+
+
+def _scopes_calling(name):
+    return sorted({(path.name, scope)
+                   for path in SOURCES
+                   for scope in _calls(ast.parse(path.read_text(encoding="utf-8")), name)})
+
+
+def test_tree_predict_is_the_one_path_from_rows_to_leaf_means():
+    # rows reach leaves in _accumulate (fitting) and MondrianTreeModel.predict
+    # alone; a forest averages its trees' predictions rather than routing rows
+    # itself, and no leaf-mean cache sits beside the exact sums
+    assert _scopes_calling("leaf_indices") == [
+        ("estimators.py", "MondrianTreeModel.predict"), ("estimators.py", "_accumulate")]
+    assert _scopes_calling("_leaf_mean") == [
+        ("estimators.py", "LeafStatistics.label_sum"), ("estimators.py", "LeafStatistics.mean"),
+        ("estimators.py", "MondrianTreeModel.predict")]
