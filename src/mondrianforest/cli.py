@@ -171,8 +171,15 @@ _SUBCOMMANDS: dict[str, list[_Opt]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mondrian-forest",
         description="Mondrian partition sampling, tree/forest estimators, and "
                     "the Monte-Carlo verification harness.",
@@ -470,7 +477,10 @@ def run(argv=None) -> int:
     only when every verdict passed; any other artifact is text and exits 0.
     """
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # the subcommand's own flags were parsed, so name it in the error
+        parser.prog = " ".join(filter(None, [parser.prog, args.subcommand]))
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR

@@ -12,6 +12,14 @@ smallest positive float64).  Exact integer addition is associative and
 commutative, which buys two properties float accumulation cannot offer:
 permuting the training data leaves every prediction bit-identical, and a fold
 of single-point updates equals a batch fit exactly.
+
+A batch fit splits its labels once (once per forest) into signed 32-bit
+limbs, measured from the smallest binary exponent among the labels: label
+``i`` is ``sum_k limbs[k, i] * 2^(32 k)`` units of ``2^low``.  Each tree then
+sums every limb per leaf with one float64 ``bincount``, which is exact while
+at most 2^21 rows enter one sum (2^21 * 2^32 = 2^53), so longer inputs are
+summed in chunks of 2^21 rows.  Each leaf's limb sums fold into one Python
+int.  An update adds its one label's exact integer into its leaf directly.
 """
 
 from __future__ import annotations
@@ -77,15 +85,40 @@ def _scaled_int(value: float) -> int:
     return mant >> (-shift)  # subnormal: the dropped bits are zero
 
 
-# two converters on purpose: the scalar one is >10x cheaper for the single
-# label of update_tree, the vectorised one ~3x cheaper for batches
-def _scaled_ints(y: np.ndarray) -> list[int]:
+# labels enter leaf sums as limbs below 2^32 in magnitude, and a float64 sum
+# of integers stays exact below 2^53, so one bincount sums at most 2^21 rows
+_CHUNK_ROWS = 1 << 21
+_LIMB_MASK = (1 << 32) - 1
+
+
+@dataclass(frozen=True)
+class _Limbs:
+    """Labels split for exact summation: label ``i`` is ``sum_k limbs[k, i] << 32 k``
+    units of 2^(unit - 1074); ``unit`` is negative only when a label is subnormal."""
+
+    limbs: np.ndarray  # (n_limbs, n) float64 holding integers in (-2^32, 2^32)
+    unit: int
+
+
+def _split_limbs(y: np.ndarray) -> _Limbs:
     if not np.isfinite(y).all():
         raise ValueError("labels must be finite")
     m, e = np.frexp(y)
-    mants = (m * _MANT).astype(np.int64).tolist()
-    shifts = (e.astype(np.int64) + (_SCALE_BITS - 53)).tolist()
-    return [(mant << s) if s >= 0 else (mant >> (-s)) for mant, s in zip(mants, shifts)]
+    mant = (m * _MANT).astype(np.int64)  # y = mant * 2^(e - 53), |mant| < 2^53
+    nonzero = mant != 0
+    low = int(e[nonzero].min()) if nonzero.any() else 0
+    limb, bit = np.divmod(np.where(nonzero, e - low, 0), 32)
+    mag = np.abs(mant)
+    # mag << bit spans three limbs: the low 32 bits shifted (< 2^63) and the
+    # high 21 bits shifted plus the carry out of the low part (< 2^53)
+    lo = (mag & _LIMB_MASK) << bit
+    hi = (lo >> 32) + ((mag >> 32) << bit)
+    limbs = np.zeros((int(limb.max(initial=0)) + 3, y.size))
+    rows = np.arange(y.size)
+    sign = np.sign(mant)
+    for k, part in enumerate((lo & _LIMB_MASK, hi & _LIMB_MASK, hi >> 32)):
+        limbs[limb + k, rows] = sign * part
+    return _Limbs(limbs, low - 53 + _SCALE_BITS)
 
 
 # a leaf's exact sum is at most its count times this (the largest float)
@@ -181,7 +214,7 @@ def fit_tree(partition: MondrianPartition, X, y) -> MondrianTreeModel:
     points outside the root box raise a ValueError naming the offending rows.
     """
     X, y = _check_data(partition.dim, X, y)
-    return _accumulate(partition, X, _scaled_ints(y))
+    return _accumulate(partition, X, _split_limbs(y))
 
 
 def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -194,22 +227,33 @@ def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _accumulate(partition: MondrianPartition, X: np.ndarray, scaled: list[int],
+def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
                 base: MondrianTreeModel | None = None) -> MondrianTreeModel:
-    """The one producer of leaf sums: ``base``'s statistics (or zeros) plus the rows of ``X``.
+    """The one producer of leaf sums: the rows of ``X``, or ``base`` plus one row.
 
-    ``scaled`` holds the rows' labels in 2^-1074 units.  Batch fits, forest
-    fits and updates all run this, so a fold of updates equals a batch fit.
+    A batch brings its labels as :class:`_Limbs`, summed per leaf and limb by
+    ``bincount`` and folded into one exact int per leaf.  An update brings its
+    one label as an exact int in 2^-1074 units and adds it to the leaf it hits
+    (splitting one label into limbs costs more than the whole update).  Batch
+    fits, forest fits and updates all run this, so a fold of updates equals a
+    batch fit.
     """
     ranks = partition.leaf_indices(X)
-    counts = np.bincount(ranks, minlength=partition.n_leaves)
-    if base is None:
-        totals = [0] * partition.n_leaves
-    else:
-        counts, totals = counts + base._counts, list(base._totals)
-    for rank, value in zip(ranks.tolist(), scaled):
-        totals[rank] += value
-    return MondrianTreeModel(partition, counts, totals)
+    n_leaves = partition.n_leaves
+    counts = np.bincount(ranks, minlength=n_leaves)
+    if base is not None:
+        totals = list(base._totals)
+        totals[ranks.item()] += labels
+        return MondrianTreeModel(partition, counts + base._counts, totals)
+    totals = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
+    for limb in labels.limbs[::-1]:
+        totals <<= 32
+        for start in range(0, ranks.size, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            sums = np.bincount(ranks[rows], weights=limb[rows], minlength=n_leaves)
+            totals += sums.astype(np.int64)
+    totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
+    return MondrianTreeModel(partition, counts, totals.tolist())
 
 
 def predict_tree(model: MondrianTreeModel, x):
@@ -220,7 +264,7 @@ def predict_tree(model: MondrianTreeModel, x):
 def update_tree(model: MondrianTreeModel, x, y) -> MondrianTreeModel:
     """New model equivalent to refitting on the data plus one point."""
     x = np.asarray(x, dtype=np.float64)
-    return _accumulate(model.partition, x[None, :], [_scaled_int(y)], base=model)
+    return _accumulate(model.partition, x[None, :], _scaled_int(y), base=model)
 
 
 class MondrianForestModel:
@@ -272,13 +316,13 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
     if box.dim != d:
         raise ValueError(f"box has dimension {box.dim}, expected {d}")
     X, y = _check_data(d, X, y)
-    scaled = _scaled_ints(y)
+    labels = _split_limbs(y)
     if isinstance(master_seed, RngStream):
         master = master_seed
         master_seed = (master.seed,) + master.path
     else:
         master = RngStream(master_seed)
-    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, scaled)
+    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, labels)
              for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)
 

@@ -25,8 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
 
-import numpy as np
-from scipy import integrate, stats
+import numpy as np  # scipy is imported where it is used: it was most of the import time
 
 from .estimators import fit_forest, forest_size_schedule, lifetime_schedule
 from .oracles import (
@@ -252,6 +251,8 @@ class SyntheticTask:
             eta = float(self.f(np.array([[x1] + [0.5] * (self.d - 1)]))[0])
             return min(eta, 1.0 - eta)
 
+        from scipy import integrate
+
         value, _ = integrate.quad(integrand, 0.0, 1.0, points=[0.25, 0.5, 0.75],
                                   limit=200, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
         return value
@@ -438,6 +439,8 @@ def _poisson_chisquare(values, lam: float) -> tuple[float | None, int, float | N
     tail joins the last bin.  Fewer than two bins leave no test: the
     statistic and p-value are then None, and dof is the bin count minus one.
     """
+    from scipy import stats
+
     values = np.asarray(values, dtype=np.int64)
     n = values.size
     hi = int(max(values.max(), math.ceil(lam + 10.0 * math.sqrt(lam + 1.0)))) + 1
@@ -545,6 +548,8 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
         def conditional_cdf(t, margin=margin, total_mass=total_mass):
             return truncated_exp_cdf(np.clip(t, 0.0, None), lifetime, margin) / total_mass
 
+        from scipy import stats
+
         result = stats.kstest(interior, np.vectorize(conditional_cdf), mode="asymp")
         verdicts.append(_verdict(
             f"ks-{label}", float(result.pvalue), operator.ge, per_test_alpha,
@@ -649,6 +654,8 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
                  "|mean_restricted - mean_direct| <= 4 * sqrt(SE_r^2 + SE_d^2)", samples),
     ]
     if two_sample:
+        from scipy import stats
+
         ks = stats.ks_2samp(restricted, direct, mode="asymp")
         verdicts.append(_verdict(
             "restricted-vs-direct-ks", float(ks.pvalue), operator.ge, FAMILY_SIGNIFICANCE,

@@ -379,10 +379,15 @@ class MondrianPartition:
         if bad.size:
             raise ValueError(f"points outside the root box at indices {bad.tolist()}")
         dim, thr, right = self.split_dim, self.threshold, self.right
-        leaf_rank = np.cumsum(dim < 0) - 1
         if X.shape[0] == 1:
-            # one row (as in update_tree): the level loop's numpy calls cost more than the walk
-            return leaf_rank[[self._descend(X[0].tolist())]]
+            # one row (as in update_tree): the level loop's numpy calls cost more than the
+            # walk; a leaf's rank is the number of leaves before it in preorder
+            return np.array([np.count_nonzero(dim[:self._descend(X[0].tolist())] < 0)])
+        if self.dim == 1:
+            # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
+            # point on a threshold goes left (closed-left), as side="left" places it
+            return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
+        leaf_rank = np.cumsum(dim < 0) - 1
         pos = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.arange(X.shape[0])
         while rows.size:
@@ -473,6 +478,11 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
             a, b = lower[axis], upper[axis]
             threshold = a + (b - a) * rng.uniform()
             while not (a < threshold < b):
+                # checked only on a redraw, which is rare, so sampling pays nothing for it
+                if math.nextafter(a, b) == b:
+                    raise ValueError(f"cannot split the cell side [{a!r}, {b!r}] on axis "
+                                     f"{axis}: no float lies strictly inside it; lower the "
+                                     "lifetime")
                 threshold = a + (b - a) * rng.uniform()
             left_src = right_src = -1
         dims.append(axis)
@@ -497,7 +507,8 @@ def sample_mondrian(box: BoxRegion, lifetime: float, rng: RngStream,
     Raises
     ------
     ValueError
-        If ``lifetime`` is negative or not finite, or ``max_splits`` is negative.
+        If ``lifetime`` is negative or not finite, ``max_splits`` is negative,
+        or a split is drawn on a cell side with no float strictly inside it.
     SplitLimitError
         If the construction would exceed ``max_splits`` splits.
     """

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mondrianforest import (
@@ -21,6 +22,8 @@ from mondrianforest import (
     sample_mondrian,
     update_tree,
 )
+from mondrianforest import estimators
+from mondrianforest.estimators import _scaled_int
 
 UNIT1 = BoxRegion.unit(1)
 UNIT2 = BoxRegion.unit(2)
@@ -210,6 +213,45 @@ def test_forest_tree_m_equals_fit_tree_on_child_stream_m(data, seed, n_trees, li
         part = sample_mondrian(UNIT2, lifetime, RngStream(seed).child(m))
         assert tree.partition.structurally_equal(part)
         assert same_statistics(tree, fit_tree(part, X, y))
+
+
+def reference_sums(part, X, y):
+    """Exact leaf sums the slow way: each label's Python int added to its leaf."""
+    totals = [0] * part.n_leaves
+    for rank, value in zip(part.leaf_indices(X).tolist(), y.tolist()):
+        totals[rank] += _scaled_int(value)
+    return totals
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+            sys.float_info.min, -2.5e-310, 1.0, -3.0, 1e-300, 7e300]
+
+
+@PROPERTY
+@given(st.lists(LABELS, min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+@example(EXTREMES, 0)
+@example(EXTREMES[::-1] * 3, 1)
+def test_limb_sums_equal_the_python_int_reference(labels, seed):
+    y = np.array(labels)
+    X = np.random.default_rng(seed).random((y.size, 1))
+    part = sample_mondrian(UNIT1, 4.0, RngStream(seed))
+    assert fit_tree(part, X, y)._totals == reference_sums(part, X, y)
+
+
+def test_one_float_bincount_stays_below_two_to_the_53():
+    # a limb is below 2^32 in magnitude, so a float sum of this many is an exact integer
+    assert estimators._CHUNK_ROWS * 2**32 <= 2**53
+
+
+def test_limb_sums_stay_exact_across_row_chunks(monkeypatch):
+    rng = np.random.default_rng(12)
+    X = rng.random((200, 2))
+    y = rng.standard_normal(200) * np.exp2(rng.integers(-1074, 1000, 200))
+    part = make_partition(seed=5)
+    whole = fit_tree(part, X, y)
+    monkeypatch.setattr(estimators, "_CHUNK_ROWS", 7)
+    chunked = fit_tree(part, X, y)
+    assert chunked._totals == whole._totals == reference_sums(part, X, y)
 
 
 # -- forests -----------------------------------------------------------------

@@ -324,6 +324,27 @@ def test_split_budget_exhaustion_exits_two_with_one_line(capsys):
     assert "split budget of 10" in captured.err
 
 
+def test_unsplittable_cell_side_exits_two_with_one_line(capsys, monkeypatch):
+    # the CLI samples the unit cube, where the split budget stops growth long before a
+    # cell side is one float wide, so a box of such a side stands in for it here
+    thin = BoxRegion([1.0], [math.nextafter(1.0, 2.0)])
+    monkeypatch.setattr(BoxRegion, "unit", classmethod(lambda cls, dim: thin))
+    code = run(["sample", "--d", "1", "--lifetime", "1e18"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "sample",
+                             "no float lies strictly inside it")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--lifetime", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+    (["verify-restriction", "--lifetime", "1", "--sub-lower", "-0.5,0", "--sub-upper", "0.5,0.5"],
+     "argument --sub-lower: expected one argument"),
+], ids=["unknown-flag", "list-value-starting-with-a-dash"])
+def test_argparse_error_exits_two_with_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert_one_line_exit_two(exc.value.code, capsys.readouterr(), argv[0], message)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-leaf-count", "--lifetime", "1", "--samples", "0"],
     ["verify-leaf-count", "--lifetime", "1", "--samples", "-3"],

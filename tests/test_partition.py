@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mondrianforest import (
     BoxRegion,
@@ -508,3 +510,53 @@ def test_one_row_on_an_open_lower_edge_is_rejected():
     assert part.leaf_indices([[0.5, 2.1]]).shape == (1,)
     with pytest.raises(ValueError, match=r"indices \[0\]"):
         part.leaf_indices([[0.5, 2.0]])
+
+
+# -- 1-d batches route by searchsorted -------------------------------------------
+
+
+@st.composite
+def one_d_partitions(draw):
+    """A 1-d partition of a box of any offset, width and lower-edge flag, maybe restricted."""
+    lower = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-3, 1e3))
+    box = BoxRegion([lower], [lower + width], [draw(st.booleans())])
+    lifetime = draw(st.one_of(st.just(0.0), st.floats(0.0, 64.0))) / width
+    part = sample_mondrian(box, lifetime, RngStream(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        a, b = draw(st.floats(0.01, 0.5)), draw(st.floats(0.5, 1.0))
+        part = restrict(part, BoxRegion([lower + width * a], [lower + width * b],
+                                        [draw(st.booleans())]))
+    return part
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(one_d_partitions(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_one_d_batch_routing_equals_the_scalar_walk(part, fractions):
+    lo, hi = float(part.box.lower[0]), float(part.box.upper[0])
+    first = lo if part.box.left_closed[0] else math.nextafter(lo, hi)
+    points = [first, hi, *part.threshold[part.split_dim >= 0].tolist(),
+              *(min(max(lo + (hi - lo) * u, first), hi) for u in fractions)]
+    X = np.array(points)[:, None]
+    rank = {node.index: r for r, node in enumerate(part.leaves())}
+    walked = [rank[part.locate_leaf(x).index] for x in X]
+    assert part.leaf_indices(X).tolist() == walked
+    assert [part.leaf_indices(X[i:i + 1]).item() for i in range(len(X))] == walked
+
+
+# -- a side with no float strictly inside cannot be split ----------------------------
+
+THIN_SIDE = (1.0, math.nextafter(1.0, 2.0))
+
+
+def test_sampling_a_side_with_no_interior_float_raises_instead_of_hanging():
+    # a + (b - a) * u is a or b for every draw u, so the threshold redraw would never end
+    with pytest.raises(ValueError, match=r"side \[1\.0, 1\.0000000000000002\] on axis 0"):
+        sample_mondrian(BoxRegion([THIN_SIDE[0]], [THIN_SIDE[1]]), 1e18, RngStream(0))
+
+
+def test_extending_into_a_side_with_no_interior_float_raises():
+    part = sample_mondrian(BoxRegion([0.5, THIN_SIDE[0]], [0.5, THIN_SIDE[1]]), 0.0, RngStream(0))
+    assert part.n_leaves == 1 and part.clock[0] < 1e18
+    with pytest.raises(ValueError, match="no float lies strictly inside it"):
+        extend(part, 1e18, RngStream(1))
