@@ -105,8 +105,9 @@ def test_tree_predict_is_the_one_path_from_rows_to_leaf_means():
 def test_importing_the_package_leaves_scipy_unloaded():
     # scipy was most of the package's import time; the harness imports it where it is used
     src = str(Path(mondrianforest.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mondrianforest; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, mondrianforest; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
