@@ -7,9 +7,9 @@ produce byte-identical artifacts (timings never enter the output).
 
 Exit codes: 0 on success with all verdicts passing, 1 when any verdict
 fails, 2 on usage errors (bad flags, bad config or model files, violated
-preconditions, an exhausted split budget).  The seed resolution order is
-``--seed``, then the config file, then the ``MF_SEED`` environment
-variable, then 0.
+preconditions, an exhausted split budget, a failed allocation).  The seed
+resolution order is ``--seed``, then the config file, then the ``MF_SEED``
+environment variable, then 0.
 """
 
 from __future__ import annotations
@@ -75,7 +75,10 @@ _COMMON = [
     _Opt("output", str, "-", "output path, '-' for stdout"),
     _Opt("format", str, "json", "output format: json or csv"),
     _Opt("config", str, None, "flat key=value or JSON config file; flags override it"),
-    _Opt("threads", int, 1, "worker process cap for replicate-level parallelism"),
+    _Opt("threads", int, 1, "worker process cap for the Monte-Carlo samples and replicates "
+                            "of the verify-*, risk, rate-sweep, tree-vs-forest and "
+                            "classify-sweep subcommands; sample, fit and predict check it "
+                            "and run in one process"),
 ]
 
 _TASK_OPTS = [
@@ -349,25 +352,28 @@ def _cmd_sample(cfg: dict) -> str:
 
 def _cmd_verify_leaf_count(cfg: dict) -> ExperimentReport:
     """Check the mean leaf count against (1 + lifetime)^d; at d=1, the Poisson split law."""
-    return harness.verify_leaf_count(cfg["d"], cfg["lifetime"], cfg["samples"], cfg["seed"])
+    return harness.verify_leaf_count(cfg["d"], cfg["lifetime"], cfg["samples"], cfg["seed"],
+                                     workers=cfg["threads"])
 
 
 def _cmd_verify_cell_dist(cfg: dict) -> ExperimentReport:
     """Check the law of the cell around a point: edge atoms, KS fits, independence."""
     return harness.verify_cell_distribution(cfg["d"], cfg["lifetime"], cfg["x"],
-                                            cfg["samples"], cfg["seed"])
+                                            cfg["samples"], cfg["seed"], workers=cfg["threads"])
 
 
 def _cmd_verify_diameter(cfg: dict) -> ExperimentReport:
     """Check the cell diameter at a point against its tail and second-moment bounds."""
     return harness.verify_diameter(cfg["d"], cfg["lifetime"], cfg["x"], cfg["samples"],
-                                   cfg["seed"], delta_grid=cfg["delta_grid"])
+                                   cfg["seed"], delta_grid=cfg["delta_grid"],
+                                   workers=cfg["threads"])
 
 
 def _cmd_verify_restriction(cfg: dict) -> ExperimentReport:
     """Check leaf counts of partitions restricted to a sub-box against the product law."""
     sub = BoxRegion(cfg["sub_lower"], cfg["sub_upper"])
-    return harness.verify_restriction(cfg["d"], cfg["lifetime"], sub, cfg["samples"], cfg["seed"])
+    return harness.verify_restriction(cfg["d"], cfg["lifetime"], sub, cfg["samples"], cfg["seed"],
+                                      workers=cfg["threads"])
 
 
 def _resolved_lifetime(cfg: dict, n: int, d: int) -> float:
@@ -494,6 +500,10 @@ def run(argv=None) -> int:
         return code
     except (ValueError, OSError, SplitLimitError) as exc:
         print(f"mondrian-forest {args.subcommand}: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # e.g. a sample size whose arrays cannot be allocated
+        reason = str(exc) or "allocation failed"
+        print(f"mondrian-forest {args.subcommand}: error: out of memory: {reason}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -5,7 +5,9 @@ the outcome against the closed-form oracles, and returns an
 :class:`ExperimentReport` whose verdicts embed the statistic, the threshold,
 and the tolerance rule that produced them, so every PASS/FAIL can be re-run
 from the report alone.  Reports are deterministic given (config, seed);
-replicates use derived child streams and may run in parallel processes.
+risk replicates and partition samples use derived child streams and run
+through one map, :func:`_map`, which may spread them over a bounded pool of
+processes without changing a value.
 
 Statistical conventions: mean comparisons use 4-standard-error bands,
 goodness-of-fit tests run at family significance 1e-3 with Bonferroni
@@ -24,6 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field
+from functools import partial
 
 import numpy as np  # scipy is imported where it is used: it was most of the import time
 
@@ -36,7 +39,7 @@ from .oracles import (
     tree_lower_bound_1d,
     truncated_exp_cdf,
 )
-from .partition import BoxRegion, restrict, sample_mondrian
+from .partition import BoxRegion, leaf_count, restrict, sample_mondrian
 from .rng import RngStream
 
 __all__ = [
@@ -354,6 +357,26 @@ def _band_verdict(name: str, value: float, center: float, se: float, n: int) -> 
                     f"|mean - {center:.10g}| <= {MEAN_BAND_SE:g} * SE", n)
 
 
+# -- the sample map ----------------------------------------------------------
+
+
+def _map(fn, payloads: list, workers: int) -> list:
+    """``[fn(p) for p in payloads]``, on a pool of at most ``workers`` processes.
+
+    The pool is capped at the payload count and the CPU count, and below two
+    processes everything runs in the calling process.  Values come back in
+    payload order; each process takes its payloads in about 16 chunks, so that
+    short tasks are not outweighed by shipping them one at a time.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    if processes < 2:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (16 * processes))))
+
+
 # -- risk estimation ---------------------------------------------------------
 
 
@@ -384,26 +407,18 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
     ``points`` holds ``(row, task, path)`` triples, where ``row`` has ``n``,
     ``lifetime`` and ``n_trees``; replicate ``r`` of a row runs on the stream
     ``(seed, path + (r,))`` and scores its forest with ``score(..., extra)``.
-    All replicates of the experiment share one pool of at most ``workers``
-    processes, capped at the replicate count and the CPU count.
+    All replicates of the experiment go through one :func:`_map`.
     """
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if any(row["n"] < 1 for row, _, _ in points):
         raise ValueError("n must be >= 1")
     payloads = [(score, task, row["n"], row["lifetime"], row["n_trees"], n_test, seed,
                  path + (rep,), extra)
                 for row, task, path in points for rep in range(replicates)]
-    processes = min(workers, len(payloads), os.cpu_count() or 1)
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            values = list(pool.map(_replicate, payloads, chunksize=1))
-    else:
-        values = [_replicate(p) for p in payloads]
+    values = _map(_replicate, payloads, workers)
     for i, (row, _, _) in enumerate(points):
         row["risk"], row["se"] = _mean_se(values[i * replicates:(i + 1) * replicates])
 
@@ -429,6 +444,41 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
 
 
 # -- partition statistics ----------------------------------------------------
+
+
+def _sample(payload):
+    """One Monte-Carlo sample: ``statistic`` of the partition of ``box`` drawn
+    on the stream ``(seed, path)``."""
+    box, lifetime, seed, path, statistic = payload
+    return statistic(sample_mondrian(box, lifetime, RngStream(seed, path)))
+
+
+def _sample_legs(legs, samples: int, seed: int, workers: int) -> list[np.ndarray]:
+    """One array of ``samples`` statistics per leg ``(box, lifetime, statistic)``.
+
+    Sample ``i`` of leg ``k`` is drawn on the stream ``(seed, (len(legs) * i + k,))``,
+    so legs interleave on one family of streams; all of them share one :func:`_map`.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    payloads = [(box, lifetime, seed, (len(legs) * i + k,), statistic)
+                for k, (box, lifetime, statistic) in enumerate(legs) for i in range(samples)]
+    values = _map(_sample, payloads, workers)
+    return [np.array(values[k * samples:(k + 1) * samples]) for k in range(len(legs))]
+
+
+def _restricted_leaf_count(sub: BoxRegion, part) -> int:
+    return restrict(part, sub).n_leaves
+
+
+def _edge_distances(x: np.ndarray, part) -> np.ndarray:
+    """Distances from ``x`` to the lower, then the upper, faces of its cell."""
+    cell = part.locate_leaf(x).box
+    return np.concatenate([x - cell.lower, cell.upper - x])
+
+
+def _cell_diameter(x: np.ndarray, part) -> float:
+    return part.locate_leaf(x).box.l2_diameter
 
 
 def _poisson_chisquare(values, lam: float) -> tuple[float | None, int, float | None]:
@@ -464,21 +514,16 @@ def _poisson_chisquare(values, lam: float) -> tuple[float | None, int, float | N
     return chi2_stat, dof, float(stats.chi2.sf(chi2_stat, dof))
 
 
-def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> ExperimentReport:
+def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int,
+                      workers: int = 1) -> ExperimentReport:
     """Empirical mean of the leaf count against the exact law.
 
     PASS when the sample mean is within 4 standard errors of
     ``(1 + lifetime)^d``.  For d = 1 the split count is additionally tested
     against a Poisson law by chi-square at significance 1e-3.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
-    box = BoxRegion.unit(d)
-    counts = np.array([
-        sample_mondrian(box, lifetime, RngStream(seed, (i,))).n_leaves
-        for i in range(samples)
-    ])
+    counts, = _sample_legs([(BoxRegion.unit(d), lifetime, leaf_count)], samples, seed, workers)
     mean, se = _mean_se(counts)
     oracle = expected_leaf_count(lifetime, d)
     verdicts = [_band_verdict("leaf-count-mean", mean, oracle, se, samples)]
@@ -504,7 +549,8 @@ def verify_leaf_count(d: int, lifetime: float, samples: int, seed: int) -> Exper
     )
 
 
-def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int) -> ExperimentReport:
+def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int,
+                             workers: int = 1) -> ExperimentReport:
     """Distribution of the cell around an interior point.
 
     For each of the 2d edge distances: the boundary-atom frequency must sit
@@ -514,20 +560,14 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
     Independence across the 2d coordinates is checked through pairwise sample
     correlations, all below ``4 / sqrt(samples)``.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},)")
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("x must be strictly interior to the unit cube")
-    box = BoxRegion.unit(d)
-    dists = np.empty((samples, 2 * d))
-    for i in range(samples):
-        leaf = sample_mondrian(box, lifetime, RngStream(seed, (i,))).locate_leaf(x)
-        dists[i, :d] = x - leaf.box.lower
-        dists[i, d:] = leaf.box.upper - x
+    dists, = _sample_legs([(BoxRegion.unit(d), lifetime, partial(_edge_distances, x))],
+                          samples, seed, workers)
     margins = np.concatenate([x, 1.0 - x])
     labels = [f"left-x{j}" for j in range(d)] + [f"right-x{j}" for j in range(d)]
     per_test_alpha = FAMILY_SIGNIFICANCE / (2 * d)
@@ -575,28 +615,28 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
 
 
 def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
-                    delta_grid=None) -> ExperimentReport:
+                    delta_grid=None, workers: int = 1) -> ExperimentReport:
     """Cell diameter at a point against the tail and second-moment bounds.
 
     Empirical tail frequencies must stay below the closed-form bound plus 4
     standard errors at every grid point, and the mean squared diameter below
     ``4 d / lifetime^2`` plus 4 standard errors.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
+    box = BoxRegion.unit(d)
     x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,):
+        raise ValueError(f"x must have shape ({d},)")
+    if not box.contains(x):
+        raise ValueError("x must lie in the unit cube")
     if lifetime <= 0:
         raise ValueError("lifetime must be > 0")
     if delta_grid is None:
         delta_grid = np.linspace(0.5, 8.0, 10) * math.sqrt(d) / lifetime
     if not all(math.isfinite(delta) and delta >= 0 for delta in delta_grid):
         raise ValueError("every delta must be finite and >= 0")
-    box = BoxRegion.unit(d)
-    diameters = np.array([
-        sample_mondrian(box, lifetime, RngStream(seed, (i,))).locate_leaf(x).box.l2_diameter
-        for i in range(samples)
-    ])
+    diameters, = _sample_legs([(box, lifetime, partial(_cell_diameter, x))],
+                              samples, seed, workers)
     sq_mean, sq_se = _mean_se(diameters**2)
     bound = diameter_second_moment_bound(lifetime, d)
     verdicts = [_verdict("second-moment", sq_mean, operator.le, bound + MEAN_BAND_SE * sq_se,
@@ -622,7 +662,7 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
 
 
 def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, seed: int,
-                       two_sample: bool = True) -> ExperimentReport:
+                       two_sample: bool = True, workers: int = 1) -> ExperimentReport:
     """Leaf counts of restricted partitions against the product law.
 
     Partitions of the unit cube restricted to ``sub`` must have mean leaf
@@ -630,20 +670,13 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
     joint band compares them to partitions sampled directly on ``sub``, plus
     an optional two-sample KS test on the leaf counts.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     t0 = time.perf_counter()
     box = BoxRegion.unit(d)
     if not box.contains_box(sub):
         raise ValueError("sub must be contained in the unit cube")
-    restricted = np.array([
-        restrict(sample_mondrian(box, lifetime, RngStream(seed, (2 * i,))), sub).n_leaves
-        for i in range(samples)
-    ])
-    direct = np.array([
-        sample_mondrian(sub, lifetime, RngStream(seed, (2 * i + 1,))).n_leaves
-        for i in range(samples)
-    ])
+    restricted, direct = _sample_legs(
+        [(box, lifetime, partial(_restricted_leaf_count, sub)), (sub, lifetime, leaf_count)],
+        samples, seed, workers)
     oracle = expected_leaf_count_box(lifetime, sub.side_lengths)
     r_mean, r_se = _mean_se(restricted)
     d_mean, d_se = _mean_se(direct)

@@ -103,6 +103,23 @@ def test_outputs_are_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-leaf-count", "--d", "1", "--lifetime", "3"],
+    ["verify-cell-dist", "--lifetime", "4", "--x", "0.5,0.25"],
+    ["verify-diameter", "--lifetime", "3", "--x", "0.5,0.5"],
+    ["verify-restriction", "--lifetime", "4", "--sub-lower", "0.2,0.1", "--sub-upper", "0.6,0.4"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verifier_output_does_not_depend_on_threads(monkeypatch, capsys, argv, fmt):
+    from mondrianforest import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # so --threads 2 builds a real pool
+    common = ["--samples", "60", "--seed", "4", "--format", fmt]
+    serial = invoke(argv + common + ["--threads", "1"], capsys)
+    assert serial[1] and serial[2] == ""
+    assert invoke(argv + common + ["--threads", "2"], capsys) == serial
+
+
 def test_csv_output_format(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code, _, _ = invoke(["risk", "--task", "linear_1d", "--sigma", "0.5", "--n", "64",

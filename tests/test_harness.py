@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -118,6 +119,23 @@ def test_parallel_replicates_match_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("name", ["verify_cell_distribution", "verify_restriction"])
+def test_parallel_samples_match_serial(monkeypatch, name):
+    # a real pool pickles every payload, its statistic included, and every value
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    experiment, _ = POOLED_EXPERIMENTS[name]
+    assert experiment(2).to_json() == experiment(1).to_json()
+    assert built == [2]
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Sizes of the process pools built; the pools map in-process."""
@@ -150,6 +168,15 @@ POOLED_EXPERIMENTS = {
         workers=workers), 12),
     "classification_sweep": (lambda workers: classification_sweep(
         1, [16, 32], "lipschitz", 1, replicates=3, seed=5, workers=workers), 6),
+    # experiment(workers), partition sample count of the whole experiment
+    "verify_leaf_count": (lambda workers: verify_leaf_count(
+        1, 3.0, samples=40, seed=5, workers=workers), 40),
+    "verify_cell_distribution": (lambda workers: verify_cell_distribution(
+        2, 4.0, [0.5, 0.25], samples=40, seed=5, workers=workers), 40),
+    "verify_diameter": (lambda workers: verify_diameter(
+        2, 3.0, [0.5, 0.5], samples=40, seed=5, workers=workers), 40),
+    "verify_restriction": (lambda workers: verify_restriction(
+        2, 4.0, BoxRegion([0.2, 0.1], [0.6, 0.4]), samples=40, seed=5, workers=workers), 80),
 }
 
 

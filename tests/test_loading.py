@@ -17,6 +17,7 @@ from mondrianforest import (
     BoxRegion,
     MondrianForestModel,
     RngStream,
+    SyntheticTask,
     fit_forest,
     fit_tree,
     model_from_json,
@@ -27,6 +28,7 @@ from mondrianforest import (
     predict_class,
     sample_mondrian,
 )
+from mondrianforest import harness
 from mondrianforest.cli import run
 from mondrianforest.estimators import (
     _MAX_SCALED,
@@ -332,6 +334,39 @@ def test_unsplittable_cell_side_exits_two_with_one_line(capsys, monkeypatch):
     code = run(["sample", "--d", "1", "--lifetime", "1e18"])
     assert_one_line_exit_two(code, capsys.readouterr(), "sample",
                              "no float lies strictly inside it")
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("a partition was drawn before the inputs were checked")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5"], "x must have shape (2,)"),
+    (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,1.5"],
+     "x must lie in the unit cube"),
+    (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,nan"],
+     "x must lie in the unit cube"),
+    (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,0.5", "--threads", "2",
+      "--samples", "1"], "samples must be >= 2"),
+], ids=["diameter-x-too-short", "diameter-x-outside", "diameter-x-nan", "diameter-samples-1"])
+def test_verifier_checks_its_inputs_before_drawing(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(harness, "sample_mondrian", _no_sampling)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_sampling)
+    assert_one_line_exit_two(run(argv), capsys.readouterr(), argv[0], message)
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 7.11 PiB for an array"), "out of memory: Unable to allocate"),
+    (MemoryError(), "out of memory: allocation failed"),
+], ids=["numpy-message", "bare"])
+def test_failed_allocation_exits_two_with_one_line(capsys, monkeypatch, error, message):
+    # stands in for numpy's _ArrayMemoryError on a sample size too large to allocate
+    def out_of_memory(self, n, rng):
+        raise error
+
+    monkeypatch.setattr(SyntheticTask, "sample_data", out_of_memory)
+    code = run(["risk", "--n", "1000000000000000", "--lifetime", "1", "--replicates", "2"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "risk", message)
 
 
 @pytest.mark.parametrize("argv, message", [

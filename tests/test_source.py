@@ -102,6 +102,18 @@ def test_tree_predict_is_the_one_path_from_rows_to_leaf_means():
         ("estimators.py", "MondrianTreeModel.predict")]
 
 
+def test_one_map_builds_the_process_pool():
+    # harness._map alone checks the worker cap and sizes the pool, so --threads
+    # means the same thing to every experiment
+    assert _scopes_calling("ProcessPoolExecutor") == [("harness.py", "_map")]
+
+
+def test_harness_draws_partitions_only_in_the_per_sample_function():
+    # every Monte-Carlo partition of the law verifiers goes through the one map
+    found = [scope for scope in _scopes_calling("sample_mondrian") if scope[0] == "harness.py"]
+    assert found == [("harness.py", "_sample")]
+
+
 def test_importing_the_package_leaves_scipy_unloaded():
     # scipy was most of the package's import time; the harness imports it where it is used
     src = str(Path(mondrianforest.__file__).parent.parent)
