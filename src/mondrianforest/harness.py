@@ -360,21 +360,33 @@ def _band_verdict(name: str, value: float, center: float, se: float, n: int) -> 
 # -- the sample map ----------------------------------------------------------
 
 
+def _run_chunk(fn, chunk: list) -> list:
+    return [fn(p) for p in chunk]
+
+
 def _map(fn, payloads: list, workers: int) -> list:
     """``[fn(p) for p in payloads]``, on a pool of at most ``workers`` processes.
 
     The pool is capped at the payload count and the CPU count, and below two
     processes everything runs in the calling process.  Values come back in
-    payload order; each process takes its payloads in about 16 chunks, so that
-    short tasks are not outweighed by shipping them one at a time.
+    payload order.  Each chunk shipped to the pool holds 1/16 of a process's
+    share of the payloads still unshipped: early chunks are long, so cheap
+    samples are not outweighed by shipping them one at a time, and once fewer
+    than ``32 * processes`` are left they go one at a time, so the costliest
+    replicates of a grid ordered by ``n`` cannot leave a process idle at the end.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     processes = min(workers, len(payloads), os.cpu_count() or 1)
     if processes < 2:
-        return [fn(p) for p in payloads]
+        return _run_chunk(fn, payloads)
+    chunks, start = [], 0
+    while start < len(payloads):
+        stop = start + max(1, (len(payloads) - start) // (16 * processes))
+        chunks.append(payloads[start:stop])
+        start = stop
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (16 * processes))))
+        return [value for chunk in pool.map(partial(_run_chunk, fn), chunks) for value in chunk]
 
 
 # -- risk estimation ---------------------------------------------------------

@@ -191,6 +191,35 @@ def test_experiment_builds_one_capped_pool(pools, monkeypatch, name, cpus):
     assert len(pools) == 1  # one worker builds no pool
 
 
+@pytest.mark.parametrize("n, most_chunks", [(360, 360 // 2), (10_000, 10_000 // 32)])
+def test_map_ships_shrinking_chunks_that_end_one_payload_at_a_time(monkeypatch, n, most_chunks):
+    # long chunks while much is left; single payloads at the end, where the
+    # costliest replicates of a grid sit
+    shipped = []
+
+    class ChunkPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            shipped.extend(len(chunk) for chunk in chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ChunkPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert harness._map(lambda p: -p, list(range(n)), 2) == [-p for p in range(n)]
+    assert shipped[0] == n // 32
+    assert shipped == sorted(shipped, reverse=True)
+    assert shipped[-62:] == [1] * 62
+    assert len(shipped) < most_chunks
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_risk_workers_validation(pools, workers):
     task = SyntheticTask(kind="lipschitz_1d")
