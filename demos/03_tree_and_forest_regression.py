@@ -53,5 +53,7 @@ print("\n=== save / load ===")
 forest = mf.fit_forest(box, d, lifetime, 10, X, y, master_seed=7)
 payload = mf.model_to_json(forest)
 clone = mf.model_from_json(payload)
-print(f"model JSON: {len(payload)} bytes; identical predictions after reload:",
+leaves = sum(tree.n_leaves for tree in forest.trees)
+print(f"model JSON: {len(payload)} bytes, {len(payload) / leaves:.1f} per leaf; "
+      "identical predictions after reload:",
       np.array_equal(mf.predict_forest(clone, probe), mf.predict_forest(forest, probe)))

@@ -13,19 +13,30 @@ commutative, which buys two properties float accumulation cannot offer:
 permuting the training data leaves every prediction bit-identical, and a fold
 of single-point updates equals a batch fit exactly.
 
-A batch fit splits its labels once (once per forest) into signed 32-bit
-limbs, measured from the smallest binary exponent among the labels: label
-``i`` is ``sum_k limbs[k, i] * 2^(32 k)`` units of ``2^low``.  Each tree then
-sums every limb per leaf with one float64 ``bincount``, which is exact while
-at most 2^21 rows enter one sum (2^21 * 2^32 = 2^53), so longer inputs are
-summed in chunks of 2^21 rows.  Each leaf's limb sums fold into one Python
+A batch fit splits its labels once (once per forest) into three signed 32-bit
+limbs each, at the label's own 32-bit place counted from the smallest binary
+exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (p_i + k))``
+units of ``2^low``, so the limb array has 3 rows however far the exponents
+spread.  Each tree sums the limbs per (leaf, place) with one float64
+``bincount`` per limb row, which is exact while at most 2^21 rows enter one
+sum (2^21 * 2^32 = 2^53), so longer inputs are summed in chunks of 2^21 rows;
+the rows' sums are added as ints, and each leaf's places fold into one Python
 int.  An update adds its one label's exact integer into its leaf directly.
+
+Models are saved as compact JSON (``mondrian-forest-model/2`` and
+``mondrian-tree-model/2``): the shared fields once, then per tree flat node
+columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
+The first schemas (``/1``) still load.  Both readers build each tree through
+:func:`_tree_model`, which runs the partition validator and the
+leaf-statistics check, so a file of either schema gets every check.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass
 
@@ -35,10 +46,14 @@ from .partition import (
     _NUMBER,
     BoxRegion,
     MondrianPartition,
+    _box_from_dict,
+    _box_to_dict,
+    _check_nodes,
     _field,
     _json_loads,
-    partition_from_dict,
-    partition_to_dict,
+    _parse_partition,
+    partition_from_dict,  # noqa: F401  the benchmark's tracer wraps both names here
+    partition_to_dict,  # noqa: F401
     sample_mondrian,
 )
 from .rng import RngStream
@@ -63,8 +78,11 @@ __all__ = [
     "model_from_json",
 ]
 
-TREE_MODEL_SCHEMA = "mondrian-tree-model/1"
-FOREST_MODEL_SCHEMA = "mondrian-forest-model/1"
+TREE_MODEL_SCHEMA = "mondrian-tree-model/2"
+FOREST_MODEL_SCHEMA = "mondrian-forest-model/2"
+# the first schemas, still read: one partition document and [count, "sum"] pairs per tree
+_TREE_MODEL_V1 = "mondrian-tree-model/1"
+_FOREST_MODEL_V1 = "mondrian-forest-model/1"
 
 # label values are scaled by 2^1074 to integers; 2^-1074 is the smallest
 # positive float64, so every finite float64 is an exact multiple of it
@@ -93,10 +111,17 @@ _LIMB_MASK = (1 << 32) - 1
 
 @dataclass(frozen=True)
 class _Limbs:
-    """Labels split for exact summation: label ``i`` is ``sum_k limbs[k, i] << 32 k``
-    units of 2^(unit - 1074); ``unit`` is negative only when a label is subnormal."""
+    """Labels split for exact summation: label ``i`` is ``sum_k limbs[k, i] << 32 places[slots[k, i]]``
+    units of 2^(unit - 1074); ``unit`` is negative only when a label is subnormal.
 
-    limbs: np.ndarray  # (n_limbs, n) float64 holding integers in (-2^32, 2^32)
+    A label's three limbs sit at consecutive 32-bit places from its own offset,
+    so the array has 3 rows whatever the spread of the labels' exponents;
+    ``places`` lists the places in use, in increasing order.
+    """
+
+    limbs: np.ndarray  # (3, n) float64 holding integers in (-2^32, 2^32)
+    slots: np.ndarray  # (3, n) int64 index into places
+    places: list
     unit: int
 
 
@@ -107,18 +132,20 @@ def _split_limbs(y: np.ndarray) -> _Limbs:
     mant = (m * _MANT).astype(np.int64)  # y = mant * 2^(e - 53), |mant| < 2^53
     nonzero = mant != 0
     low = int(e[nonzero].min()) if nonzero.any() else 0
-    limb, bit = np.divmod(np.where(nonzero, e - low, 0), 32)
+    offset, bit = np.divmod(np.where(nonzero, e - low, 0), 32)
     mag = np.abs(mant)
     # mag << bit spans three limbs: the low 32 bits shifted (< 2^63) and the
     # high 21 bits shifted plus the carry out of the low part (< 2^53)
     lo = (mag & _LIMB_MASK) << bit
     hi = (lo >> 32) + ((mag >> 32) << bit)
-    limbs = np.zeros((int(limb.max(initial=0)) + 3, y.size))
-    rows = np.arange(y.size)
     sign = np.sign(mant)
-    for k, part in enumerate((lo & _LIMB_MASK, hi & _LIMB_MASK, hi >> 32)):
-        limbs[limb + k, rows] = sign * part
-    return _Limbs(limbs, low - 53 + _SCALE_BITS)
+    limbs = np.array([sign * (lo & _LIMB_MASK), sign * (hi & _LIMB_MASK), sign * (hi >> 32)],
+                     dtype=np.float64)
+    places = offset + np.arange(3)[:, None]
+    used = np.zeros(int(offset.max(initial=0)) + 3, dtype=bool)
+    used[places] = True
+    slots = (np.cumsum(used) - 1)[places]
+    return _Limbs(limbs, slots, np.flatnonzero(used).tolist(), low - 53 + _SCALE_BITS)
 
 
 # a leaf's exact sum is at most its count times this (the largest float)
@@ -245,13 +272,19 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         totals = list(base._totals)
         totals[ranks.item()] += labels
         return MondrianTreeModel(partition, counts + base._counts, totals)
-    totals = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
-    for limb in labels.limbs[::-1]:
-        totals <<= 32
-        for start in range(0, ranks.size, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            sums = np.bincount(ranks[rows], weights=limb[rows], minlength=n_leaves)
-            totals += sums.astype(np.int64)
+    # one exact Python int per (leaf, place); each float bincount adds at most
+    # _CHUNK_ROWS limbs into a bin, and the limb rows are added as ints
+    width = len(labels.places)
+    cells = ranks * width
+    table = np.zeros(n_leaves * width, dtype=object)
+    for start in range(0, ranks.size, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        table += sum(np.bincount(cells[rows] + slot[rows], weights=limb[rows],
+                                 minlength=n_leaves * width).astype(np.int64)
+                     for limb, slot in zip(labels.limbs, labels.slots))
+    table = table.reshape(n_leaves, width)
+    totals = sum((table[:, j] << 32 * place for j, place in enumerate(labels.places)),
+                 np.zeros(n_leaves, dtype=object))
     totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
     return MondrianTreeModel(partition, counts, totals.tolist())
 
@@ -382,61 +415,146 @@ def _check_schedule_args(n: int, d: int, scale: float) -> None:
 
 # -- serialization ----------------------------------------------------------
 
+# the largest shift of an odd leaf sum whose magnitude can stay within an int64
+# count times the largest float; a larger one is rejected before it is applied
+_MAX_SUM_SHIFT = _MAX_SCALED.bit_length() + 63
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
-def tree_model_to_dict(model: MondrianTreeModel) -> dict:
-    """Partition schema extended with per-leaf statistics.
 
-    Exact label sums serialize as decimal strings of the 2^-1074-unit
-    integers, so a round trip preserves predictions bit-exactly.
-    """
+def _odd_shift(total: int) -> tuple[int, int]:
+    """``(odd, shift)`` with ``total == odd << shift`` and ``odd`` odd, or ``(0, 0)``."""
+    shift = (total & -total).bit_length() - 1
+    return (total >> shift, shift) if total else (0, 0)
+
+
+def _tree_columns(model: MondrianTreeModel) -> dict:
+    """One tree as flat columns: preorder nodes, then one count and sum per leaf."""
+    p = model.partition
+    odd, shift = zip(*map(_odd_shift, model._totals))
     return {
-        "schema": TREE_MODEL_SCHEMA,
-        "partition": partition_to_dict(model.partition),
-        "n_seen": model.n_seen,
-        "leaf_stats": [
-            [int(c), str(t)] for c, t in zip(model._counts, model._totals)
-        ],
+        "split_dim": p.split_dim.tolist(),
+        "threshold": p.threshold[p.split_dim >= 0].tolist(),
+        "clock": [None if math.isinf(c) else c for c in p.clock.tolist()],
+        "count": model._counts.tolist(),
+        "sum_odd": list(odd),
+        "sum_shift": list(shift),
+        "seed_provenance": p.seed_provenance,
     }
 
 
-def tree_model_from_dict(data: dict) -> MondrianTreeModel:
-    """Inverse of :func:`tree_model_to_dict`; ValueError for a malformed document.
+def tree_model_to_dict(model: MondrianTreeModel) -> dict:
+    """A ``mondrian-tree-model/2`` document: root box, lifetime, ``n_seen`` and the columns.
 
-    Beyond the partition checks, every leaf needs a count >= 0 and an exact
-    sum no larger in magnitude than ``count`` times the largest float, and
-    the counts must add up to ``n_seen``.
+    A leaf's exact label sum is ``sum_odd << sum_shift`` in 2^-1074 units, so
+    a round trip preserves predictions bit-exactly.
     """
-    try:
-        if data.get("schema") != TREE_MODEL_SCHEMA:
-            raise ValueError(f"unsupported tree model schema: {data.get('schema')!r}")
-        partition = partition_from_dict(data["partition"])
-        stats = data["leaf_stats"]
-        if not isinstance(stats, list) or len(stats) != partition.n_leaves:
-            raise ValueError("leaf_stats length does not match the partition")
-        counts, totals = [], []
-        for entry in stats:
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and _field(entry[0], int, "leaf count") >= 0):
-                raise ValueError(f"malformed leaf_stats entry: {entry!r}")
-            counts.append(entry[0])
-            totals.append(int(_field(entry[1], str, "leaf sum")))
-            if abs(totals[-1]) > counts[-1] * _MAX_SCALED:
-                raise ValueError(f"leaf_stats sum out of range for count {counts[-1]}")
-        n_seen = _field(data["n_seen"], int, "n_seen")
-        if n_seen != sum(counts):
-            raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
-        return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise ValueError(f"malformed tree model: {exc!r}") from None
+    p = model.partition
+    return {"schema": TREE_MODEL_SCHEMA, "lifetime": p.lifetime, "box": _box_to_dict(p.box),
+            "n_seen": model.n_seen, **_tree_columns(model)}
 
 
 def forest_model_to_dict(model: MondrianForestModel) -> dict:
-    return {
-        "schema": FOREST_MODEL_SCHEMA,
-        "lifetime": model.lifetime,
-        "master_seed": model.master_seed,
-        "trees": [tree_model_to_dict(tree) for tree in model.trees],
-    }
+    """A ``mondrian-forest-model/2`` document; the shared fields are written once."""
+    first = model.trees[0]
+    if any(t.partition.lifetime != model.lifetime or t.partition.box != first.partition.box
+           or t.n_seen != first.n_seen for t in model.trees):
+        raise ValueError("a forest is written with one lifetime, root box and n_seen, "
+                         "and its trees do not share them")
+    return {"schema": FOREST_MODEL_SCHEMA, "lifetime": model.lifetime,
+            "master_seed": model.master_seed, "box": _box_to_dict(first.partition.box),
+            "n_seen": first.n_seen, "trees": [_tree_columns(t) for t in model.trees]}
+
+
+def _typed(values, kinds: set, what: str) -> list:
+    """``values`` if it is a list of items of the JSON types ``kinds``, else ValueError."""
+    # decoded JSON values have exact types, so bool never passes for int
+    if not set(map(type, _field(values, list, what))) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise ValueError(f"{what} has the wrong type: {bad!r}")
+    return values
+
+
+_INT, _FLOAT = {int}, {int, float}
+
+
+def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
+                counts, totals, n_seen) -> MondrianTreeModel:
+    """The one builder of a loaded tree, under both model schemas.
+
+    Runs the partition validator on the preorder node lists, then checks the
+    leaf statistics: one count >= 0 and one exact sum per leaf, each sum no
+    larger in magnitude than its count times the largest float, and counts
+    that add up to ``n_seen``.
+    """
+    rights = _check_nodes(box, lifetime, dims, thrs, clocks)
+    partition = MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
+    if not len(_typed(counts, _INT, "leaf count")) == len(totals) == partition.n_leaves:
+        raise ValueError("the leaf statistics do not match the partition's leaves")
+    if min(counts) < 0:
+        raise ValueError(f"leaf count {min(counts)} is negative")
+    if any(abs(total) > count * _MAX_SCALED for count, total in zip(counts, totals)):
+        raise ValueError("a leaf sum is beyond its count times the largest float")
+    if _field(n_seen, int, "n_seen") != sum(counts):
+        raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
+    return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
+
+
+def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
+    dims = _typed(block["split_dim"], _INT, "split_dim")
+    splits = iter(_typed(block["threshold"], _FLOAT, "threshold"))
+    clocks = _typed(block["clock"], _FLOAT | {type(None)}, "clock")
+    if len(block["threshold"]) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
+        raise ValueError("threshold needs one value per split node and clock one per node")
+    thrs = [float(next(splits)) if dim >= 0 else 0.0 for dim in dims]
+    clocks = [math.inf if clock is None else float(clock) for clock in clocks]
+    odd = _typed(block["sum_odd"], _INT, "sum_odd")
+    shift = _typed(block["sum_shift"], _INT, "sum_shift")
+    if len(odd) != len(shift):
+        raise ValueError("sum_odd and sum_shift differ in length")
+    # a leaf sum is odd << shift, or (0, 0); the shift is bounded before any is applied
+    for o, k in zip(odd, shift):
+        if (o % 2 == 0 or not 0 <= k < _MAX_SUM_SHIFT) and (o, k) != (0, 0):
+            raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
+                             f"with a shift in [0, {_MAX_SUM_SHIFT})")
+    return _tree_model(box, lifetime, dims, thrs, clocks, block.get("seed_provenance"),
+                       block["count"], list(map(operator.lshift, odd, shift)), n_seen)
+
+
+def _tree_from_v1(data: dict) -> MondrianTreeModel:
+    """A ``mondrian-tree-model/1`` document: a partition document plus ``[count, "sum"]`` pairs."""
+    box, lifetime, dims, thrs, clocks = _parse_partition(data["partition"])
+    counts, totals = [], []
+    for entry in _field(data["leaf_stats"], list, "leaf_stats"):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ValueError(f"malformed leaf_stats entry: {entry!r}")
+        if not _CANONICAL_INT.fullmatch(_field(entry[1], str, "leaf sum")):
+            raise ValueError(f"leaf sum {entry[1]!r} is not a canonical decimal integer")
+        counts.append(entry[0])
+        totals.append(int(entry[1]))
+    return _tree_model(box, lifetime, dims, thrs, clocks,
+                       data["partition"].get("seed_provenance"), counts, totals, data["n_seen"])
+
+
+def _lifetime(data: dict) -> float:
+    return float(_field(data["lifetime"], _NUMBER, "lifetime"))
+
+
+def tree_model_from_dict(data: dict) -> MondrianTreeModel:
+    """Inverse of :func:`tree_model_to_dict`, for ``/2`` and ``/1`` documents.
+
+    ValueError for a malformed document: both schemas run the same partition
+    and leaf-statistics checks (see :func:`_tree_model`).
+    """
+    try:
+        schema = data.get("schema")
+        if schema == TREE_MODEL_SCHEMA:
+            return _tree_from_columns(data, _box_from_dict(data["box"]), _lifetime(data),
+                                      data["n_seen"])
+        if schema == _TREE_MODEL_V1:
+            return _tree_from_v1(data)
+        raise ValueError(f"unsupported tree model schema: {schema!r}")
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed tree model: {exc!r}") from None
 
 
 def _master_seed(value):
@@ -450,45 +568,54 @@ def _master_seed(value):
 
 
 def forest_model_from_dict(data: dict) -> MondrianForestModel:
-    """Inverse of :func:`forest_model_to_dict`; ValueError for a malformed document.
+    """Inverse of :func:`forest_model_to_dict`, for ``/2`` and ``/1`` documents.
 
-    Beyond the tree checks, ``lifetime`` must be a number equal to every
-    tree's partition lifetime, ``master_seed`` must be a seed a forest can be
-    grown from, and all trees must partition the same root box and count the
-    same number of rows (every tree of a forest is fitted on all of its data).
+    ValueError for a malformed document.  Beyond the tree checks,
+    ``master_seed`` must be a seed a forest can be grown from.  A ``/1`` file
+    stores each tree's lifetime, root box and ``n_seen``, so there the forest
+    ``lifetime`` must equal every tree's, and the trees must share one root
+    box and one ``n_seen`` (every tree of a forest is fitted on all of its data).
     """
     try:
-        if data.get("schema") != FOREST_MODEL_SCHEMA:
-            raise ValueError(f"unsupported forest model schema: {data.get('schema')!r}")
-        if not isinstance(data["trees"], list):
-            raise ValueError("trees must be a list")
-        trees = [tree_model_from_dict(t) for t in data["trees"]]
-        lifetime = _field(data["lifetime"], _NUMBER, "forest lifetime")
-        if any(tree.partition.lifetime != lifetime for tree in trees):
-            raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
-        if any(tree.partition.box != trees[0].partition.box for tree in trees):
-            raise ValueError("the trees do not share one root box")
-        if any(tree.n_seen != trees[0].n_seen for tree in trees):
-            raise ValueError("the trees do not share one n_seen, so they were fitted on "
-                             "different data")
+        schema = data.get("schema")
+        if schema not in (FOREST_MODEL_SCHEMA, _FOREST_MODEL_V1):
+            raise ValueError(f"unsupported forest model schema: {schema!r}")
+        lifetime = _lifetime(data)
+        blocks = _field(data["trees"], list, "trees")
+        if schema == FOREST_MODEL_SCHEMA:
+            box = _box_from_dict(data["box"])
+            trees = [_tree_from_columns(b, box, lifetime, data["n_seen"]) for b in blocks]
+        else:
+            trees = [tree_model_from_dict(b) for b in blocks]
+            if any(tree.partition.lifetime != lifetime for tree in trees):
+                raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
+            if any(tree.partition.box != trees[0].partition.box for tree in trees):
+                raise ValueError("the trees do not share one root box")
+            if any(tree.n_seen != trees[0].n_seen for tree in trees):
+                raise ValueError("the trees do not share one n_seen, so they were fitted on "
+                                 "different data")
         return MondrianForestModel(trees, lifetime, _master_seed(data["master_seed"]))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed forest model: {exc!r}") from None
 
 
 def model_to_json(model) -> str:
+    """Compact JSON of a tree or forest model (schema ``/2``)."""
     if isinstance(model, MondrianForestModel):
-        return json.dumps(forest_model_to_dict(model), indent=2)
-    if isinstance(model, MondrianTreeModel):
-        return json.dumps(tree_model_to_dict(model), indent=2)
-    raise TypeError(f"not a model: {type(model).__name__}")
+        doc = forest_model_to_dict(model)
+    elif isinstance(model, MondrianTreeModel):
+        doc = tree_model_to_dict(model)
+    else:
+        raise TypeError(f"not a model: {type(model).__name__}")
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def model_from_json(text: str):
+    """A tree or forest model from JSON of schema ``/2`` or ``/1``."""
     data = _json_loads(text, "model JSON")
     schema = data.get("schema") if isinstance(data, dict) else None
-    if schema == FOREST_MODEL_SCHEMA:
+    if schema in (FOREST_MODEL_SCHEMA, _FOREST_MODEL_V1):
         return forest_model_from_dict(data)
-    if schema == TREE_MODEL_SCHEMA:
+    if schema in (TREE_MODEL_SCHEMA, _TREE_MODEL_V1):
         return tree_model_from_dict(data)
     raise ValueError(f"unsupported model schema: {schema!r}")

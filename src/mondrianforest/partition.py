@@ -603,7 +603,7 @@ def leaf_count(partition: MondrianPartition) -> int:
 def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
     """Right-child indices of valid preorder node lists; ValueError if they are invalid."""
     _check_lifetime(lifetime, "lifetime")
-    rights = []
+    dim, rights = box.dim, []
     # (node whose right child this cell is or -1, birth time, lower, upper)
     stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]
     for node, (axis, threshold, clock) in enumerate(zip(dims, thrs, clocks)):
@@ -613,8 +613,8 @@ def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
         if parent >= 0:
             rights[parent] = node
         rights.append(-1)
-        if not -1 <= axis < box.dim:
-            raise ValueError(f"node {node}: split dim {axis} is outside [0, {box.dim})")
+        if not -1 <= axis < dim:
+            raise ValueError(f"node {node}: split dim {axis} is outside [0, {dim})")
         if axis == -1:
             if not clock > lifetime:
                 raise ValueError(f"node {node}: pending clock {clock} <= lifetime {lifetime}")
@@ -667,7 +667,6 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
     for an infinite clock.  Boxes and birth times are reconstructed from the
     split records on load.
     """
-    box = partition.box
     nodes = [
         {"leaf": {"pending_clock": None if math.isinf(clock) else clock}}
         if dim < 0
@@ -680,16 +679,57 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
         "schema": PARTITION_SCHEMA,
         "dim": partition.dim,
         "lifetime": partition.lifetime,
-        "box": {
-            "lower": box.lower.tolist(),
-            "upper": box.upper.tolist(),
-            "left_closed": box.left_closed.tolist(),
-        },
+        "box": _box_to_dict(partition.box),
         "nodes": nodes,
     }
     if include_provenance:
         out["seed_provenance"] = partition.seed_provenance
     return out
+
+
+def _box_to_dict(box: BoxRegion) -> dict:
+    return {"lower": box.lower.tolist(), "upper": box.upper.tolist(),
+            "left_closed": box.left_closed.tolist()}
+
+
+def _box_from_dict(data: dict) -> BoxRegion:
+    """A root box from its JSON form ``{"lower": [...], "upper": [...], "left_closed": [...]}``."""
+    return BoxRegion(*(
+        [_field(v, kind, f"box {key}") for v in _field(data[key], list, f"box {key}")]
+        for key, kind in (("lower", _NUMBER), ("upper", _NUMBER), ("left_closed", bool))
+    ))
+
+
+def _parse_partition(data: dict):
+    """Box, lifetime and preorder node lists of a partition document, type-checked only.
+
+    The node lists still need :func:`_check_nodes`; a missing key or wrong
+    container type surfaces as KeyError, TypeError or AttributeError.
+    """
+    if data.get("schema") != PARTITION_SCHEMA:
+        raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
+    box = _box_from_dict(data["box"])
+    if _field(data["dim"], int, "dim") != box.dim:
+        raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
+    lifetime = float(_field(data["lifetime"], _NUMBER, "lifetime"))
+    dims, thrs, clocks = [], [], []
+    for rec in _field(data["nodes"], list, "nodes"):
+        if "split" in rec:
+            split = rec["split"]
+            dims.append(_field(split["dim"], int, "split dim"))
+            if dims[-1] < 0:
+                raise ValueError(f"split dim {dims[-1]} is negative")
+            thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
+            clocks.append(float(_field(split["time"], _NUMBER, "split time")))
+        elif "leaf" in rec:
+            clock = rec["leaf"]["pending_clock"]
+            dims.append(-1)
+            thrs.append(0.0)
+            clocks.append(math.inf if clock is None
+                          else float(_field(clock, _NUMBER, "pending clock")))
+        else:
+            raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
+    return box, lifetime, dims, thrs, clocks
 
 
 def partition_from_dict(data: dict) -> MondrianPartition:
@@ -700,32 +740,7 @@ def partition_from_dict(data: dict) -> MondrianPartition:
     list, or a violated invariant (see :func:`validate_partition`).
     """
     try:
-        if data.get("schema") != PARTITION_SCHEMA:
-            raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
-        box = BoxRegion(*(
-            [_field(v, kind, f"box {key}") for v in _field(data["box"][key], list, f"box {key}")]
-            for key, kind in (("lower", _NUMBER), ("upper", _NUMBER), ("left_closed", bool))
-        ))
-        if _field(data["dim"], int, "dim") != box.dim:
-            raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
-        lifetime = float(_field(data["lifetime"], _NUMBER, "lifetime"))
-        dims, thrs, clocks = [], [], []
-        for rec in _field(data["nodes"], list, "nodes"):
-            if "split" in rec:
-                split = rec["split"]
-                dims.append(_field(split["dim"], int, "split dim"))
-                if dims[-1] < 0:
-                    raise ValueError(f"split dim {dims[-1]} is negative")
-                thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
-                clocks.append(float(_field(split["time"], _NUMBER, "split time")))
-            elif "leaf" in rec:
-                clock = rec["leaf"]["pending_clock"]
-                dims.append(-1)
-                thrs.append(0.0)
-                clocks.append(math.inf if clock is None
-                              else float(_field(clock, _NUMBER, "pending clock")))
-            else:
-                raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
+        box, lifetime, dims, thrs, clocks = _parse_partition(data)
         rights = _check_nodes(box, lifetime, dims, thrs, clocks)
         return MondrianPartition(box, lifetime, dims, thrs, clocks, rights,
                                  data.get("seed_provenance"))

@@ -230,7 +230,7 @@ def test_fit_and_predict_roundtrip(tmp_path, capsys):
                            "--output", str(model_path)], capsys)
     assert code == 0, err
     doc = json.loads(model_path.read_text())
-    assert doc["schema"] == "mondrian-forest-model/1"
+    assert doc["schema"] == "mondrian-forest-model/2"
     assert len(doc["trees"]) == 4
 
     code, out, _ = invoke(["predict", "--model", str(model_path),

@@ -254,6 +254,19 @@ def test_limb_sums_stay_exact_across_row_chunks(monkeypatch):
     assert chunked._totals == whole._totals == reference_sums(part, X, y)
 
 
+def test_one_tiny_label_keeps_three_limb_rows():
+    # each label's three limbs sit at its own offset, so one 5e-324 among ordinary
+    # labels leaves the array at 3 rows (it grew to 36 when rows spanned all offsets)
+    rng = np.random.default_rng(14)
+    X = rng.random((100_000, 1))
+    y = np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
+    y[5] = 5e-324
+    labels = estimators._split_limbs(y)
+    assert labels.limbs.shape == labels.slots.shape == (3, y.size)
+    part = make_partition(seed=2, lifetime=16.0, box=UNIT1)
+    assert fit_tree(part, X, y)._totals == reference_sums(part, X, y)
+
+
 # -- forests -----------------------------------------------------------------
 
 def test_forest_of_one_tree_equals_tree():

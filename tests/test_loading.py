@@ -7,6 +7,7 @@ import os
 import pickle
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,12 +39,33 @@ from mondrianforest.estimators import (
 )
 from mondrianforest.partition import MondrianPartition, validate_partition
 
+def tree_doc_v1(tree):
+    """``tree`` as a ``mondrian-tree-model/1`` document: its partition plus [count, "sum"] pairs."""
+    return {"schema": "mondrian-tree-model/1", "partition": partition_to_dict(tree.partition),
+            "n_seen": tree.n_seen,
+            "leaf_stats": [[c, str(t)] for c, t in zip(tree._counts.tolist(), tree._totals)]}
+
+
+def model_doc_v1(model):
+    """A tree or forest model as the ``/1`` JSON document the first model writer produced."""
+    if isinstance(model, MondrianForestModel):
+        doc = {"schema": "mondrian-forest-model/1", "lifetime": model.lifetime,
+               "master_seed": model.master_seed, "trees": [tree_doc_v1(t) for t in model.trees]}
+    else:
+        doc = tree_doc_v1(model)
+    return json.loads(json.dumps(doc))
+
+
 PART = sample_mondrian(BoxRegion.unit(2), 3.0, RngStream(11))
 PART_DOC = partition_to_dict(PART)
 X = np.random.default_rng(0).random((40, 2))
 Y = X[:, 0] + 0.5 * X[:, 1]
-TREE_DOC = json.loads(model_to_json(fit_tree(PART, X, Y)))
-FOREST_DOC = json.loads(model_to_json(fit_forest(BoxRegion.unit(2), 2, 3.0, 2, X, Y, master_seed=4)))
+TREE = fit_tree(PART, X, Y)
+FOREST = fit_forest(BoxRegion.unit(2), 2, 3.0, 2, X, Y, master_seed=4)
+TREE_DOC = model_doc_v1(TREE)
+FOREST_DOC = model_doc_v1(FOREST)
+TREE_DOC_V2 = json.loads(model_to_json(TREE))
+FOREST_DOC_V2 = json.loads(model_to_json(FOREST))
 
 
 def first(doc, kind):
@@ -146,6 +168,11 @@ MODEL_DEFECTS = {
     "stats-length-mismatch": lambda d: d["leaf_stats"].pop(),
     "stats-missing": lambda d: d.pop("leaf_stats"),
     "bad-partition": lambda d: first(d["partition"], "split").update(dim=7),
+    # int() accepts these, but a written sum is never spelled so
+    "sum-with-underscore": lambda d: leaf_stats_entry(d, [d["leaf_stats"][0][0], "1_000"]),
+    "sum-with-spaces": lambda d: leaf_stats_entry(d, [d["leaf_stats"][0][0], " 12 "]),
+    "sum-with-plus": lambda d: leaf_stats_entry(d, [d["leaf_stats"][0][0], "+5"]),
+    "sum-arabic-indic-digit": lambda d: leaf_stats_entry(d, [d["leaf_stats"][0][0], "\u0663"]),
 }
 
 
@@ -155,6 +182,97 @@ def test_tree_model_loader_rejects_defect(defect):
     MODEL_DEFECTS[defect](doc)
     with pytest.raises(ValueError):
         tree_model_from_dict(doc)
+
+
+def split_index(doc, nth=0):
+    """Index, in the ``/2`` node columns, of the ``nth`` split node."""
+    return [i for i, dim in enumerate(doc["split_dim"]) if dim >= 0][nth]
+
+
+def set_leaf(doc, leaf, **columns):
+    for key, value in columns.items():
+        doc[key][leaf] = value
+
+
+def nonzero_leaf(doc):
+    return next(i for i, shift in enumerate(doc["sum_shift"]) if shift > 0)
+
+
+def empty_leaf(doc):
+    set_leaf(doc, 0, count=0, sum_odd=7, sum_shift=0)
+    doc["n_seen"] = sum(doc["count"])
+
+
+def even_sum(doc):
+    # the same value as the written pair, spelled with an even part
+    leaf = nonzero_leaf(doc)
+    set_leaf(doc, leaf, sum_odd=2 * doc["sum_odd"][leaf], sum_shift=doc["sum_shift"][leaf] - 1)
+
+
+# a /2 twin of every /1 case above (same id), then cases only /2 can have
+MODEL_DEFECTS_V2 = {
+    "negative-count": lambda d: set_leaf(d, 0, count=-5),
+    "negative-n-seen": set_key("n_seen", -1),
+    "n-seen-not-the-count-sum": lambda d: d.update(n_seen=d["n_seen"] + 1),
+    "n-seen-as-string": lambda d: d.update(n_seen=str(d["n_seen"])),
+    "entry-too-short": lambda d: d["sum_shift"].pop(),
+    "entry-sum-as-number": lambda d: set_leaf(d, 0, sum_odd=str(d["sum_odd"][0])),
+    "entry-count-as-string": lambda d: set_leaf(d, 0, count=str(d["count"][0])),
+    "entry-sum-not-an-integer": lambda d: set_leaf(d, 0, sum_odd=1.5),
+    "entry-as-string": set_key("sum_odd", "1,0"),
+    "sum-beyond-float-range": lambda d: set_leaf(d, 0, sum_odd=10**700 + 1, sum_shift=0),
+    "nonzero-sum-on-empty-leaf": empty_leaf,
+    "stats-length-mismatch": lambda d: d["count"].pop(),
+    "stats-missing": lambda d: d.pop("count"),
+    "bad-partition": lambda d: d["split_dim"].__setitem__(split_index(d), 7),
+    "sum-with-underscore": lambda d: set_leaf(d, 0, sum_odd="1_000"),
+    "sum-with-spaces": lambda d: set_leaf(d, 0, sum_odd=" 12 "),
+    "sum-with-plus": lambda d: set_leaf(d, 0, sum_odd="+5"),
+    "sum-arabic-indic-digit": lambda d: set_leaf(d, 0, sum_odd="\u0663"),
+    "sum-shift-huge": lambda d: set_leaf(d, 0, sum_odd=1, sum_shift=10**12),
+    "sum-shift-negative": lambda d: set_leaf(d, 0, sum_odd=1, sum_shift=-1),
+    "sum-shift-as-bool": lambda d: set_leaf(d, 0, sum_odd=1, sum_shift=True),
+    "sum-even-part": even_sum,
+    "sum-zero-with-a-shift": lambda d: set_leaf(d, 0, sum_odd=0, sum_shift=3),
+    "sum-columns-of-two-lengths": lambda d: d["sum_odd"].append(1),
+    "threshold-per-node": lambda d: d.update(threshold=[0.5] * len(d["split_dim"])),
+    "threshold-missing-one": lambda d: d["threshold"].pop(),
+    "threshold-on-boundary": lambda d: d["threshold"].__setitem__(0, 0.0),
+    "threshold-as-string": lambda d: d["threshold"].__setitem__(0, "0.5"),
+    "clock-extra": lambda d: d["clock"].append(None),
+    "clock-as-string": lambda d: d["clock"].__setitem__(0, "1"),
+    "split-time-above-lifetime": lambda d: d["clock"].__setitem__(split_index(d), 99.0),
+    "pending-clock-below-lifetime": lambda d: d["clock"].__setitem__(
+        d["split_dim"].index(-1), 0.1),
+    "split-dim-as-bool": lambda d: d["split_dim"].__setitem__(split_index(d), True),
+    "split-dim-below-minus-one": lambda d: d["split_dim"].__setitem__(d["split_dim"].index(-1), -2),
+    "nodes-truncated": lambda d: [d[key].pop() for key in ("split_dim", "clock")],
+    "box-missing": lambda d: d.pop("box"),
+    "box-as-list": set_key("box", [0, 1]),
+    "lifetime-missing": lambda d: d.pop("lifetime"),
+    "lifetime-as-null": set_key("lifetime", None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS_V2))
+def test_tree_model_v2_loader_rejects_defect(defect):
+    doc = copy.deepcopy(TREE_DOC_V2)
+    MODEL_DEFECTS_V2[defect](doc)
+    with pytest.raises(ValueError):
+        tree_model_from_dict(doc)
+
+
+def test_huge_sum_shift_is_rejected_before_it_is_applied():
+    # a shift of 10^12 would build a 125 GB int; the loader refuses it on sight
+    doc = copy.deepcopy(TREE_DOC_V2)
+    set_leaf(doc, 0, sum_odd=1, sum_shift=10**12)
+    with pytest.raises(ValueError, match="shift in"):
+        tree_model_from_dict(doc)
+
+
+def test_every_v1_defect_has_a_v2_twin():
+    assert set(MODEL_DEFECTS) <= set(MODEL_DEFECTS_V2)
+    assert set(FOREST_DEFECTS) <= set(FOREST_DEFECTS_V2)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -174,13 +292,22 @@ def test_leaf_sum_beyond_float_range_rounds_to_infinity(sign):
 
 def one_d_tree_doc():
     part = sample_mondrian(BoxRegion.unit(1), 3.0, RngStream(5))
-    return json.loads(model_to_json(fit_tree(part, X[:, :1], Y)))
+    return model_doc_v1(fit_tree(part, X[:, :1], Y))
+
+
+def three_d_tree_doc_v2():
+    # its splits use axis 2, which a 2-d forest's box does not have
+    part = sample_mondrian(BoxRegion.unit(3), 3.0, RngStream(5))
+    return json.loads(model_to_json(fit_tree(part, np.column_stack([X, X[:, 0]]), Y)))
+
+
+def small_forest():
+    # a forest with the same box and lifetime, fitted on 5 other rows
+    return fit_forest(BoxRegion.unit(2), 2, 3.0, 2, X[:5], Y[:5] + 100.0, master_seed=4)
 
 
 def small_forest_tree_doc():
-    # tree 1 of a forest with the same box and lifetime, fitted on 5 other rows
-    small = fit_forest(BoxRegion.unit(2), 2, 3.0, 2, X[:5], Y[:5] + 100.0, master_seed=4)
-    return json.loads(model_to_json(small))["trees"][1]
+    return model_doc_v1(small_forest())["trees"][1]
 
 
 FOREST_DEFECTS = {
@@ -214,6 +341,35 @@ def test_forest_model_loader_rejects_defect(defect):
         forest_model_from_dict(doc)
 
 
+# a /2 forest stores its lifetime, box and n_seen once, so the twins of the
+# cases about trees that disagree give the one tree or box that does not fit
+FOREST_DEFECTS_V2 = {
+    **FOREST_DEFECTS,
+    "trees-of-two-dimensions": lambda d: d["trees"].__setitem__(1, three_d_tree_doc_v2()),
+    "trees-of-two-boxes": lambda d: d["box"].update(upper=[1.0, 0.01]),
+    "trees-of-two-datasets": lambda d: d["trees"].__setitem__(
+        1, json.loads(model_to_json(small_forest()))["trees"][1]),
+    "n-seen-missing": lambda d: d.pop("n_seen"),
+    "box-missing": lambda d: d.pop("box"),
+    "tree-as-list": lambda d: d["trees"].__setitem__(0, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(FOREST_DEFECTS_V2))
+def test_forest_model_v2_loader_rejects_defect(defect):
+    doc = copy.deepcopy(FOREST_DOC_V2)
+    FOREST_DEFECTS_V2[defect](doc)
+    with pytest.raises(ValueError):
+        forest_model_from_dict(doc)
+
+
+def test_forest_writer_refuses_trees_that_do_not_share_the_written_fields():
+    # a /2 forest writes lifetime, box and n_seen once; trees that differ would load wrong
+    mixed = MondrianForestModel([FOREST.trees[0], small_forest().trees[1]], 3.0, 4)
+    with pytest.raises(ValueError, match="do not share"):
+        model_to_json(mixed)
+
+
 @pytest.mark.parametrize("key, value", [("master_seed", [4, 0, 7]), ("master_seed", 2**64 - 1),
                                         ("lifetime", 3)],
                          ids=["seed-with-path", "seed-largest", "lifetime-as-int"])
@@ -223,6 +379,50 @@ def test_forest_model_loader_accepts_valid_metadata(key, value):
     forest = forest_model_from_dict(doc)
     assert json.loads(model_to_json(forest))[key] == value
     assert np.array_equal(forest.predict(X), forest_model_from_dict(FOREST_DOC).predict(X))
+
+
+LABELS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0.0, 4.0),
+       st.lists(LABELS, min_size=1, max_size=30))
+def test_v1_and_v2_files_load_to_the_same_model(d, seed, n_trees, lifetime, labels):
+    y = np.array(labels)
+    rng = np.random.default_rng(seed)
+    Xd, probe = rng.random((y.size, d)), rng.random((16, d))
+    for model in (fit_forest(BoxRegion.unit(d), d, lifetime, n_trees, Xd, y, master_seed=seed),
+                  fit_tree(sample_mondrian(BoxRegion.unit(d), lifetime, RngStream(seed)), Xd, y)):
+        v1 = model_from_json(json.dumps(model_doc_v1(model), indent=2))
+        v2 = model_from_json(model_to_json(model))
+        for loaded in (v1, v2):
+            assert type(loaded) is type(model)
+            for tree, ref in zip(getattr(loaded, "trees", [loaded]), getattr(model, "trees", [model])):
+                assert all(np.array_equal(a, b) for a, b in zip(tree.partition._arrays(),
+                                                                  ref.partition._arrays()))
+                assert tree.partition.box == ref.partition.box
+                assert tree.partition.lifetime == ref.partition.lifetime
+                assert tree.partition.seed_provenance == ref.partition.seed_provenance
+                assert tree._counts.tolist() == ref._counts.tolist()
+                assert tree._totals == ref._totals
+            assert loaded.predict(probe).tobytes() == model.predict(probe).tobytes()
+
+
+V1_FILE = Path(__file__).parent / "data" / "forest_model_v1.json"
+
+
+def test_a_file_from_the_v1_writer_still_predicts_what_it_did():
+    # forest_model_v1.json was written by the /1 model writer (2 trees, 9 leaves, labels
+    # with a subnormal, -1e300 and an exact zero); these predictions were recorded with it
+    text = V1_FILE.read_text(encoding="utf-8")
+    forest = model_from_json(text)
+    probe = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.05], [0.3, 0.95], [0.0, 1.0]])
+    assert [v.hex() for v in forest.predict(probe).tolist()] == [
+        "-0x1.1602c05d1c9e6p+991", "-0x1.1602c05d1c9e6p+991", "0x1.a7cb4e2dae1b6p-3",
+        "-0x1.c3c478974e816p+993", "-0x1.1602c05d1c9e6p+991"]
+    assert text == json.dumps(model_doc_v1(forest), indent=2) + "\n"
+    clone = model_from_json(model_to_json(forest))
+    assert clone.predict(probe).tobytes() == forest.predict(probe).tobytes()
 
 
 def test_model_loader_rejects_non_object():
@@ -269,6 +469,22 @@ def test_predict_on_edited_model_exits_two_with_one_line(tmp_path, capsys, edit)
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("mondrian-forest predict: error:")
+
+
+DEFECT_CASES = [(name, doc, defects, key)
+                for name, doc, defects in [("tree-v1", TREE_DOC, MODEL_DEFECTS),
+                                           ("tree-v2", TREE_DOC_V2, MODEL_DEFECTS_V2),
+                                           ("forest-v2", FOREST_DOC_V2, FOREST_DEFECTS_V2)]
+                for key in sorted(defects)]
+
+
+@pytest.mark.parametrize("doc, defects, key", [case[1:] for case in DEFECT_CASES],
+                         ids=[f"{name}-{key}" for name, _, _, key in DEFECT_CASES])
+def test_predict_on_defective_model_exits_two_with_one_line(tmp_path, capsys, doc, defects, key):
+    doc = copy.deepcopy(doc)
+    defects[key](doc)
+    code, captured = predict_file(tmp_path, capsys, doc)
+    assert_one_line_exit_two(code, captured, "predict", "")
 
 
 def nested_text(doc, key, depth):
@@ -588,7 +804,8 @@ def test_mutated_partition_loads_valid_or_raises_value_error(doc):
 
 
 @FUZZ
-@given(st.one_of(mutated(TREE_DOC), mutated(FOREST_DOC)))
+@given(st.one_of(mutated(TREE_DOC), mutated(FOREST_DOC), mutated(TREE_DOC_V2),
+                 mutated(FOREST_DOC_V2)))
 def test_mutated_model_loads_valid_and_predict_exits_zero_or_two(doc):
     text = json.dumps(doc)
     try:
@@ -610,7 +827,9 @@ def test_mutated_model_loads_valid_and_predict_exits_zero_or_two(doc):
 
 NESTED_VALUES = [(PART_DOC, "nodes", partition_from_json), (PART_DOC, "box", partition_from_json),
                  (TREE_DOC, "leaf_stats", model_from_json), (FOREST_DOC, "trees", model_from_json),
-                 (FOREST_DOC, "master_seed", model_from_json)]
+                 (FOREST_DOC, "master_seed", model_from_json), (TREE_DOC_V2, "count", model_from_json),
+                 (TREE_DOC_V2, "box", model_from_json), (FOREST_DOC_V2, "trees", model_from_json),
+                 (FOREST_DOC_V2, "box", model_from_json)]
 
 
 @FUZZ

@@ -102,6 +102,15 @@ def test_tree_predict_is_the_one_path_from_rows_to_leaf_means():
         ("estimators.py", "MondrianTreeModel.predict")]
 
 
+def test_tree_models_are_built_by_accumulation_and_the_one_loader():
+    # fitting builds trees in _accumulate, and both model schemas load through
+    # _tree_model, so every check of a loaded tree runs on every file
+    found = sorted({scope for path in SOURCES if path.name == "estimators.py"
+                    for scope in _calls(ast.parse(path.read_text(encoding="utf-8")),
+                                        "MondrianTreeModel")})
+    assert found == ["_accumulate", "_tree_model"]
+
+
 def test_one_map_builds_the_process_pool():
     # harness._map alone checks the worker cap and sizes the pool, so --threads
     # means the same thing to every experiment
