@@ -14,14 +14,15 @@ permuting the training data leaves every prediction bit-identical, and a fold
 of single-point updates equals a batch fit exactly.
 
 A batch fit splits its labels once (once per forest) into three signed 32-bit
-limbs each, at the label's own 32-bit place counted from the smallest binary
-exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (p_i + k))``
-units of ``2^low``, so the limb array has 3 rows however far the exponents
-spread.  Each tree sums the limbs per (leaf, place) with one float64
-``bincount`` per limb row, which is exact while at most 2^21 rows enter one
-sum (2^21 * 2^32 = 2^53), so longer inputs are summed in chunks of 2^21 rows;
-the rows' sums are added as ints, and each leaf's places fold into one Python
-int.  An update adds its one label's exact integer into its leaf directly.
+limbs each, at the label's own 32-bit offset counted from the smallest binary
+exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))``
+units of ``2^low``, so there are 3 limbs per label however far the exponents
+spread.  Labels are grouped by offset (ordinary data has one group).  Each
+tree sums every limb row of a group per leaf with one float64 ``bincount``,
+which is exact while at most 2^21 rows enter one sum (2^21 * 2^32 = 2^53), so
+longer inputs are summed in chunks of 2^21 rows; the sums are added as ints,
+and each leaf's limb and group sums fold into one Python int.  An update adds
+its one label's exact integer into its leaf directly.
 
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
@@ -111,17 +112,16 @@ _LIMB_MASK = (1 << 32) - 1
 
 @dataclass(frozen=True)
 class _Limbs:
-    """Labels split for exact summation: label ``i`` is ``sum_k limbs[k, i] << 32 places[slots[k, i]]``
-    units of 2^(unit - 1074); ``unit`` is negative only when a label is subnormal.
+    """Labels split for exact summation, grouped by limb offset.
 
-    A label's three limbs sit at consecutive 32-bit places from its own offset,
-    so the array has 3 rows whatever the spread of the labels' exponents;
-    ``places`` lists the places in use, in increasing order.
+    In the group ``(offset, rows, limbs)``, label ``rows[i]`` (label ``i``
+    when ``rows`` is None) is ``sum_k limbs[k, i] << 32 (offset + k)`` units of
+    2^(unit - 1074); ``unit`` is negative only when a label is subnormal.  Each
+    group holds 3 rows, so the limbs take 3 values per label however far the
+    labels' exponents spread.
     """
 
-    limbs: np.ndarray  # (3, n) float64 holding integers in (-2^32, 2^32)
-    slots: np.ndarray  # (3, n) int64 index into places
-    places: list
+    groups: list  # (offset, rows or None, (3, n_rows) float64 of integers in (-2^32, 2^32))
     unit: int
 
 
@@ -141,11 +141,13 @@ def _split_limbs(y: np.ndarray) -> _Limbs:
     sign = np.sign(mant)
     limbs = np.array([sign * (lo & _LIMB_MASK), sign * (hi & _LIMB_MASK), sign * (hi >> 32)],
                      dtype=np.float64)
-    places = offset + np.arange(3)[:, None]
-    used = np.zeros(int(offset.max(initial=0)) + 3, dtype=bool)
-    used[places] = True
-    slots = (np.cumsum(used) - 1)[places]
-    return _Limbs(limbs, slots, np.flatnonzero(used).tolist(), low - 53 + _SCALE_BITS)
+    offsets = np.flatnonzero(np.bincount(offset, minlength=1)).tolist() or [0]
+    if len(offsets) == 1:
+        groups = [(offsets[0], None, limbs)]
+    else:
+        groups = [(o, rows, limbs[:, rows])
+                  for o in offsets for rows in [np.flatnonzero(offset == o)]]
+    return _Limbs(groups, low - 53 + _SCALE_BITS)
 
 
 # a leaf's exact sum is at most its count times this (the largest float)
@@ -272,19 +274,18 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         totals = list(base._totals)
         totals[ranks.item()] += labels
         return MondrianTreeModel(partition, counts + base._counts, totals)
-    # one exact Python int per (leaf, place); each float bincount adds at most
-    # _CHUNK_ROWS limbs into a bin, and the limb rows are added as ints
-    width = len(labels.places)
-    cells = ranks * width
-    table = np.zeros(n_leaves * width, dtype=object)
-    for start in range(0, ranks.size, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        table += sum(np.bincount(cells[rows] + slot[rows], weights=limb[rows],
-                                 minlength=n_leaves * width).astype(np.int64)
-                     for limb, slot in zip(labels.limbs, labels.slots))
-    table = table.reshape(n_leaves, width)
-    totals = sum((table[:, j] << 32 * place for j, place in enumerate(labels.places)),
-                 np.zeros(n_leaves, dtype=object))
+    totals = None
+    for offset, rows, limbs in labels.groups:
+        keys = ranks if rows is None else ranks[rows]
+        part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
+        for limb in limbs[::-1]:
+            part <<= 32
+            for start in range(0, keys.size, _CHUNK_ROWS):
+                chunk = slice(start, start + _CHUNK_ROWS)
+                sums = np.bincount(keys[chunk], weights=limb[chunk], minlength=n_leaves)
+                part += sums.astype(np.int64)
+        part = part << 32 * offset if offset else part
+        totals = part if totals is None else totals + part
     totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
     return MondrianTreeModel(partition, counts, totals.tolist())
 
@@ -415,8 +416,8 @@ def _check_schedule_args(n: int, d: int, scale: float) -> None:
 
 # -- serialization ----------------------------------------------------------
 
-# the largest shift of an odd leaf sum whose magnitude can stay within an int64
-# count times the largest float; a larger one is rejected before it is applied
+# no leaf sum within an int64 count times the largest float reaches
+# 2^_MAX_SUM_SHIFT, so a larger shift is refused before it is applied
 _MAX_SUM_SHIFT = _MAX_SCALED.bit_length() + 63
 _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
@@ -474,7 +475,7 @@ def _typed(values, kinds: set, what: str) -> list:
     return values
 
 
-_INT, _FLOAT = {int}, {int, float}
+_JSON_INT, _JSON_NUMBER = {int}, {int, float}
 
 
 def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
@@ -488,7 +489,7 @@ def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
     """
     rights = _check_nodes(box, lifetime, dims, thrs, clocks)
     partition = MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
-    if not len(_typed(counts, _INT, "leaf count")) == len(totals) == partition.n_leaves:
+    if not len(_typed(counts, _JSON_INT, "leaf count")) == len(totals) == partition.n_leaves:
         raise ValueError("the leaf statistics do not match the partition's leaves")
     if min(counts) < 0:
         raise ValueError(f"leaf count {min(counts)} is negative")
@@ -500,15 +501,16 @@ def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
 
 
 def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
-    dims = _typed(block["split_dim"], _INT, "split_dim")
-    splits = iter(_typed(block["threshold"], _FLOAT, "threshold"))
-    clocks = _typed(block["clock"], _FLOAT | {type(None)}, "clock")
-    if len(block["threshold"]) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
+    dims = _typed(block["split_dim"], _JSON_INT, "split_dim")
+    splits = _typed(block["threshold"], _JSON_NUMBER, "threshold")
+    clocks = _typed(block["clock"], _JSON_NUMBER | {type(None)}, "clock")
+    if len(splits) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
         raise ValueError("threshold needs one value per split node and clock one per node")
+    splits = iter(splits)
     thrs = [float(next(splits)) if dim >= 0 else 0.0 for dim in dims]
     clocks = [math.inf if clock is None else float(clock) for clock in clocks]
-    odd = _typed(block["sum_odd"], _INT, "sum_odd")
-    shift = _typed(block["sum_shift"], _INT, "sum_shift")
+    odd = _typed(block["sum_odd"], _JSON_INT, "sum_odd")
+    shift = _typed(block["sum_shift"], _JSON_INT, "sum_shift")
     if len(odd) != len(shift):
         raise ValueError("sum_odd and sum_shift differ in length")
     # a leaf sum is odd << shift, or (0, 0); the shift is bounded before any is applied
@@ -522,6 +524,8 @@ def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> 
 
 def _tree_from_v1(data: dict) -> MondrianTreeModel:
     """A ``mondrian-tree-model/1`` document: a partition document plus ``[count, "sum"]`` pairs."""
+    if data.get("schema") != _TREE_MODEL_V1:
+        raise ValueError(f"unsupported tree model schema: {data.get('schema')!r}")
     box, lifetime, dims, thrs, clocks = _parse_partition(data["partition"])
     counts, totals = [], []
     for entry in _field(data["leaf_stats"], list, "leaf_stats"):
@@ -546,13 +550,10 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
     and leaf-statistics checks (see :func:`_tree_model`).
     """
     try:
-        schema = data.get("schema")
-        if schema == TREE_MODEL_SCHEMA:
+        if data.get("schema") == TREE_MODEL_SCHEMA:
             return _tree_from_columns(data, _box_from_dict(data["box"]), _lifetime(data),
                                       data["n_seen"])
-        if schema == _TREE_MODEL_V1:
-            return _tree_from_v1(data)
-        raise ValueError(f"unsupported tree model schema: {schema!r}")
+        return _tree_from_v1(data)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed tree model: {exc!r}") from None
 
@@ -586,7 +587,7 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
             box = _box_from_dict(data["box"])
             trees = [_tree_from_columns(b, box, lifetime, data["n_seen"]) for b in blocks]
         else:
-            trees = [tree_model_from_dict(b) for b in blocks]
+            trees = [_tree_from_v1(b) for b in blocks]
             if any(tree.partition.lifetime != lifetime for tree in trees):
                 raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
             if any(tree.partition.box != trees[0].partition.box for tree in trees):

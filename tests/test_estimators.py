@@ -256,13 +256,14 @@ def test_limb_sums_stay_exact_across_row_chunks(monkeypatch):
 
 def test_one_tiny_label_keeps_three_limb_rows():
     # each label's three limbs sit at its own offset, so one 5e-324 among ordinary
-    # labels leaves the array at 3 rows (it grew to 36 when rows spanned all offsets)
+    # labels keeps 3 limbs per label (the one array grew to 36 rows spanning all offsets)
     rng = np.random.default_rng(14)
     X = rng.random((100_000, 1))
     y = np.sin(6 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
     y[5] = 5e-324
     labels = estimators._split_limbs(y)
-    assert labels.limbs.shape == labels.slots.shape == (3, y.size)
+    assert {limbs.shape[0] for _, _, limbs in labels.groups} == {3}
+    assert sum(limbs.shape[1] for _, _, limbs in labels.groups) == y.size
     part = make_partition(seed=2, lifetime=16.0, box=UNIT1)
     assert fit_tree(part, X, y)._totals == reference_sums(part, X, y)
 

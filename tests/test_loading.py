@@ -330,6 +330,7 @@ FOREST_DEFECTS = {
     "trees-of-two-dimensions": lambda d: d["trees"].__setitem__(1, one_d_tree_doc()),
     "trees-of-two-boxes": lambda d: d["trees"][1]["partition"]["box"].update(upper=[1.0, 2.0]),
     "trees-of-two-datasets": lambda d: d["trees"].__setitem__(1, small_forest_tree_doc()),
+    "tree-of-the-other-schema": lambda d: d["trees"].__setitem__(1, copy.deepcopy(TREE_DOC_V2)),
 }
 
 
@@ -349,6 +350,7 @@ FOREST_DEFECTS_V2 = {
     "trees-of-two-boxes": lambda d: d["box"].update(upper=[1.0, 0.01]),
     "trees-of-two-datasets": lambda d: d["trees"].__setitem__(
         1, json.loads(model_to_json(small_forest()))["trees"][1]),
+    "tree-of-the-other-schema": lambda d: d["trees"].__setitem__(1, copy.deepcopy(TREE_DOC)),
     "n-seen-missing": lambda d: d.pop("n_seen"),
     "box-missing": lambda d: d.pop("box"),
     "tree-as-list": lambda d: d["trees"].__setitem__(0, [1, 2]),
