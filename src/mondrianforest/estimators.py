@@ -53,6 +53,7 @@ from .partition import (
     _field,
     _json_loads,
     _parse_partition,
+    _typed,
     partition_from_dict,  # noqa: F401  the benchmark's tracer wraps both names here
     partition_to_dict,  # noqa: F401
     sample_mondrian,
@@ -466,18 +467,6 @@ def forest_model_to_dict(model: MondrianForestModel) -> dict:
             "n_seen": first.n_seen, "trees": [_tree_columns(t) for t in model.trees]}
 
 
-def _typed(values, kinds: set, what: str) -> list:
-    """``values`` if it is a list of items of the JSON types ``kinds``, else ValueError."""
-    # decoded JSON values have exact types, so bool never passes for int
-    if not set(map(type, _field(values, list, what))) <= kinds:
-        bad = next(v for v in values if type(v) not in kinds)
-        raise ValueError(f"{what} has the wrong type: {bad!r}")
-    return values
-
-
-_JSON_INT, _JSON_NUMBER = {int}, {int, float}
-
-
 def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
                 counts, totals, n_seen) -> MondrianTreeModel:
     """The one builder of a loaded tree, under both model schemas.
@@ -489,7 +478,7 @@ def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
     """
     rights = _check_nodes(box, lifetime, dims, thrs, clocks)
     partition = MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
-    if not len(_typed(counts, _JSON_INT, "leaf count")) == len(totals) == partition.n_leaves:
+    if not len(_typed(counts, {int}, "leaf count")) == len(totals) == partition.n_leaves:
         raise ValueError("the leaf statistics do not match the partition's leaves")
     if min(counts) < 0:
         raise ValueError(f"leaf count {min(counts)} is negative")
@@ -501,16 +490,16 @@ def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
 
 
 def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
-    dims = _typed(block["split_dim"], _JSON_INT, "split_dim")
-    splits = _typed(block["threshold"], _JSON_NUMBER, "threshold")
-    clocks = _typed(block["clock"], _JSON_NUMBER | {type(None)}, "clock")
+    dims = _typed(block["split_dim"], {int}, "split_dim")
+    splits = _typed(block["threshold"], {int, float}, "threshold")
+    clocks = _typed(block["clock"], {int, float, type(None)}, "clock")
     if len(splits) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
         raise ValueError("threshold needs one value per split node and clock one per node")
     splits = iter(splits)
     thrs = [float(next(splits)) if dim >= 0 else 0.0 for dim in dims]
     clocks = [math.inf if clock is None else float(clock) for clock in clocks]
-    odd = _typed(block["sum_odd"], _JSON_INT, "sum_odd")
-    shift = _typed(block["sum_shift"], _JSON_INT, "sum_shift")
+    odd = _typed(block["sum_odd"], {int}, "sum_odd")
+    shift = _typed(block["sum_shift"], {int}, "sum_shift")
     if len(odd) != len(shift):
         raise ValueError("sum_odd and sum_shift differ in length")
     # a leaf sum is odd << shift, or (0, 0); the shift is bounded before any is applied

@@ -659,6 +659,18 @@ def _field(value, kind, what: str):
     return value
 
 
+def _typed(values, kinds: set, what: str) -> list:
+    """``values`` if it is a list whose items have the JSON types ``kinds``, else ValueError.
+
+    The rule of :func:`_field` for a whole column at once: decoded JSON values
+    have exact types, so ``type(v) in kinds`` never lets a bool pass for an int.
+    """
+    if not set(map(type, _field(values, list, what))) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise ValueError(f"{what} has the wrong type: {bad!r}")
+    return values
+
+
 def partition_to_dict(partition: MondrianPartition, include_provenance: bool = True) -> dict:
     """JSON-ready dict: root box plus depth-first node records.
 

@@ -39,6 +39,7 @@ from mondrianforest.estimators import (
 )
 from mondrianforest.partition import MondrianPartition, validate_partition
 
+
 def tree_doc_v1(tree):
     """``tree`` as a ``mondrian-tree-model/1`` document: its partition plus [count, "sum"] pairs."""
     return {"schema": "mondrian-tree-model/1", "partition": partition_to_dict(tree.partition),
