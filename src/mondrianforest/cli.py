@@ -26,7 +26,6 @@ import numpy as np
 from . import harness
 from .estimators import (
     fit_forest,
-    forest_size_schedule,
     lifetime_schedule,
     model_from_json,
     model_to_json,
@@ -388,8 +387,7 @@ def _cmd_risk(cfg: dict) -> ExperimentReport:
     """Estimate the quadratic risk of a tree or forest over fresh replicates."""
     task = _make_task(cfg)
     lifetime = _resolved_lifetime(cfg, cfg["n"], task.d)
-    trees = cfg["trees"]
-    n_trees = forest_size_schedule("c2", cfg["n"], task.d) if trees == "c2" else trees
+    n_trees = harness._resolve_trees(cfg["trees"], cfg["n"], task.d)
     risk, se = harness.estimate_risk(task, cfg["n"], lifetime, n_trees,
                                      cfg["replicates"], cfg["n_test"], cfg["seed"],
                                      workers=cfg["threads"],
@@ -445,10 +443,10 @@ def _cmd_fit(cfg: dict) -> str:
 
 def _cmd_predict(cfg: dict) -> str:
     """Predict values or class labels from a model file, as JSON or CSV."""
-    with open(cfg["model"], "r", encoding="utf-8") as handle:
-        model = model_from_json(handle.read())
     if (cfg.get("data") is None) == (cfg.get("point") is None):
         raise ValueError("provide exactly one of --data or --point")
+    with open(cfg["model"], "r", encoding="utf-8") as handle:
+        model = model_from_json(handle.read())
     if cfg.get("point") is not None:
         X = np.asarray([cfg["point"]], dtype=np.float64)
     else:

@@ -27,9 +27,10 @@ its one label's exact integer into its leaf directly.
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
 columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
-The first schemas (``/1``) still load.  Both readers build each tree through
-:func:`_tree_model`, which runs the partition validator and the
-leaf-statistics check, so a file of either schema gets every check.
+The first schemas (``/1``) still load.  Both readers build each tree from a
+partition checked by ``partition._checked_partition`` (the ``/1`` reader
+through :func:`partition_from_dict`) and leaf statistics checked by
+:func:`_tree_model`, so a file of either schema gets every check.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ from .partition import (
     MondrianPartition,
     _box_from_dict,
     _box_to_dict,
-    _check_nodes,
+    _checked_partition,
     _field,
     _json_loads,
-    _parse_partition,
+    _lifetime,
     _typed,
-    partition_from_dict,  # noqa: F401  the benchmark's tracer wraps both names here
-    partition_to_dict,  # noqa: F401
+    partition_from_dict,
+    partition_to_dict,  # noqa: F401  the benchmark's tracer wraps this name here
     sample_mondrian,
 )
 from .rng import RngStream
@@ -455,44 +456,49 @@ def tree_model_to_dict(model: MondrianTreeModel) -> dict:
             "n_seen": model.n_seen, **_tree_columns(model)}
 
 
+def _check_shared(trees: list[MondrianTreeModel], lifetime: float) -> None:
+    """ValueError unless the trees share ``lifetime``, one root box and one ``n_seen``.
+
+    Every tree of a forest is grown on one box and fitted on all of its data.
+    """
+    if any(t.partition.lifetime != lifetime for t in trees) or any(
+            a.partition.box != b.partition.box or a.n_seen != b.n_seen
+            for a, b in zip(trees, trees[1:])):
+        raise ValueError(f"the trees do not share the forest lifetime {lifetime!r}, one root box "
+                         "and one n_seen")
+
+
 def forest_model_to_dict(model: MondrianForestModel) -> dict:
     """A ``mondrian-forest-model/2`` document; the shared fields are written once."""
+    _check_shared(model.trees, model.lifetime)
     first = model.trees[0]
-    if any(t.partition.lifetime != model.lifetime or t.partition.box != first.partition.box
-           or t.n_seen != first.n_seen for t in model.trees):
-        raise ValueError("a forest is written with one lifetime, root box and n_seen, "
-                         "and its trees do not share them")
     return {"schema": FOREST_MODEL_SCHEMA, "lifetime": model.lifetime,
             "master_seed": model.master_seed, "box": _box_to_dict(first.partition.box),
             "n_seen": first.n_seen, "trees": [_tree_columns(t) for t in model.trees]}
 
 
-def _tree_model(box: BoxRegion, lifetime: float, dims, thrs, clocks, provenance,
-                counts, totals, n_seen) -> MondrianTreeModel:
+def _tree_model(partition: MondrianPartition, counts, totals, n_seen) -> MondrianTreeModel:
     """The one builder of a loaded tree, under both model schemas.
 
-    Runs the partition validator on the preorder node lists, then checks the
-    leaf statistics: one count >= 0 and one exact sum per leaf, each sum no
-    larger in magnitude than its count times the largest float, and counts
-    that add up to ``n_seen``.
+    Checks the leaf statistics of a checked partition: one count >= 0 and one
+    exact sum per leaf, each sum no larger in magnitude than its count times
+    the largest float, and counts that add up to ``n_seen``.
     """
-    rights = _check_nodes(box, lifetime, dims, thrs, clocks)
-    partition = MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
     if not len(_typed(counts, {int}, "leaf count")) == len(totals) == partition.n_leaves:
         raise ValueError("the leaf statistics do not match the partition's leaves")
     if min(counts) < 0:
         raise ValueError(f"leaf count {min(counts)} is negative")
     if any(abs(total) > count * _MAX_SCALED for count, total in zip(counts, totals)):
         raise ValueError("a leaf sum is beyond its count times the largest float")
-    if _field(n_seen, int, "n_seen") != sum(counts):
+    if _field(n_seen, {int}, "n_seen") != sum(counts):
         raise ValueError(f"n_seen {n_seen!r} is not the sum of the leaf counts")
     return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
 
 
 def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
     dims = _typed(block["split_dim"], {int}, "split_dim")
-    splits = _typed(block["threshold"], {int, float}, "threshold")
-    clocks = _typed(block["clock"], {int, float, type(None)}, "clock")
+    splits = _typed(block["threshold"], _NUMBER, "threshold")
+    clocks = _typed(block["clock"], _NUMBER | {type(None)}, "clock")
     if len(splits) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
         raise ValueError("threshold needs one value per split node and clock one per node")
     splits = iter(splits)
@@ -507,29 +513,24 @@ def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> 
         if (o % 2 == 0 or not 0 <= k < _MAX_SUM_SHIFT) and (o, k) != (0, 0):
             raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
                              f"with a shift in [0, {_MAX_SUM_SHIFT})")
-    return _tree_model(box, lifetime, dims, thrs, clocks, block.get("seed_provenance"),
-                       block["count"], list(map(operator.lshift, odd, shift)), n_seen)
+    partition = _checked_partition(box, lifetime, dims, thrs, clocks, block.get("seed_provenance"))
+    return _tree_model(partition, block["count"], list(map(operator.lshift, odd, shift)), n_seen)
 
 
 def _tree_from_v1(data: dict) -> MondrianTreeModel:
     """A ``mondrian-tree-model/1`` document: a partition document plus ``[count, "sum"]`` pairs."""
     if data.get("schema") != _TREE_MODEL_V1:
         raise ValueError(f"unsupported tree model schema: {data.get('schema')!r}")
-    box, lifetime, dims, thrs, clocks = _parse_partition(data["partition"])
+    partition = partition_from_dict(data["partition"])
     counts, totals = [], []
-    for entry in _field(data["leaf_stats"], list, "leaf_stats"):
+    for entry in _field(data["leaf_stats"], {list}, "leaf_stats"):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"malformed leaf_stats entry: {entry!r}")
-        if not _CANONICAL_INT.fullmatch(_field(entry[1], str, "leaf sum")):
+        if not _CANONICAL_INT.fullmatch(_field(entry[1], {str}, "leaf sum")):
             raise ValueError(f"leaf sum {entry[1]!r} is not a canonical decimal integer")
         counts.append(entry[0])
         totals.append(int(entry[1]))
-    return _tree_model(box, lifetime, dims, thrs, clocks,
-                       data["partition"].get("seed_provenance"), counts, totals, data["n_seen"])
-
-
-def _lifetime(data: dict) -> float:
-    return float(_field(data["lifetime"], _NUMBER, "lifetime"))
+    return _tree_model(partition, counts, totals, data["n_seen"])
 
 
 def tree_model_from_dict(data: dict) -> MondrianTreeModel:
@@ -550,8 +551,8 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
 def _master_seed(value):
     """A forest's JSON ``master_seed``: a 64-bit seed, or a list of one and a path."""
     seed, path = (value[0], value[1:]) if isinstance(value, list) and value else (value, [])
-    if not (0 <= _field(seed, int, "master_seed") < 2**64
-            and all(_field(p, int, "master_seed path") >= 0 for p in path)):
+    if not (0 <= _field(seed, {int}, "master_seed") < 2**64
+            and all(_field(p, {int}, "master_seed path") >= 0 for p in path)):
         raise ValueError(f"master_seed must be a 64-bit seed or a list of one and a path "
                          f"of non-negative ints, got {value!r}")
     return tuple(value) if isinstance(value, list) else value
@@ -562,28 +563,21 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
 
     ValueError for a malformed document.  Beyond the tree checks,
     ``master_seed`` must be a seed a forest can be grown from.  A ``/1`` file
-    stores each tree's lifetime, root box and ``n_seen``, so there the forest
-    ``lifetime`` must equal every tree's, and the trees must share one root
-    box and one ``n_seen`` (every tree of a forest is fitted on all of its data).
+    stores each tree's lifetime, root box and ``n_seen``, so there the trees
+    must share them, with the forest ``lifetime`` (see :func:`_check_shared`).
     """
     try:
         schema = data.get("schema")
         if schema not in (FOREST_MODEL_SCHEMA, _FOREST_MODEL_V1):
             raise ValueError(f"unsupported forest model schema: {schema!r}")
         lifetime = _lifetime(data)
-        blocks = _field(data["trees"], list, "trees")
+        blocks = _field(data["trees"], {list}, "trees")
         if schema == FOREST_MODEL_SCHEMA:
             box = _box_from_dict(data["box"])
             trees = [_tree_from_columns(b, box, lifetime, data["n_seen"]) for b in blocks]
         else:
             trees = [_tree_from_v1(b) for b in blocks]
-            if any(tree.partition.lifetime != lifetime for tree in trees):
-                raise ValueError(f"forest lifetime {lifetime!r} is not the lifetime of every tree")
-            if any(tree.partition.box != trees[0].partition.box for tree in trees):
-                raise ValueError("the trees do not share one root box")
-            if any(tree.n_seen != trees[0].n_seen for tree in trees):
-                raise ValueError("the trees do not share one n_seen, so they were fitted on "
-                                 "different data")
+            _check_shared(trees, lifetime)
         return MondrianForestModel(trees, lifetime, _master_seed(data["master_seed"]))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed forest model: {exc!r}") from None

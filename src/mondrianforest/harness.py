@@ -683,6 +683,8 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
     an optional two-sample KS test on the leaf counts.
     """
     t0 = time.perf_counter()
+    if sub.dim != d:
+        raise ValueError(f"sub has dimension {sub.dim}, the unit cube has {d}")
     box = BoxRegion.unit(d)
     if not box.contains_box(sub):
         raise ValueError("sub must be contained in the unit cube")

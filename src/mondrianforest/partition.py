@@ -600,8 +600,9 @@ def leaf_count(partition: MondrianPartition) -> int:
 # -- validation and serialization --------------------------------------------
 
 
-def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
-    """Right-child indices of valid preorder node lists; ValueError if they are invalid."""
+def _checked_partition(box: BoxRegion, lifetime: float, dims, thrs, clocks,
+                       provenance=None) -> MondrianPartition:
+    """The partition of valid preorder node lists; ValueError if they are invalid."""
     _check_lifetime(lifetime, "lifetime")
     dim, rights = box.dim, []
     # (node whose right child this cell is or -1, birth time, lower, upper)
@@ -629,32 +630,33 @@ def _check_nodes(box: BoxRegion, lifetime: float, dims, thrs, clocks) -> list:
         stack.append((-1, clock, lower, left_upper))
     if stack:
         raise ValueError("truncated node list")
-    return rights
+    return MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
 
 
 def validate_partition(partition: MondrianPartition) -> None:
     """Check the structural invariants; raise ValueError on a violation.
 
-    The node arrays must form a preorder binary tree in which split axes lie
-    in ``[0, dim)``, every threshold is interior to its cell, split times
-    strictly exceed the parent's clock and stay within the lifetime, and
-    every leaf's pending clock is past the lifetime.  Runs on every
-    :func:`partition_from_dict`.
+    The checks are :func:`_checked_partition`'s, which builds every loaded
+    partition: the node arrays form a preorder binary tree whose split axes
+    lie in ``[0, dim)``, thresholds are interior to their cells, split times
+    strictly exceed the parent's clock and stay within the lifetime, and leaf
+    pending clocks are past the lifetime; ``right`` is that tree's.
     """
     p = partition
-    rights = _check_nodes(p.box, p.lifetime, p.split_dim.tolist(), p.threshold.tolist(),
-                          p.clock.tolist())
-    if rights != p.right.tolist():
+    checked = _checked_partition(p.box, p.lifetime, p.split_dim.tolist(), p.threshold.tolist(),
+                                 p.clock.tolist())
+    if not checked.structurally_equal(p):
         raise ValueError("right-child indices do not match the preorder tree")
 
 
-_NUMBER = (int, float)
+_NUMBER = {int, float}
 
 
-def _field(value, kind, what: str):
-    """``value`` if it has the JSON type ``kind``, else ValueError."""
-    # JSON true and false must not pass for the numbers 1 and 0
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+def _field(value, kinds: set, what: str):
+    """``value`` if its JSON type is one of ``kinds``, else ValueError."""
+    # decoded JSON values have exact types, so JSON true and false never pass
+    # for the numbers 1 and 0
+    if type(value) not in kinds:
         raise ValueError(f"{what} has the wrong type: {value!r}")
     return value
 
@@ -662,13 +664,16 @@ def _field(value, kind, what: str):
 def _typed(values, kinds: set, what: str) -> list:
     """``values`` if it is a list whose items have the JSON types ``kinds``, else ValueError.
 
-    The rule of :func:`_field` for a whole column at once: decoded JSON values
-    have exact types, so ``type(v) in kinds`` never lets a bool pass for an int.
+    The rule of :func:`_field` for a whole column at once.
     """
-    if not set(map(type, _field(values, list, what))) <= kinds:
+    if not set(map(type, _field(values, {list}, what))) <= kinds:
         bad = next(v for v in values if type(v) not in kinds)
         raise ValueError(f"{what} has the wrong type: {bad!r}")
     return values
+
+
+def _lifetime(data: dict) -> float:
+    return float(_field(data["lifetime"], _NUMBER, "lifetime"))
 
 
 def partition_to_dict(partition: MondrianPartition, include_provenance: bool = True) -> dict:
@@ -706,42 +711,8 @@ def _box_to_dict(box: BoxRegion) -> dict:
 
 def _box_from_dict(data: dict) -> BoxRegion:
     """A root box from its JSON form ``{"lower": [...], "upper": [...], "left_closed": [...]}``."""
-    return BoxRegion(*(
-        [_field(v, kind, f"box {key}") for v in _field(data[key], list, f"box {key}")]
-        for key, kind in (("lower", _NUMBER), ("upper", _NUMBER), ("left_closed", bool))
-    ))
-
-
-def _parse_partition(data: dict):
-    """Box, lifetime and preorder node lists of a partition document, type-checked only.
-
-    The node lists still need :func:`_check_nodes`; a missing key or wrong
-    container type surfaces as KeyError, TypeError or AttributeError.
-    """
-    if data.get("schema") != PARTITION_SCHEMA:
-        raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
-    box = _box_from_dict(data["box"])
-    if _field(data["dim"], int, "dim") != box.dim:
-        raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
-    lifetime = float(_field(data["lifetime"], _NUMBER, "lifetime"))
-    dims, thrs, clocks = [], [], []
-    for rec in _field(data["nodes"], list, "nodes"):
-        if "split" in rec:
-            split = rec["split"]
-            dims.append(_field(split["dim"], int, "split dim"))
-            if dims[-1] < 0:
-                raise ValueError(f"split dim {dims[-1]} is negative")
-            thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
-            clocks.append(float(_field(split["time"], _NUMBER, "split time")))
-        elif "leaf" in rec:
-            clock = rec["leaf"]["pending_clock"]
-            dims.append(-1)
-            thrs.append(0.0)
-            clocks.append(math.inf if clock is None
-                          else float(_field(clock, _NUMBER, "pending clock")))
-        else:
-            raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
-    return box, lifetime, dims, thrs, clocks
+    return BoxRegion(*(_typed(data[key], kinds, f"box {key}") for key, kinds in
+                       (("lower", _NUMBER), ("upper", _NUMBER), ("left_closed", {bool}))))
 
 
 def partition_from_dict(data: dict) -> MondrianPartition:
@@ -752,10 +723,30 @@ def partition_from_dict(data: dict) -> MondrianPartition:
     list, or a violated invariant (see :func:`validate_partition`).
     """
     try:
-        box, lifetime, dims, thrs, clocks = _parse_partition(data)
-        rights = _check_nodes(box, lifetime, dims, thrs, clocks)
-        return MondrianPartition(box, lifetime, dims, thrs, clocks, rights,
-                                 data.get("seed_provenance"))
+        if data.get("schema") != PARTITION_SCHEMA:
+            raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
+        box = _box_from_dict(data["box"])
+        if _field(data["dim"], {int}, "dim") != box.dim:
+            raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
+        lifetime = _lifetime(data)
+        dims, thrs, clocks = [], [], []
+        for rec in _field(data["nodes"], {list}, "nodes"):
+            if "split" in rec:
+                split = rec["split"]
+                dims.append(_field(split["dim"], {int}, "split dim"))
+                if dims[-1] < 0:
+                    raise ValueError(f"split dim {dims[-1]} is negative")
+                thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
+                clocks.append(float(_field(split["time"], _NUMBER, "split time")))
+            elif "leaf" in rec:
+                clock = rec["leaf"]["pending_clock"]
+                dims.append(-1)
+                thrs.append(0.0)
+                clocks.append(math.inf if clock is None
+                              else float(_field(clock, _NUMBER, "pending clock")))
+            else:
+                raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
+        return _checked_partition(box, lifetime, dims, thrs, clocks, data.get("seed_provenance"))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed partition document: {exc!r}") from None
 

@@ -29,7 +29,7 @@ from mondrianforest import (
     predict_class,
     sample_mondrian,
 )
-from mondrianforest import harness
+from mondrianforest import cli, harness
 from mondrianforest.cli import run
 from mondrianforest.estimators import (
     _MAX_SCALED,
@@ -567,7 +567,10 @@ def _no_sampling(*args, **kwargs):
      "x must lie in the unit cube"),
     (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,0.5", "--threads", "2",
       "--samples", "1"], "samples must be >= 2"),
-], ids=["diameter-x-too-short", "diameter-x-outside", "diameter-x-nan", "diameter-samples-1"])
+    (["verify-restriction", "--d", "2", "--lifetime", "1", "--sub-lower=0", "--sub-upper", "0.5"],
+     "sub has dimension 1, the unit cube has 2"),
+], ids=["diameter-x-too-short", "diameter-x-outside", "diameter-x-nan", "diameter-samples-1",
+        "restriction-sub-dimension"])
 def test_verifier_checks_its_inputs_before_drawing(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(harness, "sample_mondrian", _no_sampling)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_sampling)
@@ -586,6 +589,26 @@ def test_failed_allocation_exits_two_with_one_line(capsys, monkeypatch, error, m
     monkeypatch.setattr(SyntheticTask, "sample_data", out_of_memory)
     code = run(["risk", "--n", "1000000000000000", "--lifetime", "1", "--replicates", "2"])
     assert_one_line_exit_two(code, capsys.readouterr(), "risk", message)
+
+
+def test_risk_checks_its_tree_count_before_drawing(capsys, monkeypatch):
+    # the one tree-count rule of the sweeps, applied before data is drawn or a pool starts
+    monkeypatch.setattr(SyntheticTask, "sample_data", _no_sampling)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_sampling)
+    code = run(["risk", "--n", "100", "--lifetime", "1", "--trees", "0", "--threads", "2"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "risk", "tree count must be >= 1")
+
+
+def test_predict_checks_its_flags_before_reading_the_model(tmp_path, capsys, monkeypatch):
+    def no_loading(text):
+        raise AssertionError("the model was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "model_from_json", no_loading)
+    model = tmp_path / "model.json"
+    model.write_text(model_to_json(FOREST), encoding="utf-8")
+    code = run(["predict", "--model", str(model)])
+    assert_one_line_exit_two(code, capsys.readouterr(), "predict",
+                             "provide exactly one of --data or --point")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -109,6 +110,24 @@ def test_tree_models_are_built_by_accumulation_and_the_one_loader():
                     for scope in _calls(ast.parse(path.read_text(encoding="utf-8")),
                                         "MondrianTreeModel")})
     assert found == ["_accumulate", "_tree_model"]
+
+
+def test_partitions_are_built_by_the_growth_ops_and_the_one_checked_constructor():
+    # a loaded partition and every loaded model tree go through _checked_partition;
+    # a MondrianPartition(...) call elsewhere would build one that skipped its checks
+    assert _scopes_calling("MondrianPartition") == [
+        ("partition.py", scope)
+        for scope in ("_checked_partition", "extend", "prune", "restrict", "sample_mondrian")]
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/tracing.py wraps package names by attribute (estimators.partition_to_dict
+    # is imported there for it alone); removing one breaks the benchmark's traced run
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracing = importlib.import_module("tracing")
+    points = tracing._patch_points(tracing.Tracer())
+    assert points and all(callable(wrapper) for _, _, wrapper in points)
 
 
 def test_one_map_builds_the_process_pool():
