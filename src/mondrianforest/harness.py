@@ -748,10 +748,12 @@ def _resolve_lifetime(schedule: str, n: int, d: int, scale: float) -> float:
 def _resolve_trees(m_rule, n: int, d: int) -> int:
     if m_rule == "c2":
         return forest_size_schedule("c2", n, d)
-    trees = int(m_rule)
-    if trees < 1:
+    # int() would turn 2.5 into 2 trees and True into 1, so only an int is taken
+    if isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
+        raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
+    if m_rule < 1:
         raise ValueError("tree count must be >= 1")
-    return trees
+    return int(m_rule)
 
 
 def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,

@@ -374,32 +374,40 @@ class MondrianPartition:
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
         box = self.box
-        at_lower_ok = np.where(box.left_closed, X >= box.lower, X > box.lower)
-        bad = np.nonzero(~(at_lower_ok.all(axis=1) & (X <= box.upper).all(axis=1)))[0]
-        if bad.size:
-            raise ValueError(f"points outside the root box at indices {bad.tolist()}")
+        # x > lower is x >= the next float up, so an open lower edge is one more bound;
+        # the whole-array min and max clear a batch inside the bounds of every axis (nan
+        # fails them), and only a batch they cannot clear pays for the per-row mask
+        lowest = np.where(box.left_closed, box.lower, np.nextafter(box.lower, np.inf))
+        if X.size and not (X.min() >= lowest.max() and X.max() <= box.upper.min()):
+            bad = np.flatnonzero(~((X >= lowest) & (X <= box.upper)).all(axis=1))
+            if bad.size:
+                raise ValueError(f"points outside the root box at indices {bad.tolist()}")
         dim, thr, right = self.split_dim, self.threshold, self.right
         if X.shape[0] == 1:
-            # one row (as in update_tree): the level loop's numpy calls cost more than the
-            # walk; a leaf's rank is the number of leaves before it in preorder
+            # one row (as in update_tree): the gather loop's numpy calls cost more than
+            # the walk; a leaf's rank is the number of leaves before it in preorder
             return np.array([np.count_nonzero(dim[:self._descend(X[0].tolist())] < 0)])
         if self.dim == 1:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
-        leaf_rank = np.cumsum(dim < 0) - 1
-        pos = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            cur = pos[rows]
-            internal = dim[cur] >= 0
-            rows = rows[internal]
-            if rows.size == 0:
-                break
-            cur = cur[internal]
-            go_left = X[rows, dim[cur]] <= thr[cur]
-            pos[rows] = np.where(go_left, cur + 1, right[cur])
-        return leaf_rank[pos]
+        # every row moves one node down per level: child[2 * i + 1] is node i's right
+        # child, child[2 * i] its left; a leaf is its own child with cut +inf, so a row
+        # that reaches it stays, and a point on a threshold (not > cut) goes left
+        leaf = dim < 0
+        node = np.arange(dim.size)
+        child = np.stack((np.where(leaf, node, node + 1), np.where(leaf, node, right)),
+                         axis=1).ravel()
+        axis = np.where(leaf, 0, dim)
+        cut = np.where(leaf, np.inf, thr)
+        depth, rights = [0] * dim.size, right.tolist()
+        for i in np.flatnonzero(~leaf).tolist():  # preorder: a parent comes before its children
+            depth[i + 1] = depth[rights[i]] = depth[i] + 1
+        x, row = X.ravel(), np.arange(0, X.size, self.dim)
+        cur = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(max(depth)):
+            cur = child[2 * cur + (x[row + axis[cur]] > cut[cur])]
+        return (np.cumsum(leaf) - 1)[cur]
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:
         """Node-for-node equality of boxes, splits, times, and pending clocks.

@@ -320,6 +320,39 @@ def test_rate_sweep_needs_three_points():
         rate_sweep(task, [256, 512], "lipschitz", 1.0, 1, replicates=2, seed=1)
 
 
+SWEEPS_OF_TREE_RULE = {
+    "rate_sweep": lambda m_rule: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [64, 128, 256], "lipschitz", 1.0,
+        m_rule, replicates=2, seed=1),
+    "classification_sweep": lambda m_rule: classification_sweep(
+        1, [32, 64], "lipschitz", m_rule, replicates=2, seed=1),
+}
+
+
+@pytest.mark.parametrize("m_rule, message", [
+    (2.5, r"tree count must be an int >= 1 or 'c2', got 2\.5"),
+    (True, r"tree count must be an int >= 1 or 'c2', got True"),
+    ("8", r"tree count must be an int >= 1 or 'c2', got '8'"),
+    (None, r"tree count must be an int >= 1 or 'c2', got None"),
+    (0, r"tree count must be >= 1"),
+])
+@pytest.mark.parametrize("sweep", sorted(SWEEPS_OF_TREE_RULE))
+def test_sweeps_refuse_a_tree_count_that_is_not_an_int_before_drawing(
+        monkeypatch, sweep, m_rule, message):
+    # a float or a bool used to be truncated by int(): 2.5 ran 2 trees and True ran 1
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("data was drawn before the tree count was checked")
+
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        SWEEPS_OF_TREE_RULE[sweep](m_rule)
+
+
+def test_tree_rule_takes_numpy_ints():
+    assert type(harness._resolve_trees(np.int64(3), 100, 1)) is int
+    assert harness._resolve_trees(np.int64(3), 100, 1) == 3
+
+
 def test_rate_sweep_small_run_reports_slope():
     # a desk-size smoke run: the slope is noisy at this scale, so only its
     # sign and rough magnitude are checked (the schedule-scale sweep lives in

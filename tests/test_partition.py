@@ -544,6 +544,82 @@ def test_one_d_batch_routing_equals_the_scalar_walk(part, fractions):
     assert [part.leaf_indices(X[i:i + 1]).item() for i in range(len(X))] == walked
 
 
+# -- batches in 2 or more dimensions ----------------------------------------------
+
+
+@st.composite
+def multi_d_partitions(draw):
+    """A partition at d = 2-4 of a box of any offsets, widths and lower-edge flags.
+
+    The lifetime may be 0 (no split); the partition may be restricted to a
+    sub-box, which opens the lower edges that the draw leaves open.
+    """
+    d = draw(st.integers(2, 4))
+    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    closed = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    box = BoxRegion(lower, lower + width, closed)
+    # at most about 3^d leaves for a cube
+    lifetime = draw(st.one_of(st.just(0.0), st.floats(0.5, 2.0))) * d / box.linear_dimension
+    part = sample_mondrian(box, lifetime, RngStream(draw(st.integers(0, 2**32 - 1))))
+    if draw(st.booleans()):
+        a = np.array(draw(st.lists(st.floats(0.01, 0.45), min_size=d, max_size=d)))
+        b = np.array(draw(st.lists(st.floats(0.55, 1.0), min_size=d, max_size=d)))
+        part = restrict(part, BoxRegion(lower + width * a, lower + width * b,
+                                        draw(st.lists(st.booleans(), min_size=d, max_size=d))))
+    return part
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(multi_d_partitions(), st.lists(st.floats(0.0, 1.0), max_size=24))
+def test_multi_d_batch_routing_equals_the_scalar_walk(part, fractions):
+    box, d = part.box, part.dim
+    lo, hi = box.lower, box.upper
+    first = np.where(box.left_closed, lo, np.nextafter(lo, hi))
+    corners = [np.where(np.array(bits, dtype=bool), hi, first)
+               for bits in np.ndindex(*(2,) * d)]
+    on_thresholds = []
+    for node in part.iter_nodes():
+        if not node.is_leaf:
+            x = (node.box.lower + node.box.upper) / 2
+            x[node.split.dim] = node.split.threshold
+            on_thresholds.append(x)
+    inside = [lo + (hi - lo) * u for u in np.reshape(fractions[:len(fractions) // d * d], (-1, d))]
+    X = np.clip(np.array(corners + on_thresholds + inside), first, hi)
+    rank = {node.index: r for r, node in enumerate(part.leaves())}
+    walked = [rank[part.locate_leaf(x).index] for x in X]
+    assert part.leaf_indices(X).tolist() == walked
+    assert [part.leaf_indices(X[i:i + 2]).tolist() for i in range(len(X) - 1)] == [
+        walked[i:i + 2] for i in range(len(X) - 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batch_leaf_indices_names_every_nan_and_open_edge_row(d):
+    # the whole-array check only clears a batch; a failing one is named row by row
+    box = BoxRegion(np.zeros(d), np.full(d, 4.0), [False] + [True] * (d - 1))
+    part = sample_mondrian(box, 2.0, RngStream(44))
+    X = np.full((5, d), 2.0)
+    X[1, d - 1] = math.nan
+    X[3, 0] = 0.0  # on the open lower edge
+    with pytest.raises(ValueError, match=r"outside the root box at indices \[1, 3\]$"):
+        part.leaf_indices(X)
+    X[1, d - 1], X[3, 0] = 4.0, math.nextafter(0.0, 1.0)
+    walked = [part.leaves().index(part.locate_leaf(x)) for x in X]
+    assert part.leaf_indices(X).tolist() == walked
+
+
+def test_batch_inside_a_box_that_is_not_a_cube_routes():
+    # rows past the smallest upper or the largest lower bound fail the whole-array check
+    # but not the box; rows past their own axis's bound are still named
+    part = sample_mondrian(BoxRegion([0.0, -3.0], [1.0, 5.0]), 2.0, RngStream(45))
+    X = np.array([[0.5, 4.5], [0.25, -2.5], [1.0, -3.0]])
+    walked = [part.leaves().index(part.locate_leaf(x)) for x in X]
+    assert part.leaf_indices(X).tolist() == walked
+    for outside in ([1.5, 0.5], [-1.0, 0.5]):
+        with pytest.raises(ValueError, match=r"indices \[1\]$"):
+            part.leaf_indices([[0.5, 0.5], outside])
+
+
 # -- a side with no float strictly inside cannot be split ----------------------------
 
 THIN_SIDE = (1.0, math.nextafter(1.0, 2.0))
