@@ -153,7 +153,7 @@ _SUBCOMMANDS: dict[str, list[_Opt]] = {
         _Opt("d", int, 1, "input dimension"),
         _Opt("target", str, "", "conditional-probability target id"),
         _Opt("n-grid", _int_list, None, "sample sizes, comma separated", required=True),
-        _Opt("schedule", str, "lipschitz", "lifetime schedule"),
+        _Opt("schedule", str, "lipschitz", "lifetime schedule: lipschitz, c2, consistency, fixed"),
         _Opt("scale", float, 1.0, "schedule scale factor"),
         _Opt("trees", _trees_rule, 50, "tree count, or 'c2' for the rule"),
         _Opt("replicates", int, 20, "replicates per grid point"),

@@ -412,8 +412,9 @@ def _check_schedule_args(n: int, d: int, scale: float) -> None:
         raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    # a nan scale would give a nan lifetime and an infinite one an overflowing tree count
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
 
 
 # -- serialization ----------------------------------------------------------

@@ -641,8 +641,8 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
         raise ValueError(f"x must have shape ({d},)")
     if not box.contains(x):
         raise ValueError("x must lie in the unit cube")
-    if lifetime <= 0:
-        raise ValueError("lifetime must be > 0")
+    if not 0.0 < lifetime < math.inf:
+        raise ValueError(f"lifetime must be finite and > 0, got {lifetime}")
     if delta_grid is None:
         delta_grid = np.linspace(0.5, 8.0, 10) * math.sqrt(d) / lifetime
     if not all(math.isfinite(delta) and delta >= 0 for delta in delta_grid):
@@ -739,7 +739,13 @@ _SLOPE_TARGETS = {
 }
 
 
+_SCHEDULES = ("c2", "consistency", "fixed", "lipschitz")
+
+
 def _resolve_lifetime(schedule: str, n: int, d: int, scale: float) -> float:
+    # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
+    if schedule not in _SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}; expected one of {list(_SCHEDULES)}")
     if schedule == "fixed":
         return scale
     return lifetime_schedule(schedule, n, d, scale)
@@ -772,8 +778,6 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     n_grid = [int(n) for n in n_grid]
     if len(set(n_grid)) < 3:
         raise ValueError("n_grid must contain at least 3 distinct sizes")
-    if schedule not in ("lipschitz", "c2", "consistency", "fixed"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if not 0.0 <= eval_margin < 0.5:
         raise ValueError("eval_margin must be in [0, 1/2)")
     if not 0.0 <= slope_tolerance < math.inf:

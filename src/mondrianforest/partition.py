@@ -81,10 +81,11 @@ class BoxRegion:
     Upper edges are always inclusive; ``left_closed[j]`` says whether the
     lower edge on axis ``j`` is inclusive.  Splitting at threshold ``s``
     produces a left child closed at ``s`` and a right child open at its new
-    lower edge, so the two children partition the parent exactly.
+    lower edge, so the two children partition the parent exactly.  A box is
+    never empty: an open lower edge equal to its upper edge is refused.
     """
 
-    __slots__ = ("lower", "upper", "left_closed")
+    __slots__ = ("lower", "upper", "left_closed", "_lowest")
 
     def __init__(self, lower, upper, left_closed=None):
         lower = np.asarray(lower, dtype=np.float64).copy()
@@ -106,12 +107,12 @@ class BoxRegion:
             left_closed = np.asarray(left_closed, dtype=bool).copy()
             if left_closed.shape != lower.shape:
                 raise ValueError("left_closed must match the box dimension")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        left_closed.setflags(write=False)
-        self.lower = lower
-        self.upper = upper
-        self.left_closed = left_closed
+        self._adopt(lower, upper, left_closed)
+        empty = np.flatnonzero(self._lowest > upper)
+        if empty.size:
+            axis = empty.item(0)
+            raise ValueError(f"box is empty on axis {axis}: its lower edge {lower.item(axis)!r} "
+                             "is open and equal to its upper edge")
 
     @classmethod
     def unit(cls, dim: int) -> "BoxRegion":
@@ -125,13 +126,16 @@ class BoxRegion:
         # trusted internal constructor: arrays are adopted (and may be
         # shared between boxes) rather than copied and validated
         box = object.__new__(cls)
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        left_closed.setflags(write=False)
-        box.lower = lower
-        box.upper = upper
-        box.left_closed = left_closed
+        box._adopt(lower, upper, left_closed)
         return box
+
+    def _adopt(self, lower, upper, left_closed) -> None:
+        # each axis's least member, the one encoding of an open lower edge: x > lower
+        # is x >= the next float up, so membership is lowest <= x <= upper
+        lowest = np.where(left_closed, lower, np.nextafter(lower, np.inf))
+        for array in (lower, upper, left_closed, lowest):
+            array.setflags(write=False)
+        self.lower, self.upper, self.left_closed, self._lowest = lower, upper, left_closed, lowest
 
     @property
     def dim(self) -> int:
@@ -160,17 +164,12 @@ class BoxRegion:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.lower.shape:
             raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
-        at_lower_ok = np.where(self.left_closed, x >= self.lower, x > self.lower)
-        return bool(np.all(at_lower_ok) and np.all(x <= self.upper))
+        return bool(np.all((self._lowest <= x) & (x <= self.upper)))
 
     def contains_box(self, other: "BoxRegion") -> bool:
         """Whether ``other`` is contained in this box as a point set."""
-        if other.dim != self.dim:
-            return False
-        lower_ok = (other.lower > self.lower) | (
-            (other.lower == self.lower) & (self.left_closed | ~other.left_closed)
-        )
-        return bool(np.all(lower_ok) and np.all(other.upper <= self.upper))
+        return other.dim == self.dim and bool(np.all(other._lowest >= self._lowest)
+                                              and np.all(other.upper <= self.upper))
 
     def split(self, dim: int, threshold: float) -> tuple["BoxRegion", "BoxRegion"]:
         """Left/right children for a split strictly inside axis ``dim``."""
@@ -373,13 +372,11 @@ class MondrianPartition:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
-        box = self.box
-        # x > lower is x >= the next float up, so an open lower edge is one more bound;
+        lowest, upper = self.box._lowest, self.box.upper
         # the whole-array min and max clear a batch inside the bounds of every axis (nan
         # fails them), and only a batch they cannot clear pays for the per-row mask
-        lowest = np.where(box.left_closed, box.lower, np.nextafter(box.lower, np.inf))
-        if X.size and not (X.min() >= lowest.max() and X.max() <= box.upper.min()):
-            bad = np.flatnonzero(~((X >= lowest) & (X <= box.upper)).all(axis=1))
+        if X.size and not (X.min() >= lowest.max() and X.max() <= upper.min()):
+            bad = np.flatnonzero(~((X >= lowest) & (X <= upper)).all(axis=1))
             if bad.size:
                 raise ValueError(f"points outside the root box at indices {bad.tolist()}")
         dim, thr, right = self.split_dim, self.threshold, self.right
@@ -392,21 +389,20 @@ class MondrianPartition:
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
         # every row moves one node down per level: child[2 * i + 1] is node i's right
-        # child, child[2 * i] its left; a leaf is its own child with cut +inf, so a row
-        # that reaches it stays, and a point on a threshold (not > cut) goes left
+        # child, child[2 * i] its left; a leaf is both of its own children, so a row that
+        # reaches it stays whatever it compares, and a point on a threshold goes left
         leaf = dim < 0
         node = np.arange(dim.size)
         child = np.stack((np.where(leaf, node, node + 1), np.where(leaf, node, right)),
                          axis=1).ravel()
         axis = np.where(leaf, 0, dim)
-        cut = np.where(leaf, np.inf, thr)
         depth, rights = [0] * dim.size, right.tolist()
         for i in np.flatnonzero(~leaf).tolist():  # preorder: a parent comes before its children
             depth[i + 1] = depth[rights[i]] = depth[i] + 1
         x, row = X.ravel(), np.arange(0, X.size, self.dim)
         cur = np.zeros(X.shape[0], dtype=np.int64)
         for _ in range(max(depth)):
-            cur = child[2 * cur + (x[row + axis[cur]] > cut[cur])]
+            cur = child[2 * cur + (x[row + axis[cur]] > thr[cur])]
         return (np.cumsum(leaf) - 1)[cur]
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:

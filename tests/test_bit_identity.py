@@ -12,7 +12,8 @@ They fix the draws each operation takes from its stream, so a change in how
 
 The experiment reports are pinned too, one small report per experiment, as
 the sha256 of ``to_json()`` and of ``to_csv()``.  ``verify_leaf_count`` runs at
-d=1, where it adds the Poisson goodness-of-fit verdict.
+d=1, where it adds the Poisson goodness-of-fit verdict; the classification
+sweep runs at d=1 (exact risk) and d=2 (Monte-Carlo risk).
 
 The digests are fixed: a change that alters them alters the sampler or a
 verdict.
@@ -106,6 +107,9 @@ PINNED_REPORTS = {
     "classify-sweep": (
         "361bea8c71001b7d23d59fc4804fa64eb96ead1a42f06602fb884a9fb70c664a",
         "18434bc2e4ea8a847a6bfd6710a93dcaef16e794e2c984ca313852864f2dd90d"),
+    "classify-sweep-d2": (
+        "20106b0afcd94870ce70c1a4f6f1ba311b5018ee810b53803ffe6f99e5742e09",
+        "34028bdbe063231e0741ee7189593d757fd84a223544cb6ce74c75512d5b0285"),
 }
 
 REPORTS = {
@@ -120,6 +124,9 @@ REPORTS = {
     "tree-vs-forest": lambda: harness.tree_vs_forest(32, [1.0, 4.0], 3, 2, 0, n_test=64,
                                                      curved_n=64),
     "classify-sweep": lambda: harness.classification_sweep(1, [32, 128], "lipschitz", 2, 2, 0),
+    # d = 2 takes the Monte-Carlo risk branch, which the exact 1-d risk never reaches
+    "classify-sweep-d2": lambda: harness.classification_sweep(2, [32, 128], "lipschitz", 2, 2, 0,
+                                                              n_test=64),
 }
 
 

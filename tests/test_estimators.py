@@ -413,6 +413,17 @@ def test_lifetime_schedule_rejects_bad_input():
         lifetime_schedule("lipschitz", 100, 2, scale=0.0)
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("schedule", [
+    lambda scale: lifetime_schedule("lipschitz", 100, 1, scale=scale),
+    lambda scale: forest_size_schedule("c2", 100, 1, scale=scale),
+], ids=["lifetime", "forest-size"])
+def test_schedules_refuse_a_scale_that_is_not_finite_and_positive(schedule, scale):
+    # a nan scale used to give a nan lifetime and an infinite one an OverflowError
+    with pytest.raises(ValueError, match=rf"scale must be finite and > 0, got {scale}$"):
+        schedule(scale)
+
+
 def test_consistency_schedule_keeps_cells_per_sample_vanishing():
     for d in (1, 2, 3):
         ratios = [

@@ -348,6 +348,27 @@ def test_sweeps_refuse_a_tree_count_that_is_not_an_int_before_drawing(
         SWEEPS_OF_TREE_RULE[sweep](m_rule)
 
 
+SWEEPS_OF_SCHEDULE = {
+    "rate_sweep": lambda schedule: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [64, 128, 256], schedule, 1.0, 1,
+        replicates=2, seed=1),
+    "classification_sweep": lambda schedule: classification_sweep(
+        1, [32, 64], schedule, 1, replicates=2, seed=1),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS_OF_SCHEDULE))
+def test_sweeps_refuse_an_unknown_schedule_before_drawing(monkeypatch, sweep):
+    # both sweeps name every schedule they take, "fixed" included
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("data was drawn before the schedule was checked")
+
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=r"unknown schedule 'quadratic'; expected one of "
+                                         r"\['c2', 'consistency', 'fixed', 'lipschitz'\]$"):
+        SWEEPS_OF_SCHEDULE[sweep]("quadratic")
+
+
 def test_tree_rule_takes_numpy_ints():
     assert type(harness._resolve_trees(np.int64(3), 100, 1)) is int
     assert harness._resolve_trees(np.int64(3), 100, 1) == 3

@@ -84,6 +84,16 @@ def set_key(key, value):
     return edit
 
 
+# axis 0 is the open side (0.5, 0.5], which holds no point
+EMPTY_BOX = {"lower": [0.5, 0.0], "upper": [0.5, 1.0], "left_closed": [False, True]}
+
+
+def one_leaf_of_empty_box(doc):
+    """``doc``, a ``/2`` tree model, as an unfitted one-leaf tree of :data:`EMPTY_BOX`."""
+    doc.update(box=copy.deepcopy(EMPTY_BOX), n_seen=0, split_dim=[-1], threshold=[],
+               clock=[None], count=[0], sum_odd=[0], sum_shift=[0])
+
+
 PARTITION_DEFECTS = {
     "missing-nodes": lambda d: d.pop("nodes"),
     "missing-box": lambda d: d.pop("box"),
@@ -116,6 +126,8 @@ PARTITION_DEFECTS = {
     "extra-nodes": lambda d: d["nodes"].append({"leaf": {"pending_clock": None}}),
     "huge-integer-time": lambda d: first(d, "split").update(time=10**400),
     "box-sides-overflow": lambda d: d["box"].update(lower=[-1e308, 0.0], upper=[1e308, 1.0]),
+    "box-open-zero-width-side": lambda d: d.update(box=copy.deepcopy(EMPTY_BOX),
+                                                   nodes=[{"leaf": {"pending_clock": None}}]),
 }
 
 
@@ -252,6 +264,7 @@ MODEL_DEFECTS_V2 = {
     "box-as-list": set_key("box", [0, 1]),
     "lifetime-missing": lambda d: d.pop("lifetime"),
     "lifetime-as-null": set_key("lifetime", None),
+    "box-open-zero-width-side": one_leaf_of_empty_box,
 }
 
 
@@ -515,6 +528,14 @@ def test_model_whose_box_sides_overflow_exits_two_with_one_line(tmp_path, capsys
     assert_one_line_exit_two(code, captured, "predict", "sum to a finite value")
 
 
+def test_model_whose_box_is_empty_exits_two_with_one_line(tmp_path, capsys):
+    # such a box used to load, and then no point could be routed through the tree
+    doc = copy.deepcopy(TREE_DOC_V2)
+    one_leaf_of_empty_box(doc)
+    code, captured = predict_file(tmp_path, capsys, doc)
+    assert_one_line_exit_two(code, captured, "predict", "box is empty on axis 0")
+
+
 def test_sub_box_whose_sides_overflow_exits_two_with_one_line(capsys):
     code = run(["verify-restriction", "--lifetime", "1", "--sub-lower=-1e308,0",
                 "--sub-upper", "1e308,1", "--samples", "10"])
@@ -567,10 +588,14 @@ def _no_sampling(*args, **kwargs):
      "x must lie in the unit cube"),
     (["verify-diameter", "--d", "2", "--lifetime", "1", "--x", "0.5,0.5", "--threads", "2",
       "--samples", "1"], "samples must be >= 2"),
+    (["verify-diameter", "--d", "2", "--lifetime", "nan", "--x", "0.5,0.5"],
+     "lifetime must be finite and > 0, got nan"),
+    (["verify-diameter", "--d", "2", "--lifetime", "inf", "--x", "0.5,0.5"],
+     "lifetime must be finite and > 0, got inf"),
     (["verify-restriction", "--d", "2", "--lifetime", "1", "--sub-lower=0", "--sub-upper", "0.5"],
      "sub has dimension 1, the unit cube has 2"),
 ], ids=["diameter-x-too-short", "diameter-x-outside", "diameter-x-nan", "diameter-samples-1",
-        "restriction-sub-dimension"])
+        "diameter-lifetime-nan", "diameter-lifetime-inf", "restriction-sub-dimension"])
 def test_verifier_checks_its_inputs_before_drawing(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(harness, "sample_mondrian", _no_sampling)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_sampling)

@@ -79,6 +79,85 @@ def test_split_edge_flags():
     assert left.upper[0] == right.lower[0] == 0.3
 
 
+BELOW_HALF = math.nextafter(0.5, 0.0)
+
+
+@pytest.mark.parametrize("outer, inner, expected", [
+    (([0.0], [1.0], [True]), ([0.0], [1.0], [True]), True),
+    (([0.0], [1.0], [True]), ([0.0], [1.0], [False]), True),
+    (([0.0], [1.0], [False]), ([0.0], [1.0], [True]), False),
+    (([0.0], [1.0], [False]), ([0.0], [1.0], [False]), True),
+    (([0.5], [1.0], [True]), ([BELOW_HALF], [1.0], [False]), True),
+    (([0.5], [1.0], [True]), ([BELOW_HALF], [1.0], [True]), False),
+    (([0.5], [1.0], [False]), ([BELOW_HALF], [1.0], [False]), False),
+    (([BELOW_HALF], [1.0], [False]), ([0.5], [1.0], [True]), True),
+    (([0.0], [1.0], [True]), ([0.2], [0.8], [False]), True),
+    (([0.0], [1.0], [True]), ([0.2], [1.5], [True]), False),
+    (([0.0], [1.0], [False]), ([1.0], [1.0], [True]), True),
+    (([0.0], [1.0], [False]), ([0.0], [0.0], [True]), False),
+    (([0.0, 0.0], [1.0, 1.0], [True, False]), ([0.0, 0.0], [1.0, 1.0], [False, True]), False),
+    (([0.0, 0.0], [1.0, 1.0], [True, True]), ([0.0], [1.0], [True]), False),
+], ids=["same", "equal-lower-inner-open", "equal-lower-outer-open", "equal-lower-both-open",
+        "one-ulp-below-a-closed-edge-open", "one-ulp-below-a-closed-edge-closed",
+        "one-ulp-below-an-open-edge", "closed-edge-one-ulp-above-an-open-one",
+        "strictly-inside", "upper-past", "zero-width-on-the-upper",
+        "zero-width-on-an-open-lower", "one-axis-of-two-fails", "other-dimension"])
+def test_contains_box_compares_the_point_sets(outer, inner, expected):
+    # (0.5 - ulp, 1] and [0.5, 1] hold the same floats, so either contains the other
+    assert BoxRegion(*outer).contains_box(BoxRegion(*inner)) is expected
+
+
+def test_box_with_an_open_side_of_zero_width_is_refused():
+    # (0.5, 0.5] holds no point: such a box used to be accepted, and a partition
+    # restricted to it could route no point at all
+    with pytest.raises(ValueError, match=r"box is empty on axis 0: its lower edge 0\.5 is open"):
+        BoxRegion([0.5], [0.5], [False])
+    with pytest.raises(ValueError, match=r"box is empty on axis 1"):
+        BoxRegion([0.0, 0.5], [1.0, 0.5], [False, False])
+    with pytest.raises(ValueError, match=r"box is empty on axis 0"):
+        restrict(sample_mondrian(UNIT2, 3.0, RngStream(1)),
+                 BoxRegion([0.5, 0.2], [0.5, 0.8], [False, True]))
+    assert BoxRegion([0.5], [0.5], [True]).contains([0.5])
+
+
+@st.composite
+def boxes_and_edge_points(draw):
+    """A 1-3-d box with open edges and closed zero-width sides, and points on and
+    one float around each of its edges."""
+    d = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d))
+    width = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=d, max_size=d))
+    closed = [w == 0.0 or draw(st.booleans()) for w in width]
+    box = BoxRegion(lower, np.add(lower, width), closed)
+    candidates = [[lo, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf), (lo + up) / 2,
+                   up, np.nextafter(up, -np.inf), np.nextafter(up, np.inf), np.nan]
+                  for lo, up in zip(box.lower, box.upper)]
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(c) for c in candidates)),
+                         min_size=1, max_size=12))
+    return box, np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(boxes_and_edge_points(), st.sampled_from([0.0, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+def test_contains_is_what_leaf_indices_accepts(case, scale, seed):
+    box, X = case
+    lifetime = scale * box.dim / (box.linear_dimension or 1.0)
+    part = sample_mondrian(box, lifetime, RngStream(seed))
+    inside = [box.contains(x) for x in X]
+    for x, accepted in zip(X, inside):
+        if accepted:
+            assert part.leaf_indices(x[None]).shape == (1,)
+        else:
+            with pytest.raises(ValueError, match="outside the root box"):
+                part.leaf_indices(x[None])
+    outside = [i for i, accepted in enumerate(inside) if not accepted]
+    if outside:
+        with pytest.raises(ValueError, match=rf"at indices \[{', '.join(map(str, outside))}\]$"):
+            part.leaf_indices(X)
+    else:
+        assert part.leaf_indices(X).shape == (len(X),)
+
+
 def test_degenerate_box_diameter_zero():
     box = BoxRegion([0.2, 0.7], [0.2, 0.7])
     assert cell_l2_diameter(box) == 0.0

@@ -120,6 +120,14 @@ def test_partitions_are_built_by_the_growth_ops_and_the_one_checked_constructor(
         for scope in ("_checked_partition", "extend", "prune", "restrict", "sample_mondrian")]
 
 
+def test_an_open_lower_edge_has_one_encoding():
+    # BoxRegion derives each axis's least member once (the next float up on an open
+    # edge), and contains, contains_box and leaf_indices read it; _grow's check that a
+    # cell side has a float inside is the only other nextafter
+    assert _scopes_calling("nextafter") == [("partition.py", "BoxRegion._adopt"),
+                                            ("partition.py", "_grow")]
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     # perfbench/tracing.py wraps package names by attribute (estimators.partition_to_dict
     # is imported there for it alone); removing one breaks the benchmark's traced run
