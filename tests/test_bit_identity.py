@@ -13,7 +13,10 @@ They fix the draws each operation takes from its stream, so a change in how
 The experiment reports are pinned too, one small report per experiment, as
 the sha256 of ``to_json()`` and of ``to_csv()``.  ``verify_leaf_count`` runs at
 d=1, where it adds the Poisson goodness-of-fit verdict; the classification
-sweep runs at d=1 (exact risk) and d=2 (Monte-Carlo risk).
+sweep runs at d=1 (exact risk) and d=2 (Monte-Carlo risk).  The ``risk``
+report exists only in the CLI, so its two pins are the bytes of the files
+that ``risk`` writes: one with a fixed lifetime and tree count, one with the
+C² schedule and the ``c2`` tree rule.
 
 The digests are fixed: a change that alters them alters the sampler or a
 verdict.
@@ -23,7 +26,7 @@ import hashlib
 
 import pytest
 
-from mondrianforest import BoxRegion, RngStream, extend, harness, partition_to_json, prune, restrict, sample_mondrian
+from mondrianforest import BoxRegion, RngStream, cli, extend, harness, partition_to_json, prune, restrict, sample_mondrian
 from mondrianforest.harness import SyntheticTask
 
 BOX9 = BoxRegion([-0.5 + 0.1 * j for j in range(9)], [0.25 + 0.15 * j for j in range(9)])
@@ -135,3 +138,29 @@ def test_report_bytes_are_pinned(experiment):
     report = REPORTS[experiment]()
     assert (hashlib.sha256(report.to_json().encode("utf-8")).hexdigest(),
             hashlib.sha256(report.to_csv().encode("utf-8")).hexdigest()) == PINNED_REPORTS[experiment]
+
+
+# (sha256 of the --format json file, sha256 of the --format csv file)
+PINNED_RISK = {
+    "risk-fixed": (
+        "risk --task linear_1d --sigma 0.5 --n 64 --lifetime 2 --trees 2 --replicates 3 "
+        "--n-test 64 --seed 5",
+        "56826e668d14f5ca4c26c24b5b3498f6e2a907a76d0d8c7efe8a788652d5662a",
+        "bc3ab24acd3f47596b92a9910c2ab9400f2d9d9b1c8e6a61a8fd736af2d73741"),
+    "risk-c2": (
+        "risk --task c2_d --d 2 --sigma 0.1 --n 128 --schedule c2 --trees c2 --replicates 2 "
+        "--n-test 64 --seed 5",
+        "bae66340540245fd06c3acb29337efd5a7d6d049688270cf4998b18420877aed",
+        "26169623181336d8ea52306072940cd5bea5644d525416e7e0c338fc5aeee4f7"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RISK))
+def test_risk_report_bytes_are_pinned(run, tmp_path):
+    argv, *digests = PINNED_RISK[run]
+    written = []
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"report.{fmt}"
+        assert cli.run(argv.split() + ["--format", fmt, "--output", str(path)]) == 0
+        written.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert written == digests
