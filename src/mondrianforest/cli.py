@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .estimators import (
-    fit_forest,
-    lifetime_schedule,
-    model_from_json,
-    model_to_json,
-    predict_class,
-)
+from .estimators import fit_forest, model_from_json, model_to_json, predict_class
 from .harness import ExperimentReport, SyntheticTask
 from .partition import (DEFAULT_MAX_SPLITS, BoxRegion, SplitLimitError, _json_loads,
                         partition_to_json, sample_mondrian)
@@ -121,7 +115,7 @@ _SUBCOMMANDS: dict[str, list[_Opt]] = {
     "risk": _TASK_OPTS + [
         _Opt("n", int, None, "training sample size", required=True),
         _Opt("lifetime", float, None, "lifetime (or use --schedule with --scale)"),
-        _Opt("schedule", str, None, "lifetime schedule: lipschitz, c2, consistency"),
+        _Opt("schedule", str, None, "lifetime schedule: lipschitz, c2, consistency, fixed"),
         _Opt("scale", float, 1.0, "schedule scale factor"),
         _Opt("trees", _trees_rule, 1, "tree count, or 'c2' for the sample-size rule"),
         _Opt("replicates", int, 8, "independent replicates"),
@@ -375,20 +369,15 @@ def _cmd_verify_restriction(cfg: dict) -> ExperimentReport:
                                       workers=cfg["threads"])
 
 
-def _resolved_lifetime(cfg: dict, n: int, d: int) -> float:
-    if (cfg.get("lifetime") is None) == (not cfg.get("schedule")):
-        raise ValueError("provide exactly one of --lifetime or --schedule")
-    if cfg.get("lifetime") is not None:
-        return cfg["lifetime"]
-    return lifetime_schedule(cfg["schedule"], n, d, cfg["scale"])
-
-
 def _cmd_risk(cfg: dict) -> ExperimentReport:
     """Estimate the quadratic risk of a tree or forest over fresh replicates."""
     task = _make_task(cfg)
-    lifetime = _resolved_lifetime(cfg, cfg["n"], task.d)
-    n_trees = harness._resolve_trees(cfg["trees"], cfg["n"], task.d)
-    risk, se = harness.estimate_risk(task, cfg["n"], lifetime, n_trees,
+    if (cfg["lifetime"] is None) == (not cfg["schedule"]):
+        raise ValueError("provide exactly one of --lifetime or --schedule")
+    schedule, scale = (("fixed", cfg["lifetime"]) if cfg["lifetime"] is not None
+                       else (cfg["schedule"], cfg["scale"]))
+    row = harness._row(cfg["n"], task.d, schedule, scale, cfg["trees"])
+    risk, se = harness.estimate_risk(task, row["n"], row["lifetime"], row["n_trees"],
                                      cfg["replicates"], cfg["n_test"], cfg["seed"],
                                      workers=cfg["threads"],
                                      eval_margin=cfg["eval_margin"])
@@ -396,9 +385,8 @@ def _cmd_risk(cfg: dict) -> ExperimentReport:
         name="risk",
         config={k: cfg[k] for k in ("task", "target", "d", "sigma", "n",
                                     "replicates", "n_test", "seed", "eval_margin")}
-        | {"lifetime": lifetime, "n_trees": n_trees},
-        grid=[{"n": cfg["n"], "lifetime": lifetime, "n_trees": n_trees,
-               "risk": risk, "se": se}],
+        | {"lifetime": row["lifetime"], "n_trees": row["n_trees"]},
+        grid=[row | {"risk": risk, "se": se}],
     )
 
 

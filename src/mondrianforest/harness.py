@@ -412,12 +412,45 @@ def _quadratic_risk(task, model, stream, n_test, eval_margin) -> float:
     return float(np.mean(residual**2))
 
 
+_SCHEDULES = ("c2", "consistency", "fixed", "lipschitz")
+
+
+def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
+    """The risk-grid row ``{"n", "lifetime", "n_trees"}`` of size ``n`` in dimension ``d``.
+
+    ``schedule`` is a lifetime schedule, or ``"fixed"`` for the lifetime
+    ``scale``; ``m_rule`` is a tree count or ``"c2"`` for the sample-size rule.
+    Every risk experiment builds its rows here, so each input is refused before
+    any data is drawn.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
+    if schedule not in _SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}; expected one of {list(_SCHEDULES)}")
+    if schedule != "fixed":
+        lifetime = lifetime_schedule(schedule, n, d, scale)
+    elif 0.0 <= scale < math.inf:
+        lifetime = scale
+    else:
+        raise ValueError(f"lifetime must be finite and >= 0, got {scale} "
+                         "(under schedule 'fixed' it is the scale)")
+    if m_rule == "c2":
+        return {"n": n, "lifetime": lifetime, "n_trees": forest_size_schedule("c2", n, d)}
+    # int() would turn 2.5 into 2 trees and True into 1, so only an int is taken
+    if isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
+        raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
+    if m_rule < 1:
+        raise ValueError("tree count must be >= 1")
+    return {"n": n, "lifetime": lifetime, "n_trees": int(m_rule)}
+
+
 def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int,
                    workers: int) -> None:
     """Write ``risk`` and ``se`` into each grid row from fresh replicates.
 
-    ``points`` holds ``(row, task, path)`` triples, where ``row`` has ``n``,
-    ``lifetime`` and ``n_trees``; replicate ``r`` of a row runs on the stream
+    ``points`` holds ``(row, task, path)`` triples, where ``row`` comes from
+    :func:`_row`; replicate ``r`` of a row runs on the stream
     ``(seed, path + (r,))`` and scores its forest with ``score(..., extra)``.
     All replicates of the experiment go through one :func:`_map`.
     """
@@ -425,8 +458,6 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
         raise ValueError("replicates must be >= 2")
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
-    if any(row["n"] < 1 for row, _, _ in points):
-        raise ValueError("n must be >= 1")
     payloads = [(score, task, row["n"], row["lifetime"], row["n_trees"], n_test, seed,
                  path + (rep,), extra)
                 for row, task, path in points for rep in range(replicates)]
@@ -449,7 +480,7 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
     """
     if not 0.0 <= eval_margin < 0.5:
         raise ValueError("eval_margin must be in [0, 1/2)")
-    row = {"n": n, "lifetime": lifetime, "n_trees": n_trees}
+    row = _row(n, task.d, "fixed", lifetime, n_trees)
     _estimate_grid([(row, task, ())], _quadratic_risk, eval_margin, replicates, n_test,
                    seed, workers)
     return row["risk"], row["se"]
@@ -739,29 +770,6 @@ _SLOPE_TARGETS = {
 }
 
 
-_SCHEDULES = ("c2", "consistency", "fixed", "lipschitz")
-
-
-def _resolve_lifetime(schedule: str, n: int, d: int, scale: float) -> float:
-    # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
-    if schedule not in _SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}; expected one of {list(_SCHEDULES)}")
-    if schedule == "fixed":
-        return scale
-    return lifetime_schedule(schedule, n, d, scale)
-
-
-def _resolve_trees(m_rule, n: int, d: int) -> int:
-    if m_rule == "c2":
-        return forest_size_schedule("c2", n, d)
-    # int() would turn 2.5 into 2 trees and True into 1, so only an int is taken
-    if isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
-        raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
-    if m_rule < 1:
-        raise ValueError("tree count must be >= 1")
-    return int(m_rule)
-
-
 def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
                replicates: int, seed: int, n_test: int = 2048,
                slope_tolerance: float = 0.15, workers: int = 1,
@@ -783,8 +791,7 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     if not 0.0 <= slope_tolerance < math.inf:
         raise ValueError("slope_tolerance must be finite and >= 0")
     t0 = time.perf_counter()
-    grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, task.d, scale),
-             "n_trees": _resolve_trees(m_rule, n, task.d)} for n in n_grid]
+    grid = [_row(n, task.d, schedule, scale, m_rule) for n in n_grid]
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)], _quadratic_risk,
                    eval_margin, replicates, n_test, seed, workers)
     if any(row["risk"] <= 0 for row in grid):
@@ -829,8 +836,6 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     """
     if n < 18:
         raise ValueError("the lower bound requires n >= 18")
-    if m_large < 1:
-        raise ValueError("m_large must be >= 1")
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and >= 0")
     t0 = time.perf_counter()
@@ -842,12 +847,12 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     linear = SyntheticTask(kind="linear_1d", sigma=math.sqrt(sigma2))
     curved = SyntheticTask(kind="c2_d", d=1, sigma=curved_sigma)
 
-    points = [({"n": n, "lifetime": lam, "n_trees": 1}, linear, (0, i))
+    points = [(_row(n, 1, "fixed", lam, 1), linear, (0, i))
               for i, lam in enumerate(lambda_grid)]
     # tree and forest share replicate streams: the single tree is exactly
     # tree 0 of the forest, so the comparison is paired
-    points += [({"n": curved_n, "lifetime": lam, "n_trees": n_trees}, curved, (1, i))
-               for i, lam in enumerate(curved_lambda_grid) for n_trees in (1, m_large)]
+    points += [(_row(curved_n, 1, "fixed", lam, m_rule), curved, (1, i))
+               for i, lam in enumerate(curved_lambda_grid) for m_rule in (1, m_large)]
     _estimate_grid(points, _quadratic_risk, 0.0, replicates, n_test, seed, workers)
     grid = [row | {"task": "linear" if task is linear else "curved"} for row, task, _ in points]
     linear_tree = [row["risk"] for row in grid[:len(lambda_grid)]]
@@ -924,9 +929,8 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
         raise ValueError("n_grid sizes must increase strictly")
     t0 = time.perf_counter()
     task = SyntheticTask(kind="classification_d", d=d, target=target)
+    grid = [_row(n, d, schedule, scale, m_rule) for n in n_grid]
     bayes = task.bayes_risk()
-    grid = [{"n": n, "lifetime": _resolve_lifetime(schedule, n, d, scale),
-             "n_trees": _resolve_trees(m_rule, n, d)} for n in n_grid]
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
                    _excess_classification_risk, bayes, replicates, n_test, seed, workers)
     verdicts = [

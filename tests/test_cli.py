@@ -103,6 +103,16 @@ def test_outputs_are_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_risk_lifetime_is_the_fixed_schedule(capsys, fmt):
+    # risk takes the sweeps' four schedules; --lifetime X is --schedule fixed --scale X
+    common = ["risk", "--task", "linear_1d", "--n", "48", "--trees", "2", "--replicates", "2",
+              "--n-test", "32", "--seed", "3", "--format", fmt]
+    lifetime = invoke(common + ["--lifetime", "2"], capsys)
+    assert lifetime[0] == 0 and lifetime[1]
+    assert invoke(common + ["--schedule", "fixed", "--scale", "2"], capsys) == lifetime
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-leaf-count", "--d", "1", "--lifetime", "3"],
     ["verify-cell-dist", "--lifetime", "4", "--x", "0.5,0.25"],

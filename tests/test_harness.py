@@ -326,6 +326,11 @@ SWEEPS_OF_TREE_RULE = {
         m_rule, replicates=2, seed=1),
     "classification_sweep": lambda m_rule: classification_sweep(
         1, [32, 64], "lipschitz", m_rule, replicates=2, seed=1),
+    "estimate_risk": lambda m_rule: estimate_risk(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), 64, 1.0, m_rule, replicates=2,
+        n_test=16, seed=1),
+    "tree_vs_forest": lambda m_rule: tree_vs_forest(
+        32, [1.0, 4.0], m_rule, replicates=2, seed=1, n_test=16, curved_n=64),
 }
 
 
@@ -369,9 +374,38 @@ def test_sweeps_refuse_an_unknown_schedule_before_drawing(monkeypatch, sweep):
         SWEEPS_OF_SCHEDULE[sweep]("quadratic")
 
 
+EXPERIMENTS_OF_FIXED_LIFETIME = {
+    "rate_sweep": lambda lifetime: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [64, 128, 256], "fixed", lifetime, 1,
+        replicates=2, seed=1),
+    "classification_sweep": lambda lifetime: classification_sweep(
+        1, [32, 64], "fixed", 1, replicates=2, seed=1, scale=lifetime),
+    "estimate_risk": lambda lifetime: estimate_risk(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), 64, lifetime, 1, replicates=2,
+        n_test=16, seed=1),
+    # a bad curved lifetime is refused before the linear stage runs
+    "tree_vs_forest": lambda lifetime: tree_vs_forest(
+        32, [1.0, 4.0], 2, replicates=2, seed=1, n_test=16, curved_n=64,
+        curved_lambda_grid=[1.0, lifetime]),
+}
+
+
+@pytest.mark.parametrize("lifetime", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS_OF_FIXED_LIFETIME))
+def test_experiments_refuse_a_bad_fixed_lifetime_before_drawing(monkeypatch, experiment,
+                                                                lifetime):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("data was drawn before the lifetime was checked")
+
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=rf"lifetime must be finite and >= 0, got {lifetime} "
+                                         r"\(under schedule 'fixed' it is the scale\)$"):
+        EXPERIMENTS_OF_FIXED_LIFETIME[experiment](lifetime)
+
+
 def test_tree_rule_takes_numpy_ints():
-    assert type(harness._resolve_trees(np.int64(3), 100, 1)) is int
-    assert harness._resolve_trees(np.int64(3), 100, 1) == 3
+    assert type(harness._row(100, 1, "fixed", 1.0, np.int64(3))["n_trees"]) is int
+    assert harness._row(100, 1, "fixed", 1.0, np.int64(3))["n_trees"] == 3
 
 
 def test_rate_sweep_small_run_reports_slope():

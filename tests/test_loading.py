@@ -624,6 +624,20 @@ def test_risk_checks_its_tree_count_before_drawing(capsys, monkeypatch):
     assert_one_line_exit_two(code, capsys.readouterr(), "risk", "tree count must be >= 1")
 
 
+@pytest.mark.parametrize("lifetime, value", [
+    (["--lifetime", "nan"], "nan"),
+    (["--lifetime", "-1"], "-1.0"),
+    (["--schedule", "fixed", "--scale", "inf"], "inf"),
+], ids=["lifetime-nan", "lifetime-negative", "fixed-scale-inf"])
+def test_risk_checks_its_lifetime_before_drawing(capsys, monkeypatch, lifetime, value):
+    # --lifetime X is the schedule "fixed" at scale X, checked by the sweeps' one row rule
+    monkeypatch.setattr(SyntheticTask, "sample_data", _no_sampling)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_sampling)
+    code = run(["risk", "--n", "100", *lifetime, "--threads", "2"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "risk",
+                             f"lifetime must be finite and >= 0, got {value} ")
+
+
 def test_predict_checks_its_flags_before_reading_the_model(tmp_path, capsys, monkeypatch):
     def no_loading(text):
         raise AssertionError("the model was read before the flags were checked")

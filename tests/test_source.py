@@ -144,6 +144,13 @@ def test_one_map_builds_the_process_pool():
     assert _scopes_calling("ProcessPoolExecutor") == [("harness.py", "_map")]
 
 
+def test_risk_grid_rows_have_one_builder():
+    # harness._row turns a schedule, its scale and a tree rule into a grid row and
+    # checks all three before any data is drawn; every risk experiment and CLI risk use it
+    assert _scopes_calling("lifetime_schedule") == [("harness.py", "_row")]
+    assert _scopes_calling("forest_size_schedule") == [("harness.py", "_row")]
+
+
 def test_harness_draws_partitions_only_in_the_per_sample_function():
     # every Monte-Carlo partition of the law verifiers goes through the one map
     found = [scope for scope in _scopes_calling("sample_mondrian") if scope[0] == "harness.py"]
