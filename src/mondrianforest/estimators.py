@@ -347,6 +347,9 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
     ``master_seed`` is an integer, or an :class:`RngStream` whose children
     drive the trees (used for composing experiments from derived streams).
     """
+    # range() would refuse 2.5 with a TypeError and take True as 1 tree
+    if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)):
+        raise ValueError(f"n_trees must be an int, got {n_trees!r}")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     if box.dim != d:

@@ -302,6 +302,18 @@ def test_forest_rejects_zero_trees():
         fit_forest(UNIT2, 2, 3.0, 0, np.empty((0, 2)), np.empty(0), master_seed=5)
 
 
+@pytest.mark.parametrize("n_trees", [2.5, True, 2.0, "3"])
+def test_forest_takes_only_an_int_tree_count(n_trees):
+    # 2.5 used to raise a TypeError from range(), and True fitted 1 tree
+    with pytest.raises(ValueError, match=rf"^n_trees must be an int, got {n_trees!r}$"):
+        fit_forest(UNIT2, 2, 3.0, n_trees, np.empty((0, 2)), np.empty(0), master_seed=5)
+
+
+def test_forest_takes_a_numpy_int_tree_count():
+    forest = fit_forest(UNIT2, 2, 3.0, np.int64(3), np.empty((0, 2)), np.empty(0), master_seed=5)
+    assert forest.n_trees == 3
+
+
 def test_forest_mean_matches_per_tree_predictions():
     X, y = make_data(400)
     forest = fit_forest(UNIT2, 2, 5.0, 16, X, y, master_seed=31)
