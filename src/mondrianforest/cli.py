@@ -304,6 +304,7 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Read a data file with header x1..xd[,y]; returns (X, y or None, d).
 
     Columns bind by name: x1..xd in file order, plus at most one y anywhere.
+    A value that is not a number is refused with its line.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -322,10 +323,16 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
             if len(row) != len(header):
                 raise ValueError(f"{path} line {reader.line_num}: expected {len(header)} "
                                  f"values, got {len(row)}")
-            rows.append(row)
+            try:
+                if "_" in "".join(row):  # float() reads Python's digit grouping: "1_0" is 10.0
+                    bad = next(v for v in row if "_" in v)
+                    raise ValueError(f"could not convert string to float: {bad!r}")
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=np.float64)
+    data = np.array(rows, dtype=np.float64)
     X = data[:, x_cols]
     y = data[:, y_cols[0]] if y_cols else None
     return X, y, len(x_cols)

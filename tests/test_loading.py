@@ -762,8 +762,11 @@ def test_option_errors_are_reported_before_any_file_is_read(capsys, argv, messag
 
 
 @pytest.mark.parametrize("text, line", [("", "line 1"), ("x1,y\n0.5\n", "line 2"),
-                                        ("x1,y\n", "no data rows")],
-                         ids=["empty-file", "short-row", "header-only"])
+                                        ("x1,y\n", "no data rows"),
+                                        ("x1,y\n0.5,1\nabc,1\n", "line 3"),
+                                        ("x1,y\n1_0,1\n", "line 2")],
+                         ids=["empty-file", "short-row", "header-only", "not-a-number",
+                              "underscore"])
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, line):
     data = tmp_path / "data.csv"
