@@ -444,6 +444,44 @@ def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_two_dimensions():
     assert report.passed
 
 
+# The scales below come from the risk bounds at each task's constants (sigma^2 = 0.01,
+# and for C² eps = 0.1, p0 = p1 = 1, c_p = 0 and M = forest_size_schedule("c2", n, d)):
+# the lifetime that minimises the bound, divided by the schedule's n^(1/(d+4)) or
+# n^(1/(d+2)), at n = 2^8, 2^11 and 2^14.
+
+def test_rate_sweep_c2_schedule_reaches_the_rate_in_two_dimensions():
+    # c2_risk_bound is least at 2.50, 2.58 and 2.62 times n^(1/6); the C² rate at d=2 is -2/3
+    task = SyntheticTask(kind="c2_d", d=2, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "c2", 2.6, "c2",
+                        replicates=16, seed=1, n_test=4096, slope_tolerance=0.15,
+                        eval_margin=0.1)
+    assert report.oracle["slope_target"] == pytest.approx(-2.0 / 3.0)
+    assert abs(report.oracle["slope"] - (-2.0 / 3.0)) <= 0.15
+    assert report.passed
+
+
+def test_rate_sweep_c2_schedule_reaches_the_rate_in_three_dimensions():
+    # c2_risk_bound is least at 1.92, 2.00 and 2.07 times n^(1/7); the C² rate at d=3 is -4/7
+    task = SyntheticTask(kind="c2_d", d=3, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "c2", 2.0, "c2",
+                        replicates=16, seed=1, n_test=4096, slope_tolerance=0.15,
+                        eval_margin=0.1)
+    assert report.oracle["slope_target"] == pytest.approx(-4.0 / 7.0)
+    assert abs(report.oracle["slope"] - (-4.0 / 7.0)) <= 0.15
+    assert report.passed
+
+
+def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_three_dimensions():
+    # lipschitz_risk_bound is least at 0.91, 0.95 and 0.98 times n^(1/5), so scale 1.0 as at
+    # d=2; the Lipschitz rate at d=3 is -2/5
+    task = SyntheticTask(kind="lipschitz_d", d=3, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "lipschitz", 1.0, 8,
+                        replicates=24, seed=1, n_test=4096, slope_tolerance=0.15)
+    assert report.oracle["slope_target"] == pytest.approx(-0.4)
+    assert abs(report.oracle["slope"] - (-0.4)) <= 0.15
+    assert report.passed
+
+
 def test_rate_sweep_fixed_schedule_is_shallower():
     task = SyntheticTask(kind="lipschitz_1d", sigma=0.1)
     tuned = rate_sweep(task, [256, 1024, 4096], "lipschitz", 1.0, 1,
