@@ -436,13 +436,15 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
         raise ValueError(f"lifetime must be finite and >= 0, got {scale} "
                          "(under schedule 'fixed' it is the scale)")
     if m_rule == "c2":
-        return {"n": n, "lifetime": lifetime, "n_trees": forest_size_schedule("c2", n, d)}
+        n_trees = forest_size_schedule("c2", n, d)
     # int() would turn 2.5 into 2 trees and True into 1, so only an int is taken
-    if isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
+    elif isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
         raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
-    if m_rule < 1:
+    elif m_rule < 1:
         raise ValueError("tree count must be >= 1")
-    return {"n": n, "lifetime": lifetime, "n_trees": int(m_rule)}
+    else:
+        n_trees = int(m_rule)
+    return {"n": n, "lifetime": lifetime, "n_trees": n_trees}
 
 
 def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int,
