@@ -8,7 +8,9 @@ JSON bytes, without changing any leaf count.
 At d=2 the pins follow the benchmark's extension leg: sample at lifetime 2.5,
 extend to 5 on the same stream, prune back to 2.5 and restrict the extension.
 They fix the draws each operation takes from its stream, so a change in how
-``RngStream`` serves uniforms shows here.
+``RngStream`` serves uniforms shows here.  At d=1 the sample and extend legs
+are pinned the same way, since the sampler's one-axis cells take their own
+path through the axis draw.
 
 The experiment reports are pinned too, one small report per experiment, as
 the sha256 of ``to_json()`` and of ``to_csv()``.  ``verify_leaf_count`` runs at
@@ -85,6 +87,29 @@ def test_d2_extension_leg_is_pinned(op):
         leaves += part.n_leaves
         draws += part.seed_provenance.get("draws", 0)
     assert (digest.hexdigest(), leaves, draws) == PINNED_D2[op]
+
+
+# (JSON digest, total leaves, total draws recorded in the operation's provenance)
+PINNED_D1 = {
+    "sample": ("81662e937bd030ff41764c2e20f25f0906d8ec87360de4eed2190c3ceba5c037", 189, 696),
+    "extend": ("739c6fa29fc408241f70bc155ec0dae65ce6e2e251dc74a1722fdf3150eb9e3f", 475, 1144),
+}
+
+BOX1 = BoxRegion([-1.0], [2.0])
+
+
+@pytest.mark.parametrize("op", sorted(PINNED_D1))
+def test_d1_sample_and_extend_are_pinned(op):
+    # at d=1 every split takes the only axis, yet the axis draw still spends one uniform
+    digest, leaves, draws = hashlib.sha256(), 0, 0
+    for index in range(20):
+        rng = RngStream(0, (5, index))
+        sampled = sample_mondrian(BOX1, 3.0, rng)
+        part = sampled if op == "sample" else extend(sampled, 8.0, rng)
+        digest.update(partition_to_json(part).encode("utf-8"))
+        leaves += part.n_leaves
+        draws += part.seed_provenance.get("draws", 0)
+    assert (digest.hexdigest(), leaves, draws) == PINNED_D1[op]
 
 
 # (sha256 of to_json(), sha256 of to_csv())
