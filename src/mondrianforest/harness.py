@@ -300,6 +300,12 @@ class ExperimentReport:
     verdicts: list = field(default_factory=list)
     wall_clock: float = 0.0
 
+    def __post_init__(self):
+        # the experiments take numpy ints for counts (m_rule, m_large, seed, ...), which
+        # json cannot write, so every integer config field is kept as a Python int
+        self.config = {key: int(value) if isinstance(value, np.integer) else value
+                       for key, value in self.config.items()}
+
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)

@@ -353,6 +353,15 @@ def test_sweeps_refuse_a_tree_count_that_is_not_an_int_before_drawing(
         SWEEPS_OF_TREE_RULE[sweep](m_rule)
 
 
+@pytest.mark.parametrize("sweep", ["rate_sweep", "classification_sweep", "tree_vs_forest"])
+def test_reports_write_a_numpy_int_tree_count_as_an_int(sweep):
+    # the tree rule takes a numpy int, which json.dumps cannot write as itself
+    report = SWEEPS_OF_TREE_RULE[sweep](np.int64(2))
+    key = "m_large" if sweep == "tree_vs_forest" else "m_rule"
+    assert type(report.config[key]) is int
+    assert report.to_json() == SWEEPS_OF_TREE_RULE[sweep](2).to_json()
+
+
 SWEEPS_OF_SCHEDULE = {
     "rate_sweep": lambda schedule: rate_sweep(
         SyntheticTask(kind="lipschitz_1d", sigma=0.1), [64, 128, 256], schedule, 1.0, 1,
