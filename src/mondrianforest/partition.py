@@ -273,6 +273,17 @@ def _frozen(values, dtype) -> np.ndarray:
     return array
 
 
+def _check_in_root_box(box: BoxRegion, X: np.ndarray) -> None:
+    """ValueError naming the rows of ``X`` (shape (n, dim)) that lie outside ``box``."""
+    lowest, upper = box._lowest, box.upper
+    # the whole-array min and max clear a batch inside the bounds of every axis (nan
+    # fails them), and only a batch they cannot clear pays for the per-row mask
+    if X.size and not (X.min() >= lowest.max() and X.max() <= upper.min()):
+        bad = np.flatnonzero(~((X >= lowest) & (X <= upper)).all(axis=1))
+        if bad.size:
+            raise ValueError(f"points outside the root box at indices {bad.tolist()}")
+
+
 class MondrianPartition:
     """A sampled Mondrian partition: root box, lifetime, node arrays, provenance.
 
@@ -372,13 +383,7 @@ class MondrianPartition:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
-        lowest, upper = self.box._lowest, self.box.upper
-        # the whole-array min and max clear a batch inside the bounds of every axis (nan
-        # fails them), and only a batch they cannot clear pays for the per-row mask
-        if X.size and not (X.min() >= lowest.max() and X.max() <= upper.min()):
-            bad = np.flatnonzero(~((X >= lowest) & (X <= upper)).all(axis=1))
-            if bad.size:
-                raise ValueError(f"points outside the root box at indices {bad.tolist()}")
+        _check_in_root_box(self.box, X)
         dim, thr, right = self.split_dim, self.threshold, self.right
         if X.shape[0] == 1:
             # one row (as in update_tree): the gather loop's numpy calls cost more than
@@ -444,6 +449,10 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
         raise ValueError("max_splits must be >= 0")
     if source is not None:
         src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
+    if rng is not None:
+        exponential, categorical, uniform = rng.exponential, rng.categorical, rng.uniform
+    # a one-axis cell's linear dimension is its side, whichever order sums it
+    linear_dimension = operator.itemgetter(0) if box.dim == 1 else _linear_dimension
     dims, thrs, clocks, rights = [], [], [], []
     drawn = 0
     # (source node or -1, birth time, lower, upper, node whose right child
@@ -463,7 +472,7 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
                 src = src + 1 if threshold >= upper[axis] else src_right[src]
             clock = src_clock[src]
         else:
-            clock = birth + rng.exponential(_linear_dimension(sides))
+            clock = birth + exponential(linear_dimension(sides))
         rights.append(-1)
         clocks.append(clock)
         if clock > lifetime:
@@ -478,16 +487,16 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
                 raise SplitLimitError(f"partition exceeded the split budget of {max_splits}; "
                                       "raise max_splits or lower the lifetime")
             drawn += 1
-            axis = rng.categorical(sides)
+            axis = categorical(sides)
             a, b = lower[axis], upper[axis]
-            threshold = a + (b - a) * rng.uniform()
+            threshold = a + (b - a) * uniform()
             while not (a < threshold < b):
                 # checked only on a redraw, which is rare, so sampling pays nothing for it
                 if math.nextafter(a, b) == b:
                     raise ValueError(f"cannot split the cell side [{a!r}, {b!r}] on axis "
                                      f"{axis}: no float lies strictly inside it; lower the "
                                      "lifetime")
-                threshold = a + (b - a) * rng.uniform()
+                threshold = a + (b - a) * uniform()
             left_src = right_src = -1
         dims.append(axis)
         thrs.append(threshold)

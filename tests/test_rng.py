@@ -84,6 +84,25 @@ def test_categorical_rejects_bad_weights():
         RngStream(1).categorical([-1.0, 2.0])
 
 
+@pytest.mark.parametrize("weight, outcome", [
+    (1.0, 0), (0.0, "at least one weight must be positive"), (-1.0, "weights must be nonnegative"),
+    (math.nan, 0), (math.inf, 0), (2.5, 0),
+])
+def test_one_weight_categorical_matches_the_general_loop(weight, outcome):
+    # a trailing zero weight sends the same draw through the many-weight loop; both give
+    # the same index or message, and a draw spends exactly one uniform (an error, none)
+    results = []
+    for weights in ([weight], [weight, 0.0]):
+        s = RngStream(7)
+        try:
+            got = s.categorical(weights)
+        except ValueError as exc:
+            got = str(exc)
+        results.append((got, s.counter, s.uniform()))
+    spent = 1 if outcome == 0 else 0
+    assert results[0] == results[1] == (outcome, spent, reference(7, (), 2)[spent])
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
