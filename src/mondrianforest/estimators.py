@@ -24,6 +24,11 @@ longer inputs are summed in chunks of 2^21 rows; the sums are added as ints,
 and each leaf's limb and group sums fold into one Python int.  An update adds
 its one label's exact integer into its leaf directly.
 
+A 1-d forest fit sorts its rows by x once per forest, before the labels are
+split: row order changes no exact sum, and every tree then routes sorted keys,
+which ``searchsorted`` places several times faster.  The root-box check runs
+on the rows as given, so its error names the caller's rows.
+
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
 columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
@@ -50,6 +55,8 @@ from .partition import (
     MondrianPartition,
     _box_from_dict,
     _box_to_dict,
+    _check_in_root_box,
+    _check_lifetime,
     _checked_partition,
     _field,
     _json_loads,
@@ -128,8 +135,6 @@ class _Limbs:
 
 
 def _split_limbs(y: np.ndarray) -> _Limbs:
-    if not np.isfinite(y).all():
-        raise ValueError("labels must be finite")
     m, e = np.frexp(y)
     mant = (m * _MANT).astype(np.int64)  # y = mant * 2^(e - 53), |mant| < 2^53
     nonzero = mant != 0
@@ -255,6 +260,8 @@ def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"X must have shape (n, {dim})")
     if y.shape != (X.shape[0],):
         raise ValueError("y must have shape (n,)")
+    if not np.isfinite(y).all():
+        raise ValueError("labels must be finite")
     return X, y
 
 
@@ -355,12 +362,20 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
     if box.dim != d:
         raise ValueError(f"box has dimension {box.dim}, expected {d}")
     X, y = _check_data(d, X, y)
-    labels = _split_limbs(y)
     if isinstance(master_seed, RngStream):
         master = master_seed
         master_seed = (master.seed,) + master.path
     else:
         master = RngStream(master_seed)
+    if d == 1:
+        # sums are exact, so row order changes no bit, and sorted keys make each tree's
+        # searchsorted several times cheaper; the first tree's lifetime and root-box
+        # checks run before the sort, so a bad input gets the same error, naming its rows
+        _check_lifetime(lifetime, "lifetime")
+        _check_in_root_box(box, X)
+        order = np.argsort(X[:, 0])
+        X, y = X[order], y[order]
+    labels = _split_limbs(y)
     trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, labels)
              for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mondrianforest import (
     BoxRegion,
     MondrianForestModel,
+    MondrianPartition,
     RngStream,
     fit_forest,
     fit_tree,
@@ -82,6 +83,13 @@ def test_fit_rejects_points_outside_box_with_index():
     X = np.array([[0.5, 0.5], [0.5, 1.5]])
     with pytest.raises(ValueError, match=r"\[1\]"):
         fit_tree(part, X, np.zeros(2))
+
+
+def test_forest_names_the_callers_rows_outside_the_box_in_one_dimension():
+    # a 1-d forest routes its rows sorted by x; the error must still name the rows as given
+    X = np.array([[0.5], [math.nan], [0.1], [2.0], [0.3]])
+    with pytest.raises(ValueError, match=r"^points outside the root box at indices \[1, 3\]$"):
+        fit_forest(UNIT1, 1, 3.0, 2, X, np.zeros(5), master_seed=4)
 
 
 def test_fit_rejects_nonfinite_labels():
@@ -370,6 +378,46 @@ def test_forest_rejects_bad_lifetime(lifetime):
 def test_forest_dimension_checks():
     with pytest.raises(ValueError):
         fit_forest(UNIT2, 3, 2.0, 1, np.empty((0, 3)), np.empty(0), master_seed=1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 400])
+def test_one_dimensional_forest_on_shuffled_rows_equals_a_per_tree_replay(n):
+    # a 1-d forest sorts its rows by x; exact sums must make that invisible, with tied x
+    # (on thresholds and box edges too) and labels at several limb offsets
+    rng = np.random.default_rng(n)
+    lifetime, seed, n_trees = 6.0, 17, 5
+    first = sample_mondrian(UNIT1, lifetime, RngStream(seed).child(0))
+    values = np.concatenate([first.threshold[first.split_dim >= 0], np.linspace(0.0, 1.0, 9)])
+    X = rng.choice(values, size=(n, 1))
+    y = rng.standard_normal(n) * np.exp2(rng.integers(-1074, 1000, n))
+    if n > 2:
+        assert len(estimators._split_limbs(y).groups) > 1
+    shuffle = rng.permutation(n)
+    forest = fit_forest(UNIT1, 1, lifetime, n_trees, X[shuffle], y[shuffle], master_seed=seed)
+    probe = np.concatenate([values, rng.random(32)])[:, None]
+    total = 0.0
+    for m, tree in enumerate(forest.trees):
+        replay = fit_tree(sample_mondrian(UNIT1, lifetime, RngStream(seed).child(m)), X, y)
+        assert tree.partition.structurally_equal(replay.partition)
+        assert same_statistics(tree, replay)
+        total = total + predict_tree(replay, probe)
+    assert predict_forest(forest, probe).tobytes() == (total / n_trees).tobytes()
+
+
+def test_one_dimensional_forest_routes_sorted_keys(monkeypatch):
+    # the once-per-forest sort is only a speed-up, so nothing else would notice it gone
+    keys = []
+    route = MondrianPartition.leaf_indices
+
+    def spy(self, X):
+        keys.append(np.array(X)[:, 0])
+        return route(self, X)
+
+    monkeypatch.setattr(MondrianPartition, "leaf_indices", spy)
+    X = np.random.default_rng(3).random((500, 1))
+    fit_forest(UNIT1, 1, 8.0, 4, X, X[:, 0], master_seed=2)
+    assert len(keys) == 4
+    assert all(np.all(np.diff(k) >= 0) for k in keys)
 
 
 # -- classification ----------------------------------------------------------

@@ -782,6 +782,18 @@ def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, l
     assert line in captured.err
 
 
+def test_fit_names_the_file_row_outside_the_box_in_one_dimension(tmp_path, capsys):
+    # rows are sorted by x before a 1-d forest routes them; the message keeps the file's order
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n0.7,1\n1.5,2\n0.2,3\n0.9,4\n")
+    code = run(["fit", "--data", str(data), "--lifetime", "2", "--trees", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.rstrip().endswith("points outside the root box at indices [1]")
+
+
 @pytest.mark.parametrize("header", ["x2,x1", "xa,zz,xb", "x1,x1", "x1,x3"])
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_data_csv_columns_bind_by_name(tmp_path, capsys, command, header):
