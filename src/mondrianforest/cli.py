@@ -81,91 +81,6 @@ _TASK_OPTS = [
     _Opt("sigma", float, 0.1, "label noise standard deviation"),
 ]
 
-_SUBCOMMANDS: dict[str, list[_Opt]] = {
-    "sample": [
-        _Opt("d", int, 2, "dimension of the unit cube"),
-        _Opt("lifetime", float, None, "lifetime of the partition", required=True),
-        _Opt("max-splits", int, DEFAULT_MAX_SPLITS, "split budget guard"),
-    ],
-    "verify-leaf-count": [
-        _Opt("d", int, 2, "dimension"),
-        _Opt("lifetime", float, None, "lifetime", required=True),
-        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
-    ],
-    "verify-cell-dist": [
-        _Opt("d", int, 2, "dimension"),
-        _Opt("lifetime", float, None, "lifetime", required=True),
-        _Opt("x", _float_list, None, "interior point, comma separated", required=True),
-        _Opt("samples", int, 5_000, "Monte-Carlo sample count"),
-    ],
-    "verify-diameter": [
-        _Opt("d", int, 2, "dimension"),
-        _Opt("lifetime", float, None, "lifetime", required=True),
-        _Opt("x", _float_list, None, "evaluation point, comma separated", required=True),
-        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
-        _Opt("delta-grid", _float_list, None, "tail thresholds (default: 10-point grid)"),
-    ],
-    "verify-restriction": [
-        _Opt("d", int, 2, "dimension"),
-        _Opt("lifetime", float, None, "lifetime", required=True),
-        _Opt("sub-lower", _float_list, None, "lower corner of the sub-box", required=True),
-        _Opt("sub-upper", _float_list, None, "upper corner of the sub-box", required=True),
-        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
-    ],
-    "risk": _TASK_OPTS + [
-        _Opt("n", int, None, "training sample size", required=True),
-        _Opt("lifetime", float, None, "lifetime (or use --schedule with --scale)"),
-        _Opt("schedule", str, None, "lifetime schedule: lipschitz, c2, consistency, fixed"),
-        _Opt("scale", float, 1.0, "schedule scale factor"),
-        _Opt("trees", _trees_rule, 1, "tree count, or 'c2' for the sample-size rule"),
-        _Opt("replicates", int, 8, "independent replicates"),
-        _Opt("n-test", int, 2048, "test points per replicate"),
-        _Opt("eval-margin", float, 0.0, "evaluate risk conditional on the margin-interior"),
-    ],
-    "rate-sweep": _TASK_OPTS + [
-        _Opt("n-grid", _int_list, None, "sample sizes, comma separated (>= 3)", required=True),
-        _Opt("schedule", str, "lipschitz", "lifetime schedule: lipschitz, c2, consistency, fixed"),
-        _Opt("scale", float, 1.0, "schedule scale factor"),
-        _Opt("trees", _trees_rule, 1, "tree count per point, or 'c2' for the rule"),
-        _Opt("replicates", int, 20, "replicates per grid point"),
-        _Opt("n-test", int, 2048, "test points per replicate"),
-        _Opt("slope-tolerance", float, 0.15, "allowed |slope - target| in the verdict"),
-        _Opt("eval-margin", float, 0.0, "evaluate risk conditional on the margin-interior"),
-    ],
-    "tree-vs-forest": [
-        _Opt("n", int, 3000, "sample size for the linear lower-bound check"),
-        _Opt("lambda-grid", _float_list, None, "lifetime grid, comma separated", required=True),
-        _Opt("m-large", int, 100, "forest size for the curved-target comparison"),
-        _Opt("replicates", int, 20, "replicates per grid point"),
-        _Opt("sigma2", float, 1.0, "noise variance of the linear model"),
-        _Opt("n-test", int, 2048, "test points per replicate"),
-        _Opt("curved-n", int, 10_000, "sample size for the curved target"),
-        _Opt("curved-lambda-grid", _float_list, None, "lifetime grid for the curved target"),
-        _Opt("curved-sigma", float, 0.1, "noise level for the curved target"),
-    ],
-    "classify-sweep": [
-        _Opt("d", int, 1, "input dimension"),
-        _Opt("target", str, "", "conditional-probability target id"),
-        _Opt("n-grid", _int_list, None, "sample sizes, comma separated", required=True),
-        _Opt("schedule", str, "lipschitz", "lifetime schedule: lipschitz, c2, consistency, fixed"),
-        _Opt("scale", float, 1.0, "schedule scale factor"),
-        _Opt("trees", _trees_rule, 50, "tree count, or 'c2' for the rule"),
-        _Opt("replicates", int, 20, "replicates per grid point"),
-        _Opt("n-test", int, 4096, "test points per replicate"),
-    ],
-    "fit": [
-        _Opt("data", str, None, "CSV with header x1..xd,y", required=True),
-        _Opt("lifetime", float, None, "lifetime", required=True),
-        _Opt("trees", int, 10, "forest size"),
-    ],
-    "predict": [
-        _Opt("model", str, None, "model JSON produced by fit", required=True),
-        _Opt("data", str, None, "CSV with header x1..xd (a y column is ignored)"),
-        _Opt("point", _float_list, None, "single point, comma separated"),
-        _Opt("classify", bool, False, "emit plug-in class labels instead of values"),
-    ],
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one line; subparsers inherit the class."""
@@ -181,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the Monte-Carlo verification harness.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    for name, opts in _SUBCOMMANDS.items():
-        sub = subparsers.add_parser(name, help=_HANDLERS[name].__doc__)
+    for name, (handler, opts) in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=handler.__doc__)
         for opt in opts + _COMMON:
             flag = "--" + opt.name
             if opt.convert is bool:
@@ -248,7 +163,10 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
             merged[key] = _convert(opt, raw)
     if merged.get("seed") is None:
         env = os.environ.get("MF_SEED")
-        merged["seed"] = int(env) if env else 0
+        try:
+            merged["seed"] = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"MF_SEED must be an integer, got {env!r}") from None
     for key, opt in spec.items():
         if opt.required and merged[key] is None:
             raise ValueError(f"missing required option --{opt.name}")
@@ -271,9 +189,7 @@ def _convert(opt: _Opt, raw):
         if text in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"--{opt.name} expects a boolean, got {raw!r}")
-    if isinstance(raw, str):
-        return opt.convert(raw)
-    if opt.convert in (int, float):
+    if opt.convert in (int, float) and not isinstance(raw, str):
         # a JSON bool is not a number, and an int option takes only integral values
         if isinstance(raw, bool) or (opt.convert is int and isinstance(raw, float)
                                      and not raw.is_integer()):
@@ -282,7 +198,10 @@ def _convert(opt: _Opt, raw):
             return opt.convert(raw)
         except OverflowError:  # a JSON int beyond the float range
             raise ValueError(f"--{opt.name} is out of the float range") from None
-    return opt.convert(str(raw))
+    try:
+        return opt.convert(str(raw))
+    except ValueError as exc:
+        raise ValueError(f"--{opt.name} got {raw!r}: {exc}") from None
 
 
 def _write_output(text: str, path: str) -> None:
@@ -454,18 +373,89 @@ def _cmd_predict(cfg: dict) -> str:
     return json.dumps({"predictions": np.asarray(values).tolist()}, indent=2)
 
 
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "verify-leaf-count": _cmd_verify_leaf_count,
-    "verify-cell-dist": _cmd_verify_cell_dist,
-    "verify-diameter": _cmd_verify_diameter,
-    "verify-restriction": _cmd_verify_restriction,
-    "risk": _cmd_risk,
-    "rate-sweep": _cmd_rate_sweep,
-    "tree-vs-forest": _cmd_tree_vs_forest,
-    "classify-sweep": _cmd_classify_sweep,
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
+_SUBCOMMANDS: dict[str, tuple[object, list[_Opt]]] = {
+    "sample": (_cmd_sample, [
+        _Opt("d", int, 2, "dimension of the unit cube"),
+        _Opt("lifetime", float, None, "lifetime of the partition", required=True),
+        _Opt("max-splits", int, DEFAULT_MAX_SPLITS, "split budget guard"),
+    ]),
+    "verify-leaf-count": (_cmd_verify_leaf_count, [
+        _Opt("d", int, 2, "dimension"),
+        _Opt("lifetime", float, None, "lifetime", required=True),
+        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
+    ]),
+    "verify-cell-dist": (_cmd_verify_cell_dist, [
+        _Opt("d", int, 2, "dimension"),
+        _Opt("lifetime", float, None, "lifetime", required=True),
+        _Opt("x", _float_list, None, "interior point, comma separated", required=True),
+        _Opt("samples", int, 5_000, "Monte-Carlo sample count"),
+    ]),
+    "verify-diameter": (_cmd_verify_diameter, [
+        _Opt("d", int, 2, "dimension"),
+        _Opt("lifetime", float, None, "lifetime", required=True),
+        _Opt("x", _float_list, None, "evaluation point, comma separated", required=True),
+        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
+        _Opt("delta-grid", _float_list, None, "tail thresholds (default: 10-point grid)"),
+    ]),
+    "verify-restriction": (_cmd_verify_restriction, [
+        _Opt("d", int, 2, "dimension"),
+        _Opt("lifetime", float, None, "lifetime", required=True),
+        _Opt("sub-lower", _float_list, None, "lower corner of the sub-box", required=True),
+        _Opt("sub-upper", _float_list, None, "upper corner of the sub-box", required=True),
+        _Opt("samples", int, 10_000, "Monte-Carlo sample count"),
+    ]),
+    "risk": (_cmd_risk, _TASK_OPTS + [
+        _Opt("n", int, None, "training sample size", required=True),
+        _Opt("lifetime", float, None, "lifetime (or use --schedule with --scale)"),
+        _Opt("schedule", str, None, "lifetime schedule: lipschitz, c2, consistency, fixed"),
+        _Opt("scale", float, 1.0, "schedule scale factor"),
+        _Opt("trees", _trees_rule, 1, "tree count, or 'c2' for the sample-size rule"),
+        _Opt("replicates", int, 8, "independent replicates"),
+        _Opt("n-test", int, 2048, "test points per replicate"),
+        _Opt("eval-margin", float, 0.0, "evaluate risk conditional on the margin-interior"),
+    ]),
+    "rate-sweep": (_cmd_rate_sweep, _TASK_OPTS + [
+        _Opt("n-grid", _int_list, None, "sample sizes, comma separated (>= 3)", required=True),
+        _Opt("schedule", str, "lipschitz", "lifetime schedule: lipschitz, c2, consistency, fixed"),
+        _Opt("scale", float, 1.0, "schedule scale factor"),
+        _Opt("trees", _trees_rule, 1, "tree count per point, or 'c2' for the rule"),
+        _Opt("replicates", int, 20, "replicates per grid point"),
+        _Opt("n-test", int, 2048, "test points per replicate"),
+        _Opt("slope-tolerance", float, 0.15, "allowed |slope - target| in the verdict"),
+        _Opt("eval-margin", float, 0.0, "evaluate risk conditional on the margin-interior"),
+    ]),
+    "tree-vs-forest": (_cmd_tree_vs_forest, [
+        _Opt("n", int, 3000, "sample size for the linear lower-bound check"),
+        _Opt("lambda-grid", _float_list, None, "lifetime grid, comma separated", required=True),
+        _Opt("m-large", int, 100, "forest size for the curved-target comparison"),
+        _Opt("replicates", int, 20, "replicates per grid point"),
+        _Opt("sigma2", float, 1.0, "noise variance of the linear model"),
+        _Opt("n-test", int, 2048, "test points per replicate"),
+        _Opt("curved-n", int, 10_000, "sample size for the curved target"),
+        _Opt("curved-lambda-grid", _float_list, None, "lifetime grid for the curved target"),
+        _Opt("curved-sigma", float, 0.1, "noise level for the curved target"),
+    ]),
+    "classify-sweep": (_cmd_classify_sweep, [
+        _Opt("d", int, 1, "input dimension"),
+        _Opt("target", str, "", "conditional-probability target id"),
+        _Opt("n-grid", _int_list, None, "sample sizes, comma separated", required=True),
+        _Opt("schedule", str, "lipschitz", "lifetime schedule: lipschitz, c2, consistency, fixed"),
+        _Opt("scale", float, 1.0, "schedule scale factor"),
+        _Opt("trees", _trees_rule, 50, "tree count, or 'c2' for the rule"),
+        _Opt("replicates", int, 20, "replicates per grid point"),
+        _Opt("n-test", int, 4096, "test points per replicate"),
+    ]),
+    "fit": (_cmd_fit, [
+        _Opt("data", str, None, "CSV with header x1..xd,y", required=True),
+        _Opt("lifetime", float, None, "lifetime", required=True),
+        _Opt("trees", int, 10, "forest size"),
+    ]),
+    "predict": (_cmd_predict, [
+        _Opt("model", str, None, "model JSON produced by fit", required=True),
+        _Opt("data", str, None, "CSV with header x1..xd (a y column is ignored)"),
+        _Opt("point", _float_list, None, "single point, comma separated"),
+        _Opt("classify", bool, False, "emit plug-in class labels instead of values"),
+    ]),
 }
 
 
@@ -484,8 +474,9 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
     try:
-        cfg = _resolve_options(args, _SUBCOMMANDS[args.subcommand])
-        artifact, code = _HANDLERS[args.subcommand](cfg), 0
+        handler, opts = _SUBCOMMANDS[args.subcommand]
+        cfg = _resolve_options(args, opts)
+        artifact, code = handler(cfg), 0
         if isinstance(artifact, ExperimentReport):
             code = 0 if artifact.passed else VERDICT_FAILURE
             artifact = artifact.to_csv() if cfg["format"] == "csv" else artifact.to_json()

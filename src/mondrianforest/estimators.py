@@ -123,14 +123,14 @@ _LIMB_MASK = (1 << 32) - 1
 class _Limbs:
     """Labels split for exact summation, grouped by limb offset.
 
-    In the group ``(offset, rows, limbs)``, label ``rows[i]`` (label ``i``
-    when ``rows`` is None) is ``sum_k limbs[k, i] << 32 (offset + k)`` units of
-    2^(unit - 1074); ``unit`` is negative only when a label is subnormal.  Each
-    group holds 3 rows, so the limbs take 3 values per label however far the
-    labels' exponents spread.
+    In the group ``(offset, rows, limbs)``, the i-th label that ``rows`` selects
+    (an index array, or ``slice(None)`` when one group holds every label) is
+    ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
+    is negative only when a label is subnormal.  Each group holds 3 rows, so the
+    limbs take 3 values per label however far the labels' exponents spread.
     """
 
-    groups: list  # (offset, rows or None, (3, n_rows) float64 of integers in (-2^32, 2^32))
+    groups: list  # (offset, rows, (3, n_rows) float64 of integers in (-2^32, 2^32))
     unit: int
 
 
@@ -150,7 +150,7 @@ def _split_limbs(y: np.ndarray) -> _Limbs:
                      dtype=np.float64)
     offsets = np.flatnonzero(np.bincount(offset, minlength=1)).tolist() or [0]
     if len(offsets) == 1:
-        groups = [(offsets[0], None, limbs)]
+        groups = [(offsets[0], slice(None), limbs)]
     else:
         groups = [(o, rows, limbs[:, rows])
                   for o in offsets for rows in [np.flatnonzero(offset == o)]]
@@ -285,7 +285,7 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         return MondrianTreeModel(partition, counts + base._counts, totals)
     totals = None
     for offset, rows, limbs in labels.groups:
-        keys = ranks if rows is None else ranks[rows]
+        keys = ranks[rows]
         part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
         for limb in limbs[::-1]:
             part <<= 32

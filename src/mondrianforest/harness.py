@@ -615,7 +615,7 @@ def verify_cell_distribution(d: int, lifetime: float, x, samples: int, seed: int
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ValueError(f"x must have shape ({d},)")
-    if np.any(x <= 0.0) or np.any(x >= 1.0):
+    if not np.all((x > 0.0) & (x < 1.0)):  # written so that nan fails it
         raise ValueError("x must be strictly interior to the unit cube")
     dists, = _sample_legs([(BoxRegion.unit(d), lifetime, partial(_edge_distances, x))],
                           samples, seed, workers)
@@ -713,13 +713,13 @@ def verify_diameter(d: int, lifetime: float, x, samples: int, seed: int,
 
 
 def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, seed: int,
-                       two_sample: bool = True, workers: int = 1) -> ExperimentReport:
+                       workers: int = 1) -> ExperimentReport:
     """Leaf counts of restricted partitions against the product law.
 
     Partitions of the unit cube restricted to ``sub`` must have mean leaf
     count within 4 standard errors of ``prod_j (1 + lifetime * len_j)``; a
     joint band compares them to partitions sampled directly on ``sub``, plus
-    an optional two-sample KS test on the leaf counts.
+    a two-sample KS test on the leaf counts.
     """
     t0 = time.perf_counter()
     if sub.dim != d:
@@ -733,25 +733,24 @@ def verify_restriction(d: int, lifetime: float, sub: BoxRegion, samples: int, se
     oracle = expected_leaf_count_box(lifetime, sub.side_lengths)
     r_mean, r_se = _mean_se(restricted)
     d_mean, d_se = _mean_se(direct)
+    from scipy import stats
+
+    ks = stats.ks_2samp(restricted, direct, mode="asymp")
     verdicts = [
         _band_verdict("restricted-mean-vs-product-law", r_mean, oracle, r_se, samples),
         _verdict("restricted-vs-direct-means", abs(r_mean - d_mean), operator.le,
                  MEAN_BAND_SE * math.hypot(r_se, d_se),
                  "|mean_restricted - mean_direct| <= 4 * sqrt(SE_r^2 + SE_d^2)", samples),
+        _verdict("restricted-vs-direct-ks", float(ks.pvalue), operator.ge, FAMILY_SIGNIFICANCE,
+                 f"two-sample KS on leaf counts, D={ks.statistic:.5f}, p >= 1e-3 "
+                 "(conservative under ties)", samples),
     ]
-    if two_sample:
-        from scipy import stats
-
-        ks = stats.ks_2samp(restricted, direct, mode="asymp")
-        verdicts.append(_verdict(
-            "restricted-vs-direct-ks", float(ks.pvalue), operator.ge, FAMILY_SIGNIFICANCE,
-            f"two-sample KS on leaf counts, D={ks.statistic:.5f}, p >= 1e-3 "
-            "(conservative under ties)", samples))
     return ExperimentReport(
         name="verify-restriction",
         config={"d": d, "lifetime": lifetime, "sub_lower": sub.lower.tolist(),
                 "sub_upper": sub.upper.tolist(), "samples": samples, "seed": seed,
-                "two_sample": two_sample},
+                # the KS test always runs; the key stays, as pinned report bytes hash it
+                "two_sample": True},
         grid=[{"mean_restricted": r_mean, "se_restricted": r_se,
                "mean_direct": d_mean, "se_direct": d_se, "oracle": oracle}],
         oracle={"expected_leaf_count_box": oracle},

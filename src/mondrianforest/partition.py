@@ -451,8 +451,16 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
         src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
     if rng is not None:
         exponential, categorical, uniform = rng.exponential, rng.categorical, rng.uniform
-    # a one-axis cell's linear dimension is its side, whichever order sums it
-    linear_dimension = operator.itemgetter(0) if box.dim == 1 else _linear_dimension
+    linear_dimension = _linear_dimension
+    if box.dim == 1:
+        # a one-axis cell's linear dimension is its side, and its axis is forced: the
+        # draw spends the one uniform of a categorical draw (a cell that splits has a
+        # finite clock, so a side > 0, and the categorical checks cannot fire)
+        linear_dimension = operator.itemgetter(0)
+
+        def categorical(sides):
+            uniform()
+            return 0
     dims, thrs, clocks, rights = [], [], [], []
     drawn = 0
     # (source node or -1, birth time, lower, upper, node whose right child

@@ -114,16 +114,6 @@ class RngStream:
         ``cumsum(weights)[j] > u * sum(weights)``; zero-weight entries are
         never selected.
         """
-        if len(weights) == 1:
-            # the loops below, unrolled for one weight (a 1-d cell): the same checks, the
-            # same uniform, and index 0 whatever it is (a nan or inf weight included)
-            weight = weights[0]
-            if weight < 0:
-                raise ValueError("weights must be nonnegative")
-            if weight <= 0:
-                raise ValueError("at least one weight must be positive")
-            self.uniform()
-            return 0
         total = 0.0
         for w in weights:
             if w < 0:

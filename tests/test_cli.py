@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mondrianforest.cli import _HANDLERS, _SUBCOMMANDS, load_config, run
+from mondrianforest.cli import _SUBCOMMANDS, load_config, run
 
 
 def invoke(argv, capsys):
@@ -204,7 +204,7 @@ def test_mf_seed_env_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_every_subcommand_help_mentions_its_flags(capsys):
-    for name, opts in _SUBCOMMANDS.items():
+    for name, (_, opts) in _SUBCOMMANDS.items():
         with pytest.raises(SystemExit) as exc:
             run([name, "--help"])
         assert exc.value.code == 0
@@ -221,8 +221,8 @@ def test_top_level_help_lists_each_subcommand_with_its_handler_docstring(capsys,
         run(["--help"])
     assert exc.value.code == 0
     words = " ".join(capsys.readouterr().out.split())
-    for name in _SUBCOMMANDS:
-        assert f" {name} {_HANDLERS[name].__doc__} " in words
+    for name, (handler, _) in _SUBCOMMANDS.items():
+        assert f" {name} {handler.__doc__} " in words
 
 
 def test_fit_and_predict_roundtrip(tmp_path, capsys):

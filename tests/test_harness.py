@@ -276,6 +276,19 @@ def test_verify_cell_distribution_rejects_boundary_point():
         verify_cell_distribution(2, 5.0, [0.0, 0.5], samples=10, seed=1)
 
 
+@pytest.mark.parametrize("x", [[0.5, math.nan], [math.nan, 0.5], [0.5, -math.inf]])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_cell_distribution_rejects_a_non_finite_point_before_drawing(monkeypatch, x,
+                                                                          workers):
+    # nan fails every comparison, so the interior check is written for it to fail there
+    def no_sampling(*args):
+        raise AssertionError("partitions were drawn for a point that is not interior")
+
+    monkeypatch.setattr(harness, "_sample_legs", no_sampling)
+    with pytest.raises(ValueError, match="x must be strictly interior to the unit cube"):
+        verify_cell_distribution(2, 5.0, x, samples=10, seed=1, workers=workers)
+
+
 def test_cell_distribution_atoms_shrink_with_lifetime():
     small = verify_cell_distribution(1, 2.0, [0.5], samples=400, seed=6)
     large = verify_cell_distribution(1, 8.0, [0.5], samples=400, seed=6)

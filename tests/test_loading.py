@@ -728,6 +728,39 @@ def test_bad_config_value_exits_two_with_one_line(tmp_path, capsys, config, mess
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, config, env, message", [
+    (["verify-leaf-count", "--lifetime", "1", "--samples", "abc"], None, None,
+     "--samples got 'abc'"),
+    (["verify-leaf-count", "--lifetime", "1"], "samples=abc\n", None, "--samples got 'abc'"),
+    (["verify-leaf-count", "--lifetime", "1"], '{"samples": "abc"}', None, "--samples got 'abc'"),
+    (["sample", "--lifetime", "x"], None, None, "--lifetime got 'x'"),
+    (["rate-sweep", "--n-grid", "8,16,x"], None, None, "--n-grid got '8,16,x'"),
+    (["risk", "--n", "16", "--lifetime", "1", "--trees", "x"], None, None, "--trees got 'x'"),
+    (["risk", "--n", "16", "--lifetime", "1"], '{"trees": 2.5}', None, "--trees got 2.5"),
+    (["sample", "--lifetime", "0"], None, "abc", "MF_SEED must be an integer, got 'abc'"),
+    (["sample", "--lifetime", "0"], None, " ", "MF_SEED must be an integer, got ' '"),
+], ids=["flag-samples", "config-line-samples", "config-json-samples", "flag-lifetime",
+        "flag-n-grid", "flag-trees", "config-json-trees-float", "mf-seed-word", "mf-seed-blank"])
+def test_a_value_that_fails_conversion_names_its_option(tmp_path, capsys, monkeypatch,
+                                                        argv, config, env, message):
+    # the conversion's own message names only the bad token, so the option is named before it
+    if config is not None:
+        path = tmp_path / "cfg.txt"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    if env is None:
+        monkeypatch.delenv("MF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MF_SEED", env)
+    assert_one_line_exit_two(run(argv), capsys.readouterr(), argv[0], message)
+
+
+def test_verify_cell_dist_refuses_a_nan_point_with_one_line(capsys):
+    code = run(["verify-cell-dist", "--lifetime", "1", "--x", "0.5,nan", "--samples", "10"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "verify-cell-dist",
+                             "x must be strictly interior to the unit cube")
+
+
 @pytest.mark.parametrize("text", ['{"d": 2, "d": 3}', '{"max-splits": 5, "max_splits": 100000}',
                                   "max-splits=5\nmax_splits=100000\n"],
                          ids=["json-repeated-key", "json-dash-and-underscore",

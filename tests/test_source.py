@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import mondrianforest
+from mondrianforest import cli
 
 SOURCES = sorted(Path(mondrianforest.__file__).parent.glob("*.py"))
 
@@ -126,6 +127,20 @@ def test_an_open_lower_edge_has_one_encoding():
     # cell side has a float inside is the only other nextafter
     assert _scopes_calling("nextafter") == [("partition.py", "BoxRegion._adopt"),
                                             ("partition.py", "_grow")]
+
+
+def test_cli_keeps_one_subcommand_table():
+    # cli._SUBCOMMANDS maps each subcommand to its handler and options, and the parser and
+    # run both read it; a second dict keyed by subcommand names could fall out of step
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    bound = {id(node.value): target.id for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    found = [bound.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+             if isinstance(node, ast.Dict) and len(set(cli._SUBCOMMANDS).intersection(
+                 key.value for key in node.keys if isinstance(key, ast.Constant))) >= 2]
+    assert found == ["_SUBCOMMANDS"]
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
