@@ -5,131 +5,26 @@ The package has four layers:
 * :mod:`mondrianforest.partition` — boxes and Mondrian partition sampling,
   pruning, lifetime extension, restriction, point location, serialization;
 * :mod:`mondrianforest.estimators` — tree and forest regressors, the plug-in
-  classifier, and the lifetime / forest-size schedules;
+  classifier, the lifetime / forest-size schedules, and model save/load
+  (``model_to_json`` and the ``*_model_to/from_dict`` functions);
 * :mod:`mondrianforest.oracles` — closed-form expectations and risk bounds
   used as ground truth;
 * :mod:`mondrianforest.harness` — Monte-Carlo experiments that verify the
   closed forms and the convergence-rate behavior.
 
+Each module's ``__all__`` is its one list of public names, and the package
+republishes all of them, with :mod:`mondrianforest.rng` first.
 ``mondrianforest.cli`` exposes all of it as the ``mondrian-forest`` command.
 """
 
-from .rng import RngStream
-from .partition import (
-    BoxRegion,
-    MondrianPartition,
-    PartitionNode,
-    SplitLimitError,
-    SplitRecord,
-    cell_l2_diameter,
-    extend,
-    leaf_cells,
-    leaf_count,
-    locate_leaf,
-    partition_from_dict,
-    partition_from_json,
-    partition_to_dict,
-    partition_to_json,
-    prune,
-    restrict,
-    sample_mondrian,
-)
-from .estimators import (
-    LeafStatistics,
-    MondrianForestModel,
-    MondrianTreeModel,
-    fit_forest,
-    fit_tree,
-    forest_size_schedule,
-    lifetime_schedule,
-    model_from_json,
-    model_to_json,
-    predict_class,
-    predict_forest,
-    predict_tree,
-    update_tree,
-)
-from .oracles import (
-    RiskBoundParams,
-    c2_risk_bound,
-    diameter_second_moment_bound,
-    diameter_tail_bound,
-    expected_leaf_count,
-    expected_leaf_count_box,
-    lipschitz_risk_bound,
-    tilde_f_1d,
-    tree_bias_exact_1d,
-    tree_lower_bound_1d,
-    truncated_exp_cdf,
-)
-from .harness import (
-    ExperimentReport,
-    SyntheticTask,
-    Verdict,
-    classification_sweep,
-    estimate_risk,
-    rate_sweep,
-    tree_vs_forest,
-    verify_cell_distribution,
-    verify_diameter,
-    verify_leaf_count,
-    verify_restriction,
-)
+from .rng import *
+from .partition import *
+from .estimators import *
+from .oracles import *
+from .harness import *
+from . import estimators, harness, oracles, partition, rng
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RngStream",
-    "BoxRegion",
-    "MondrianPartition",
-    "PartitionNode",
-    "SplitRecord",
-    "SplitLimitError",
-    "sample_mondrian",
-    "prune",
-    "extend",
-    "restrict",
-    "locate_leaf",
-    "leaf_cells",
-    "leaf_count",
-    "cell_l2_diameter",
-    "partition_to_dict",
-    "partition_from_dict",
-    "partition_to_json",
-    "partition_from_json",
-    "LeafStatistics",
-    "MondrianTreeModel",
-    "MondrianForestModel",
-    "fit_tree",
-    "predict_tree",
-    "update_tree",
-    "fit_forest",
-    "predict_forest",
-    "predict_class",
-    "lifetime_schedule",
-    "forest_size_schedule",
-    "model_to_json",
-    "model_from_json",
-    "RiskBoundParams",
-    "expected_leaf_count",
-    "expected_leaf_count_box",
-    "diameter_tail_bound",
-    "diameter_second_moment_bound",
-    "lipschitz_risk_bound",
-    "c2_risk_bound",
-    "tree_bias_exact_1d",
-    "tilde_f_1d",
-    "tree_lower_bound_1d",
-    "truncated_exp_cdf",
-    "SyntheticTask",
-    "Verdict",
-    "ExperimentReport",
-    "estimate_risk",
-    "verify_leaf_count",
-    "verify_cell_distribution",
-    "verify_diameter",
-    "verify_restriction",
-    "rate_sweep",
-    "tree_vs_forest",
-    "classification_sweep",
-]
+__all__ = [*rng.__all__, *partition.__all__, *estimators.__all__, *oracles.__all__,
+           *harness.__all__]

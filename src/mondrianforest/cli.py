@@ -161,12 +161,15 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
         raw = getattr(args, key, None)
         if raw is not None:
             merged[key] = _convert(opt, raw)
-    if merged.get("seed") is None:
-        env = os.environ.get("MF_SEED")
+    source = "--seed"
+    if merged["seed"] is None:
+        source, env = "MF_SEED", os.environ.get("MF_SEED")
         try:
             merged["seed"] = int(env) if env else 0
         except ValueError:
             raise ValueError(f"MF_SEED must be an integer, got {env!r}") from None
+    if not 0 <= merged["seed"] < 2**64:
+        raise ValueError(f"{source} must be a 64-bit unsigned integer, got {merged['seed']}")
     for key, opt in spec.items():
         if opt.required and merged[key] is None:
             raise ValueError(f"missing required option --{opt.name}")

@@ -345,11 +345,9 @@ class ExperimentReport:
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error; every caller refuses fewer than 2 values before drawing."""
     values = np.asarray(values, dtype=np.float64)
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def _verdict(name: str, statistic: float, holds, threshold: float, rule: str, n: int) -> Verdict:

@@ -34,13 +34,20 @@ __all__ = ["RngStream"]
 _BLOCK = 256
 
 
+def _natural(value, name: str) -> int:
+    """``value`` as an int >= 0; int() would truncate 2.5 and take True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+    return int(value)
+
+
 class RngStream:
     """Seedable deterministic random stream with scalar draw primitives.
 
     Parameters
     ----------
     seed : int
-        64-bit master seed.
+        64-bit master seed: an int or numpy integer, never a float or bool.
     path : tuple of int, optional
         Derivation path from the master seed; ``()`` for a root stream.
         Use :meth:`child` rather than passing paths by hand.
@@ -49,11 +56,10 @@ class RngStream:
     __slots__ = ("seed", "path", "counter", "_gen", "_block", "_state")
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
+        self.seed = _natural(seed, "seed")
+        if self.seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(_natural(p, "path entry") for p in path)
         self.counter = 0
         entropy = (self.seed,) + self.path
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
@@ -64,7 +70,7 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream; pure in ``(seed, path, index)``."""
-        return RngStream(self.seed, self.path + (int(index),))
+        return RngStream(self.seed, self.path + (index,))
 
     @property
     def generator(self) -> np.random.Generator:

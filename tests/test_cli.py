@@ -258,7 +258,8 @@ def test_fit_and_predict_roundtrip(tmp_path, capsys):
     assert len(out.splitlines()) == 3
 
 
-def test_predict_classify_flag(tmp_path, capsys):
+def fit_step_classifier(tmp_path, capsys):
+    """A model file fitted to the labels 1{x > 1/2} on 60 points."""
     rng = np.random.default_rng(1)
     X = rng.random((60, 1))
     y = (X[:, 0] > 0.5).astype(float)
@@ -268,10 +269,30 @@ def test_predict_classify_flag(tmp_path, capsys):
     model_path = tmp_path / "clf.json"
     assert invoke(["fit", "--data", str(data), "--lifetime", "4", "--trees", "8",
                    "--seed", "3", "--output", str(model_path)], capsys)[0] == 0
+    return model_path
+
+
+def test_predict_classify_flag(tmp_path, capsys):
+    model_path = fit_step_classifier(tmp_path, capsys)
     code, out, _ = invoke(["predict", "--model", str(model_path), "--point", "0.9",
                            "--classify"], capsys)
     assert code == 0
     assert json.loads(out)["predictions"] == [1]
+
+
+@pytest.mark.parametrize("value, classify", [("yes", True), ("off", False)])
+def test_predict_classify_reads_a_config_boolean(tmp_path, capsys, value, classify):
+    model_path = fit_step_classifier(tmp_path, capsys)
+    config = tmp_path / "predict.cfg"
+    config.write_text(f"classify={value}\n")
+    code, out, _ = invoke(["predict", "--model", str(model_path), "--point", "0.9",
+                           "--config", str(config)], capsys)
+    assert code == 0
+    [prediction] = json.loads(out)["predictions"]
+    if classify:
+        assert prediction == 1
+    else:
+        assert isinstance(prediction, float) and 0.5 < prediction <= 1.0
 
 
 def test_predict_requires_exactly_one_input(tmp_path, capsys):

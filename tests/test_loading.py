@@ -739,8 +739,23 @@ def test_bad_config_value_exits_two_with_one_line(tmp_path, capsys, config, mess
     (["risk", "--n", "16", "--lifetime", "1"], '{"trees": 2.5}', None, "--trees got 2.5"),
     (["sample", "--lifetime", "0"], None, "abc", "MF_SEED must be an integer, got 'abc'"),
     (["sample", "--lifetime", "0"], None, " ", "MF_SEED must be an integer, got ' '"),
+    (["sample", "--lifetime", "0", "--seed", "-1"], None, None,
+     "--seed must be a 64-bit unsigned integer, got -1"),
+    (["sample", "--lifetime", "0", "--seed", str(2**64)], None, None,
+     f"--seed must be a 64-bit unsigned integer, got {2**64}"),
+    (["sample", "--lifetime", "0"], "seed=-1\n", None,
+     "--seed must be a 64-bit unsigned integer, got -1"),
+    (["sample", "--lifetime", "0"], None, "-1", "MF_SEED must be a 64-bit unsigned integer, got -1"),
+    (["predict", "--model", "absent.json", "--point", "0.5"], "classify=maybe\n", None,
+     "--classify expects a boolean, got 'maybe'"),
+    (["rate-sweep", "--n-grid", ","], None, None,
+     "--n-grid got ',': expected a comma-separated list of integers"),
+    (["verify-cell-dist", "--lifetime", "1", "--x", ","], None, None,
+     "--x got ',': expected a comma-separated list of numbers"),
 ], ids=["flag-samples", "config-line-samples", "config-json-samples", "flag-lifetime",
-        "flag-n-grid", "flag-trees", "config-json-trees-float", "mf-seed-word", "mf-seed-blank"])
+        "flag-n-grid", "flag-trees", "config-json-trees-float", "mf-seed-word", "mf-seed-blank",
+        "flag-seed-negative", "flag-seed-2-to-the-64", "config-line-seed-negative",
+        "mf-seed-negative", "config-line-classify-maybe", "flag-n-grid-empty", "flag-x-empty"])
 def test_a_value_that_fails_conversion_names_its_option(tmp_path, capsys, monkeypatch,
                                                         argv, config, env, message):
     # the conversion's own message names only the bad token, so the option is named before it

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from mondrianforest import RngStream
+from mondrianforest import BoxRegion, RngStream, fit_forest
 
 
 def test_same_seed_same_draws():
@@ -108,6 +108,43 @@ def test_seed_validation():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(2**64)
+
+
+@pytest.mark.parametrize("seed, path, message", [
+    (2.5, (), "seed must be an int >= 0, got 2.5"),
+    (True, (), "seed must be an int >= 0, got True"),
+    (np.float64(3.0), (), "seed must be an int >= 0, got np.float64(3.0)"),
+    (-1, (), "seed must be an int >= 0, got -1"),
+    (7, (1.7,), "path entry must be an int >= 0, got 1.7"),
+    (7, (0, False), "path entry must be an int >= 0, got False"),
+    (7, (-1,), "path entry must be an int >= 0, got -1"),
+    (7, (np.int64(-2),), "path entry must be an int >= 0, got np.int64(-2)"),
+], ids=["seed-float", "seed-bool", "seed-numpy-float", "seed-negative", "path-float",
+        "path-bool", "path-negative", "path-numpy-negative"])
+def test_a_seed_or_path_entry_that_is_not_an_int_is_refused_not_truncated(seed, path, message):
+    # int() would turn 2.5 into 2 and True into 1, silently drawing another stream
+    with pytest.raises(ValueError) as exc:
+        RngStream(seed, path)
+    assert str(exc.value) == message
+
+
+def test_child_refuses_an_index_that_is_not_an_int():
+    with pytest.raises(ValueError, match="path entry must be an int >= 0, got 1.7"):
+        RngStream(7).child(1.7)
+
+
+def test_numpy_integer_seed_and_path_draw_as_python_ints():
+    s = RngStream(np.uint64(21), (np.int64(4), np.int32(7)))
+    assert (s.seed, s.path) == (21, (4, 7))
+    assert all(type(v) is int for v in (s.seed, *s.path))
+    assert [s.uniform() for _ in range(3)] == reference(21, (4, 7), 3)
+    assert s.child(np.int16(1)).path == (4, 7, 1)
+
+
+def test_fit_forest_refuses_a_float_master_seed():
+    X = np.array([[0.25], [0.75]])
+    with pytest.raises(ValueError, match="seed must be an int >= 0, got 2.5"):
+        fit_forest(BoxRegion.unit(1), 1, 1.0, 2, X, np.array([0.0, 1.0]), master_seed=2.5)
 
 
 # -- block-served scalar draws equal scalar Philox draws ---------------------

@@ -8,9 +8,25 @@ import sys
 from pathlib import Path
 
 import mondrianforest
-from mondrianforest import cli
+from mondrianforest import cli, estimators, harness, oracles, partition, rng
 
 SOURCES = sorted(Path(mondrianforest.__file__).parent.glob("*.py"))
+
+
+def test_the_package_republishes_each_modules_public_names():
+    # each module's __all__ is its one list of public names; __init__.py joins them
+    # rather than restating them, so a public addition is one edit
+    modules = (rng, partition, estimators, oracles, harness)
+    joined = [name for module in modules for name in module.__all__]
+    assert mondrianforest.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    assert [name for module in modules for name in module.__all__
+            if getattr(mondrianforest, name) is not getattr(module, name)] == []
+    init = ast.parse(Path(mondrianforest.__file__).read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(init)
+             if isinstance(node, (ast.List, ast.Tuple, ast.Set)) and node.elts
+             and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)]
+    assert found == []
 
 
 def test_no_assert_statements_in_the_package():
