@@ -10,7 +10,10 @@ extend to 5 on the same stream, prune back to 2.5 and restrict the extension.
 They fix the draws each operation takes from its stream, so a change in how
 ``RngStream`` serves uniforms shows here.  At d=1 the sample and extend legs
 are pinned the same way, since the sampler's one-axis cells take their own
-path through the axis draw.
+path through the axis draw.  The sample, extend and restrict legs are pinned
+at d=3 and d=8 on boxes whose sides are not powers of two: d=3 is the
+benchmark's law-verifier dimension, where sides sum in order, and d=8 is the
+first dimension numpy sums pairwise.
 
 The experiment reports are pinned too, one small report per experiment, as
 the sha256 of ``to_json()`` and of ``to_csv()``.  ``verify_leaf_count`` runs at
@@ -110,6 +113,42 @@ def test_d1_sample_and_extend_are_pinned(op):
         leaves += part.n_leaves
         draws += part.seed_provenance.get("draws", 0)
     assert (digest.hexdigest(), leaves, draws) == PINNED_D1[op]
+
+
+# (JSON digest, total leaves, total draws recorded in the operation's provenance)
+PINNED_SMALL = {
+    ("d3", "sample"): ("e47cb735da285367690e61a4518c0ce6eaa6c27969dc07cac3ac4f1cc8cf1507", 114, 426),
+    ("d3", "extend"): ("44b9911917a6262d4a94c357f0c49bc41dc2004a7f828fd0f7b055e9c570dc61", 475, 1444),
+    ("d3", "restrict"): ("00f594069f9a18b4b4e5759a8a2c2e98385b40f9a08cddf28906ee4501d2784e", 220, 0),
+    ("d8", "sample"): ("4c206a6949bd053474f0cfe71592b674489dbb3562c48db717449b2d425ae941", 190, 730),
+    ("d8", "extend"): ("bea487b9316781401cb4bfe266db82b5e52d1f2969c11657d79d8a4e8f84a685", 1948, 7032),
+    ("d8", "restrict"): ("6a1e762de9306500039b2f20d1d9ef4a0c049f4ff2eb175c7f7b715755b6f39f", 829, 0),
+}
+
+BOX3 = BoxRegion([-0.3, 0.1, 0.25], [0.7, 0.45, 1.9])
+SUB3 = BoxRegion([-0.1, 0.2, 0.3], [0.55, 0.4, 1.3])
+BOX8 = BoxRegion([-0.7 + 0.13 * j for j in range(8)], [0.1 + 0.17 * j for j in range(8)])
+SUB8 = BoxRegion([-0.6 + 0.13 * j for j in range(8)], [0.05 + 0.15 * j for j in range(8)])
+# (root box, restriction sub-box, sampled lifetime, extended lifetime)
+SMALL = {"d3": (BOX3, SUB3, 1.5, 3.0), "d8": (BOX8, SUB8, 0.5, 1.0)}
+
+
+@pytest.mark.parametrize("d, op", sorted(PINNED_SMALL))
+def test_d3_and_d8_legs_are_pinned(d, op):
+    # d=3 sums a cell's sides in order; d=8 is the first size numpy sums pairwise
+    box, sub, lifetime, longer = SMALL[d]
+    digest, leaves, draws = hashlib.sha256(), 0, 0
+    for seed in range(10):
+        rng = RngStream(seed, (box.dim,))
+        part = sample_mondrian(box, lifetime, rng)
+        if op != "sample":
+            part = extend(part, longer, rng)
+        if op == "restrict":
+            part = restrict(part, sub)
+        digest.update(partition_to_json(part).encode("utf-8"))
+        leaves += part.n_leaves
+        draws += part.seed_provenance.get("draws", 0)
+    assert (digest.hexdigest(), leaves, draws) == PINNED_SMALL[d, op]
 
 
 # (sha256 of to_json(), sha256 of to_csv())
