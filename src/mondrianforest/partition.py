@@ -25,8 +25,10 @@ Conventions, fixed so that sampling is bit-reproducible:
 
 * draw order per cell is clock, then split axis, then threshold;
   the left subtree is always processed before the right one;
-* a cell's linear dimension is summed in numpy's order (sequential below
-  8 axes, pairwise from 8 on), as ``(upper - lower).sum()`` does;
+* a cell's side lengths are carried from its parent, which sets only the
+  split axis's side, by the same ``upper - lower`` difference; its linear
+  dimension is their sum in numpy's order (sequential below 8 axes, pairwise
+  from 8 on), as ``(upper - lower).sum()`` does;
 * a point equal to a threshold belongs to the left child (closed-left);
 * thresholds are redrawn if they land exactly on a cell boundary;
 * degenerate cells (``|C| == 0``) never split and carry an infinite
@@ -426,9 +428,8 @@ def _check_lifetime(lifetime: float, name: str) -> None:
 
 
 def _linear_dimension(sides: list) -> float:
-    # the same bits as numpy's (upper - lower).sum(): in order below 8 terms,
-    # pairwise from 8 on (Python's own sum may compensate, so it is not used)
-    return float(np.sum(sides)) if len(sides) >= 8 else functools.reduce(operator.add, sides)
+    # numpy's pairwise sum, the bits of (upper - lower).sum() from 8 axes on
+    return float(np.sum(sides))
 
 
 def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
@@ -451,7 +452,11 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
         src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
     if rng is not None:
         exponential, categorical, uniform = rng.exponential, rng.categorical, rng.uniform
-    linear_dimension = _linear_dimension
+    # the same bits as numpy's (upper - lower).sum(): in order below 8 axes, by a
+    # C-level reduce that runs no Python frame per cell, pairwise from 8 on (Python's
+    # own sum may compensate, so it is not used)
+    linear_dimension = (_linear_dimension if box.dim >= 8
+                        else functools.partial(functools.reduce, operator.add))
     if box.dim == 1:
         # a one-axis cell's linear dimension is its side, and its axis is forced: the
         # draw spends the one uniform of a categorical draw (a cell that splits has a
@@ -463,15 +468,17 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
             return 0
     dims, thrs, clocks, rights = [], [], [], []
     drawn = 0
-    # (source node or -1, birth time, lower, upper, node whose right child
-    # this cell is or -1)
-    stack = [(0 if source is not None else -1, 0.0, box.lower.tolist(), box.upper.tolist(), -1)]
+    # (source node or -1, birth time, lower, upper, side lengths, node whose right
+    # child this cell is or -1); a split changes one side, so each child copies its
+    # parent's sides and sets the split axis's by the subtraction upper - lower would do
+    lower, upper = box.lower.tolist(), box.upper.tolist()
+    sides = [u - l for l, u in zip(lower, upper)]
+    stack = [(0 if source is not None else -1, 0.0, lower, upper, sides, -1)]
     while stack:
-        src, birth, lower, upper, parent = stack.pop()
+        src, birth, lower, upper, sides, parent = stack.pop()
         node = len(dims)
         if parent >= 0:
             rights[parent] = node
-        sides = [u - l for l, u in zip(lower, upper)]
         if src >= 0:
             while src_dim[src] >= 0:
                 axis, threshold = src_dim[src], src_thr[src]
@@ -508,10 +515,12 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
             left_src = right_src = -1
         dims.append(axis)
         thrs.append(threshold)
-        left_upper, right_lower = upper.copy(), lower.copy()
+        left_upper, right_lower, left_sides = upper.copy(), lower.copy(), sides.copy()
         left_upper[axis] = right_lower[axis] = threshold
-        stack.append((right_src, clock, right_lower, upper, node))
-        stack.append((left_src, clock, lower, left_upper, -1))
+        left_sides[axis] = threshold - lower[axis]
+        sides[axis] = upper[axis] - threshold
+        stack.append((right_src, clock, right_lower, upper, sides, node))
+        stack.append((left_src, clock, lower, left_upper, left_sides, -1))
     return dims, thrs, clocks, rights
 
 

@@ -76,6 +76,24 @@ def _calls(tree, name, scope=""):
         yield from _calls(node, name, inner)
 
 
+def test_draw_rules_live_only_in_the_stream():
+    # RngStream.exponential and RngStream.categorical hold the one copy of each draw
+    # rule; _grow takes them as bound methods, so a faster sampler cannot inline a
+    # second copy that would have to stay bit-identical with the first
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "log1p" in (getattr(node, "attr", None), getattr(node, "id", None),
+                            getattr(node, "name", None))]
+    assert [where for where in found if not where.startswith("rng.py:")] == []
+    assert _scopes_calling("log1p") == [("rng.py", "RngStream.exponential")]
+    tree = ast.parse(Path(partition.__file__).read_text(encoding="utf-8"))
+    grow = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_grow")
+    read = {node.attr for node in ast.walk(grow) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "rng"}
+    assert read == {"exponential", "categorical", "uniform"}
+
 def test_partition_node_views_have_one_constructor():
     # MondrianPartition._node is the one derivation of a view's cell and birth
     # time; a second PartitionNode(...) call would bring back a second one
