@@ -66,7 +66,7 @@ from .partition import (
     partition_to_dict,  # noqa: F401  the benchmark's tracer wraps this name here
     sample_mondrian,
 )
-from .rng import RngStream
+from .rng import RngStream, _natural
 
 __all__ = [
     "LeafStatistics",
@@ -326,7 +326,14 @@ class MondrianForestModel:
             raise ValueError("a forest needs at least one tree")
         self.trees = list(trees)
         self.lifetime = float(lifetime)
-        self.master_seed = master_seed if isinstance(master_seed, tuple) else int(master_seed)
+        # int() would truncate 2.5 and take True as 1, and the model file would then
+        # name a seed the trees were not grown from
+        entries = tuple(_natural(entry, "master_seed") for entry in
+                        (master_seed if isinstance(master_seed, tuple) else (master_seed,)))
+        if not entries or entries[0] >= 2**64:
+            raise ValueError(f"master_seed must be a 64-bit seed or a tuple of one and a path, "
+                             f"got {master_seed!r}")
+        self.master_seed = entries if isinstance(master_seed, tuple) else entries[0]
 
     @property
     def n_trees(self) -> int:

@@ -442,6 +442,23 @@ def test_classifier_tie_at_half_goes_to_class_one():
     assert predict_class(forest, np.array([0.25, 0.75])) == 1
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, (7, 1.5), (), 2**64])
+def test_forest_model_refuses_a_master_seed_it_would_truncate_or_could_not_load(seed):
+    tree = fit_tree(make_partition(lifetime=0.0), np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match="master_seed") as info:
+        MondrianForestModel([tree], 0.0, seed)
+    assert "\n" not in str(info.value)
+
+
+def test_forest_model_takes_numpy_int_seeds_as_python_ints():
+    tree = fit_tree(make_partition(lifetime=0.0), np.empty((0, 2)), np.empty(0))
+    root = MondrianForestModel([tree], 0.0, np.int64(7))
+    derived = MondrianForestModel([tree], 0.0, (np.uint64(7), np.int32(3)))
+    assert (type(root.master_seed), root.master_seed) == (int, 7)
+    assert derived.master_seed == (7, 3) and set(map(type, derived.master_seed)) == {int}
+    assert '"master_seed":[7,3]' in model_to_json(derived).replace(" ", "")
+
+
 def test_classifier_agrees_with_half_threshold_everywhere():
     rng = np.random.default_rng(9)
     X = rng.random((500, 2))
