@@ -32,10 +32,10 @@ on the rows as given, so its error names the caller's rows.
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
 columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
-The first schemas (``/1``) still load.  Both readers build each tree from a
-partition checked by ``partition._checked_partition`` (the ``/1`` reader
-through :func:`partition_from_dict`) and leaf statistics checked by
-:func:`_tree_model`, so a file of either schema gets every check.
+The first schemas (``/1``) still load.  ``partition._node_columns`` writes
+the node columns and ``partition._checked_partition`` reads them, a ``/1``
+tree's through :func:`partition_from_dict`; :func:`_tree_model` checks leaf
+statistics, so a file of either schema gets every check.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partition import (
-    _NUMBER,
     BoxRegion,
     MondrianPartition,
     _box_from_dict,
@@ -61,6 +60,7 @@ from .partition import (
     _field,
     _json_loads,
     _lifetime,
+    _node_columns,
     _typed,
     partition_from_dict,
     partition_to_dict,  # noqa: F401  the benchmark's tracer wraps this name here
@@ -458,17 +458,10 @@ def _odd_shift(total: int) -> tuple[int, int]:
 
 def _tree_columns(model: MondrianTreeModel) -> dict:
     """One tree as flat columns: preorder nodes, then one count and sum per leaf."""
-    p = model.partition
     odd, shift = zip(*map(_odd_shift, model._totals))
-    return {
-        "split_dim": p.split_dim.tolist(),
-        "threshold": p.threshold[p.split_dim >= 0].tolist(),
-        "clock": [None if math.isinf(c) else c for c in p.clock.tolist()],
-        "count": model._counts.tolist(),
-        "sum_odd": list(odd),
-        "sum_shift": list(shift),
-        "seed_provenance": p.seed_provenance,
-    }
+    return dict(zip(("split_dim", "threshold", "clock"), _node_columns(model.partition)),
+                count=model._counts.tolist(), sum_odd=list(odd), sum_shift=list(shift),
+                seed_provenance=model.partition.seed_provenance)
 
 
 def tree_model_to_dict(model: MondrianTreeModel) -> dict:
@@ -522,14 +515,8 @@ def _tree_model(partition: MondrianPartition, counts, totals, n_seen) -> Mondria
 
 
 def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
-    dims = _typed(block["split_dim"], {int}, "split_dim")
-    splits = _typed(block["threshold"], _NUMBER, "threshold")
-    clocks = _typed(block["clock"], _NUMBER | {type(None)}, "clock")
-    if len(splits) != sum(dim >= 0 for dim in dims) or len(clocks) != len(dims):
-        raise ValueError("threshold needs one value per split node and clock one per node")
-    splits = iter(splits)
-    thrs = [float(next(splits)) if dim >= 0 else 0.0 for dim in dims]
-    clocks = [math.inf if clock is None else float(clock) for clock in clocks]
+    partition = _checked_partition(box, lifetime, block["split_dim"], block["threshold"],
+                                   block["clock"], block.get("seed_provenance"))
     odd = _typed(block["sum_odd"], {int}, "sum_odd")
     shift = _typed(block["sum_shift"], {int}, "sum_shift")
     if len(odd) != len(shift):
@@ -539,7 +526,6 @@ def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> 
         if (o % 2 == 0 or not 0 <= k < _MAX_SUM_SHIFT) and (o, k) != (0, 0):
             raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
                              f"with a shift in [0, {_MAX_SUM_SHIFT})")
-    partition = _checked_partition(box, lifetime, dims, thrs, clocks, block.get("seed_provenance"))
     return _tree_model(partition, block["count"], list(map(operator.lshift, odd, shift)), n_seen)
 
 
@@ -574,21 +560,11 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
         raise ValueError(f"malformed tree model: {exc!r}") from None
 
 
-def _master_seed(value):
-    """A forest's JSON ``master_seed``: a 64-bit seed, or a list of one and a path."""
-    seed, path = (value[0], value[1:]) if isinstance(value, list) and value else (value, [])
-    if not (0 <= _field(seed, {int}, "master_seed") < 2**64
-            and all(_field(p, {int}, "master_seed path") >= 0 for p in path)):
-        raise ValueError(f"master_seed must be a 64-bit seed or a list of one and a path "
-                         f"of non-negative ints, got {value!r}")
-    return tuple(value) if isinstance(value, list) else value
-
-
 def forest_model_from_dict(data: dict) -> MondrianForestModel:
     """Inverse of :func:`forest_model_to_dict`, for ``/2`` and ``/1`` documents.
 
-    ValueError for a malformed document.  Beyond the tree checks,
-    ``master_seed`` must be a seed a forest can be grown from.  A ``/1`` file
+    ValueError for a malformed document.  ``master_seed`` (a JSON list is a
+    tuple) is checked by :class:`MondrianForestModel`.  A ``/1`` file
     stores each tree's lifetime, root box and ``n_seen``, so there the trees
     must share them, with the forest ``lifetime`` (see :func:`_check_shared`).
     """
@@ -604,7 +580,8 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
         else:
             trees = [_tree_from_v1(b) for b in blocks]
             _check_shared(trees, lifetime)
-        return MondrianForestModel(trees, lifetime, _master_seed(data["master_seed"]))
+        seed = data["master_seed"]
+        return MondrianForestModel(trees, lifetime, tuple(seed) if isinstance(seed, list) else seed)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed forest model: {exc!r}") from None
 

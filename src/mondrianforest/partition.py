@@ -66,6 +66,7 @@ __all__ = [
     "partition_from_dict",
     "partition_to_json",
     "partition_from_json",
+    "validate_partition",
 ]
 
 PARTITION_SCHEMA = "mondrian-partition/1"
@@ -632,8 +633,20 @@ def leaf_count(partition: MondrianPartition) -> int:
 
 def _checked_partition(box: BoxRegion, lifetime: float, dims, thrs, clocks,
                        provenance=None) -> MondrianPartition:
-    """The partition of valid preorder node lists; ValueError if they are invalid."""
+    """The one reader of the node columns; ValueError if they are invalid.
+
+    The columns are lists of JSON values, as :func:`_node_columns` writes them;
+    the checks are :func:`validate_partition`'s.
+    """
     _check_lifetime(lifetime, "lifetime")
+    _typed(dims, {int}, "split_dim")
+    _typed(thrs, _NUMBER, "threshold")
+    _typed(clocks, _NUMBER | {type(None)}, "clock")
+    if len(thrs) != sum(axis >= 0 for axis in dims) or len(clocks) != len(dims):
+        raise ValueError("threshold needs one value per split node and clock one per node")
+    splits = iter(thrs)
+    thrs = [float(next(splits)) if axis >= 0 else 0.0 for axis in dims]
+    clocks = [math.inf if c is None else float(c) for c in clocks]
     dim, rights = box.dim, []
     # (node whose right child this cell is or -1, birth time, lower, upper)
     stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]
@@ -663,20 +676,29 @@ def _checked_partition(box: BoxRegion, lifetime: float, dims, thrs, clocks,
     return MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
 
 
+def _node_columns(partition: MondrianPartition) -> tuple[list, list, list]:
+    """``(split_dim, threshold, clock)``, the one writer of the node columns of files.
+
+    ``threshold`` holds split nodes only, and ``clock`` None for an infinite clock.
+    """
+    p = partition
+    return (p.split_dim.tolist(), p.threshold[p.split_dim >= 0].tolist(),
+            [None if math.isinf(c) else c for c in p.clock.tolist()])
+
+
 def validate_partition(partition: MondrianPartition) -> None:
     """Check the structural invariants; raise ValueError on a violation.
 
-    The checks are :func:`_checked_partition`'s, which builds every loaded
-    partition: the node arrays form a preorder binary tree whose split axes
-    lie in ``[0, dim)``, thresholds are interior to their cells, split times
-    strictly exceed the parent's clock and stay within the lifetime, and leaf
-    pending clocks are past the lifetime; ``right`` is that tree's.
+    The checks of a loaded file, run on the partition's node columns: they
+    form a preorder binary tree whose split axes lie in ``[0, dim)``,
+    thresholds are interior to their cells, split times strictly exceed the
+    parent's clock and stay within the lifetime, and leaf pending clocks are
+    past the lifetime; ``right`` is that tree's, and leaf thresholds are 0.
     """
     p = partition
-    checked = _checked_partition(p.box, p.lifetime, p.split_dim.tolist(), p.threshold.tolist(),
-                                 p.clock.tolist())
+    checked = _checked_partition(p.box, p.lifetime, *_node_columns(p))
     if not checked.structurally_equal(p):
-        raise ValueError("right-child indices do not match the preorder tree")
+        raise ValueError("right-child indices or leaf thresholds do not match the preorder tree")
 
 
 _NUMBER = {int, float}
@@ -714,14 +736,11 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
     for an infinite clock.  Boxes and birth times are reconstructed from the
     split records on load.
     """
-    nodes = [
-        {"leaf": {"pending_clock": None if math.isinf(clock) else clock}}
-        if dim < 0
-        else {"split": {"dim": dim, "threshold": threshold, "time": clock}}
-        for dim, threshold, clock in zip(
-            partition.split_dim.tolist(), partition.threshold.tolist(), partition.clock.tolist()
-        )
-    ]
+    dims, thresholds, clocks = _node_columns(partition)
+    splits = iter(thresholds)
+    nodes = [{"leaf": {"pending_clock": clock}} if dim < 0
+             else {"split": {"dim": dim, "threshold": next(splits), "time": clock}}
+             for dim, clock in zip(dims, clocks)]
     out = {
         "schema": PARTITION_SCHEMA,
         "dim": partition.dim,
@@ -763,17 +782,14 @@ def partition_from_dict(data: dict) -> MondrianPartition:
         for rec in _field(data["nodes"], {list}, "nodes"):
             if "split" in rec:
                 split = rec["split"]
-                dims.append(_field(split["dim"], {int}, "split dim"))
-                if dims[-1] < 0:
+                dims.append(split["dim"])
+                thrs.append(split["threshold"])
+                clocks.append(split["time"])
+                if _field(dims[-1], {int}, "split dim") < 0:  # -1 would read as a leaf
                     raise ValueError(f"split dim {dims[-1]} is negative")
-                thrs.append(float(_field(split["threshold"], _NUMBER, "threshold")))
-                clocks.append(float(_field(split["time"], _NUMBER, "split time")))
             elif "leaf" in rec:
-                clock = rec["leaf"]["pending_clock"]
                 dims.append(-1)
-                thrs.append(0.0)
-                clocks.append(math.inf if clock is None
-                              else float(_field(clock, _NUMBER, "pending clock")))
+                clocks.append(rec["leaf"]["pending_clock"])
             else:
                 raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
         return _checked_partition(box, lifetime, dims, thrs, clocks, data.get("seed_provenance"))

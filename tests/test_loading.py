@@ -160,6 +160,16 @@ def test_validate_partition_raises_on_corrupted_arrays(field, index, value):
         validate_partition(bad)
 
 
+def test_validate_partition_refuses_a_threshold_at_a_leaf():
+    # no file holds a leaf's threshold, so the in-memory check refuses one that is not 0
+    threshold = PART.threshold.copy()
+    threshold[-1] = 0.3  # the last node in preorder is a leaf
+    bad = MondrianPartition(PART.box, PART.lifetime, PART.split_dim, threshold, PART.clock,
+                            PART.right)
+    with pytest.raises(ValueError, match="leaf thresholds"):
+        validate_partition(bad)
+
+
 def leaf_stats_entry(doc, value):
     doc["leaf_stats"][0] = value
 

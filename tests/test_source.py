@@ -155,6 +155,22 @@ def test_partitions_are_built_by_the_growth_ops_and_the_one_checked_constructor(
         for scope in ("_checked_partition", "extend", "prune", "restrict", "sample_mondrian")]
 
 
+def test_the_node_columns_have_one_writer_and_one_reader():
+    # partition and model files share one node encoding (split_dim per node, threshold
+    # per split node, clock per node with null for inf); partition._node_columns alone
+    # writes it and partition._checked_partition alone reads it, type checks included
+    assert _scopes_calling("_node_columns") == [
+        ("estimators.py", "_tree_columns"), ("partition.py", "partition_to_dict"),
+        ("partition.py", "validate_partition")]
+    assert _scopes_calling("_checked_partition") == [
+        ("estimators.py", "_tree_from_columns"), ("partition.py", "partition_from_dict"),
+        ("partition.py", "validate_partition")]
+    tree = ast.parse(Path(estimators.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_NUMBER" not in imported
+
+
 def test_an_open_lower_edge_has_one_encoding():
     # BoxRegion derives each axis's least member once (the next float up on an open
     # edge), and contains, contains_box and leaf_indices read it; _grow's check that a
