@@ -454,6 +454,13 @@ def test_rate_sweep_c2_schedule_reaches_smooth_rate():
     assert report.passed
     trees = [row["n_trees"] for row in report.grid]
     assert trees == sorted(trees) and trees[0] >= 1
+    # the paper's contrast: a single tree's bias stays lambda^-2, so on the same schedule
+    # its risk falls only like n^(-2/(d+4)) = n^-0.4; tree m of replicate r is drawn from
+    # the same stream in both sweeps, so the single tree is tree 0 of each forest
+    tree = rate_sweep(task, [2**k for k in range(8, 15)], "c2", 5.0, 1,
+                      replicates=16, seed=1, n_test=4096, eval_margin=0.1)
+    assert tree.oracle["slope"] > -0.65
+    assert tree.oracle["slope"] - report.oracle["slope"] > 0.25
 
 
 def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_two_dimensions():
