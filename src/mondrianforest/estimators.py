@@ -18,16 +18,21 @@ limbs each, at the label's own 32-bit offset counted from the smallest binary
 exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))``
 units of ``2^low``, so there are 3 limbs per label however far the exponents
 spread.  Labels are grouped by offset (ordinary data has one group).  Each
-tree sums every limb row of a group per leaf with one float64 ``bincount``,
-which is exact while at most 2^21 rows enter one sum (2^21 * 2^32 = 2^53), so
-longer inputs are summed in chunks of 2^21 rows; the sums are added as ints,
-and each leaf's limb and group sums fold into one Python int.  An update adds
-its one label's exact integer into its leaf directly.
+tree sums every limb row of a group per leaf with one float64 ``bincount``
+over the rows' leaf ranks, which is exact while at most 2^21 rows enter one
+sum (2^21 * 2^32 = 2^53), so longer inputs are summed in chunks of 2^21 rows;
+the sums are added as ints, and each leaf's limb and group sums fold into one
+Python int.  An update adds its one label's exact integer into its leaf
+directly.
 
-A 1-d forest fit sorts its rows by x once per forest, before the labels are
-split: row order changes no exact sum, and every tree then routes sorted keys,
-which ``searchsorted`` places several times faster.  The root-box check runs
-on the rows as given, so its error names the caller's rows.
+A 1-d forest fit routes no row.  It sorts its rows by x once per forest, before
+the labels are split (row order changes no exact sum), and keeps each group's
+limb rows as int64 prefix sums, exact below 2^31 rows (2^31 * 2^32 = 2^63).
+A 1-d leaf is an interval, so on the sorted rows it is a run found by placing
+the tree's sorted thresholds in the sorted x, and each of its limb sums is the
+difference of two prefix entries; the same fold makes the leaf's int.  A
+longer input routes its sorted rows and uses ``bincount``.  The lifetime and
+root-box checks run on the rows as given, so an error names the caller's rows.
 
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
@@ -116,6 +121,9 @@ def _scaled_int(value: float) -> int:
 # labels enter leaf sums as limbs below 2^32 in magnitude, and a float64 sum
 # of integers stays exact below 2^53, so one bincount sums at most 2^21 rows
 _CHUNK_ROWS = 1 << 21
+# an int64 prefix sum of such limbs stays exact below 2^63, so a 1-d forest sums
+# its leaves from prefix sums only for fewer rows than this
+_PREFIX_ROWS = 1 << 31
 _LIMB_MASK = (1 << 32) - 1
 
 
@@ -128,13 +136,18 @@ class _Limbs:
     ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
     is negative only when a label is subnormal.  Each group holds 3 rows, so the
     limbs take 3 values per label however far the labels' exponents spread.
+
+    When the labels belong to rows sorted by x, ``x`` holds that sorted
+    coordinate and each group holds, in place of its limbs, their int64 prefix
+    sums along the rows with a leading 0, shape (3, n_rows + 1).
     """
 
     groups: list  # (offset, rows, (3, n_rows) float64 of integers in (-2^32, 2^32))
     unit: int
+    x: np.ndarray | None = None
 
 
-def _split_limbs(y: np.ndarray) -> _Limbs:
+def _split_limbs(y: np.ndarray, x: np.ndarray | None = None) -> _Limbs:
     m, e = np.frexp(y)
     mant = (m * _MANT).astype(np.int64)  # y = mant * 2^(e - 53), |mant| < 2^53
     nonzero = mant != 0
@@ -154,7 +167,23 @@ def _split_limbs(y: np.ndarray) -> _Limbs:
     else:
         groups = [(o, rows, limbs[:, rows])
                   for o in offsets for rows in [np.flatnonzero(offset == o)]]
-    return _Limbs(groups, low - 53 + _SCALE_BITS)
+    if x is not None:
+        groups = [(o, rows, _prefix(group)) for o, rows, group in groups]
+    return _Limbs(groups, low - 53 + _SCALE_BITS, x)
+
+
+def _prefix(limbs: np.ndarray) -> np.ndarray:
+    """Exact int64 prefix sums of limb rows along the rows, with a leading 0."""
+    prefix = np.zeros((limbs.shape[0], limbs.shape[1] + 1), dtype=np.int64)
+    np.cumsum(limbs, axis=1, dtype=np.int64, out=prefix[:, 1:])
+    return prefix
+
+
+def _rank_sums(keys: np.ndarray, limb: np.ndarray, n_leaves: int) -> list:
+    """A limb row's sums per leaf rank, one float64 bincount per chunk of rows."""
+    return [np.bincount(keys[start:start + _CHUNK_ROWS], weights=limb[start:start + _CHUNK_ROWS],
+                        minlength=n_leaves).astype(np.int64)
+            for start in range(0, keys.size, _CHUNK_ROWS)]
 
 
 # a leaf's exact sum is at most its count times this (the largest float)
@@ -269,30 +298,44 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
                 base: MondrianTreeModel | None = None) -> MondrianTreeModel:
     """The one producer of leaf sums: the rows of ``X``, or ``base`` plus one row.
 
-    A batch brings its labels as :class:`_Limbs`, summed per leaf and limb by
-    ``bincount`` and folded into one exact int per leaf.  An update brings its
-    one label as an exact int in 2^-1074 units and adds it to the leaf it hits
-    (splitting one label into limbs costs more than the whole update).  Batch
-    fits, forest fits and updates all run this, so a fold of updates equals a
-    batch fit.
+    A batch brings its labels as :class:`_Limbs`, summed per leaf and limb and
+    folded into one exact int per leaf.  The limb sums come from ``bincount``
+    over the rows' leaf ranks or, when the labels carry rows sorted by x (a 1-d
+    forest), as differences of prefix sums at each leaf's first and last row, so
+    no row is routed.  An update brings its one label as an exact int in
+    2^-1074 units and adds it to the leaf it hits (splitting one label into
+    limbs costs more than the whole update).  Batch fits, forest fits and
+    updates all run this, so a fold of updates equals a batch fit.
     """
-    ranks = partition.leaf_indices(X)
     n_leaves = partition.n_leaves
-    counts = np.bincount(ranks, minlength=n_leaves)
-    if base is not None:
-        totals = list(base._totals)
-        totals[ranks.item()] += labels
-        return MondrianTreeModel(partition, counts + base._counts, totals)
+    if base is None and labels.x is not None:
+        # 1-d leaves are intervals in preorder, so on sorted rows leaf i holds the rows
+        # ends[i]:ends[i + 1]; a point on a threshold goes left (closed-left), as
+        # side="right" places it
+        thresholds = np.sort(partition.threshold[partition.split_dim >= 0])
+        ends = np.concatenate(([0], np.searchsorted(labels.x, thresholds, side="right"),
+                               [labels.x.size]))
+        counts = np.diff(ends)
+    else:
+        ranks = partition.leaf_indices(X)
+        counts = np.bincount(ranks, minlength=n_leaves)
+        if base is not None:
+            totals = list(base._totals)
+            totals[ranks.item()] += labels
+            return MondrianTreeModel(partition, counts + base._counts, totals)
     totals = None
     for offset, rows, limbs in labels.groups:
-        keys = ranks[rows]
+        if labels.x is None:
+            sums = [_rank_sums(ranks[rows], limb, n_leaves) for limb in limbs]
+        else:
+            # a group's rows are ascending positions in the sorted rows
+            at = ends if isinstance(rows, slice) else np.searchsorted(rows, ends)
+            sums = [[leaf_sums] for leaf_sums in np.diff(limbs[:, at], axis=1)]
         part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
-        for limb in limbs[::-1]:
+        for limb_sums in sums[::-1]:
             part <<= 32
-            for start in range(0, keys.size, _CHUNK_ROWS):
-                chunk = slice(start, start + _CHUNK_ROWS)
-                sums = np.bincount(keys[chunk], weights=limb[chunk], minlength=n_leaves)
-                part += sums.astype(np.int64)
+            for chunk_sums in limb_sums:
+                part += chunk_sums
         part = part << 32 * offset if offset else part
         totals = part if totals is None else totals + part
     totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
@@ -375,14 +418,15 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
     else:
         master = RngStream(master_seed)
     if d == 1:
-        # sums are exact, so row order changes no bit, and sorted keys make each tree's
-        # searchsorted several times cheaper; the first tree's lifetime and root-box
-        # checks run before the sort, so a bad input gets the same error, naming its rows
+        # sums are exact, so row order changes no bit; on sorted rows each tree's leaves
+        # are runs of rows, summed from prefix sums without routing any row.  The
+        # lifetime and root-box checks that routing made run before the sort, so a bad
+        # input gets the same error, naming its rows
         _check_lifetime(lifetime, "lifetime")
         _check_in_root_box(box, X)
         order = np.argsort(X[:, 0])
         X, y = X[order], y[order]
-    labels = _split_limbs(y)
+    labels = _split_limbs(y, X[:, 0] if d == 1 and X.shape[0] < _PREFIX_ROWS else None)
     trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, labels)
              for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)

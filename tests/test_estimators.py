@@ -404,20 +404,76 @@ def test_one_dimensional_forest_on_shuffled_rows_equals_a_per_tree_replay(n):
     assert predict_forest(forest, probe).tobytes() == (total / n_trees).tobytes()
 
 
-def test_one_dimensional_forest_routes_sorted_keys(monkeypatch):
-    # the once-per-forest sort is only a speed-up, so nothing else would notice it gone
-    keys = []
+def counting_routes(monkeypatch):
+    """Replace ``leaf_indices`` by a spy; the returned list gets each call's row shape."""
+    calls = []
     route = MondrianPartition.leaf_indices
 
     def spy(self, X):
-        keys.append(np.array(X)[:, 0])
+        calls.append(np.shape(X))
         return route(self, X)
 
     monkeypatch.setattr(MondrianPartition, "leaf_indices", spy)
+    return calls
+
+
+def test_one_dimensional_forest_routes_no_row_and_a_tree_fit_routes_once(monkeypatch):
+    # a 1-d forest sums each leaf as a run of its sorted rows; fit_tree still routes
+    calls = counting_routes(monkeypatch)
     X = np.random.default_rng(3).random((500, 1))
-    fit_forest(UNIT1, 1, 8.0, 4, X, X[:, 0], master_seed=2)
-    assert len(keys) == 4
-    assert all(np.all(np.diff(k) >= 0) for k in keys)
+    forest = fit_forest(UNIT1, 1, 8.0, 4, X, X[:, 0], master_seed=2)
+    assert calls == []
+    fit_tree(forest.trees[0].partition, X, X[:, 0])
+    assert calls == [(500, 1)]
+
+
+def test_one_int64_prefix_sum_stays_below_two_to_the_63():
+    # a limb is below 2^32 in magnitude, so a prefix over fewer rows than this fits an int64
+    assert estimators._PREFIX_ROWS * (2**32 - 1) < 2**63
+
+
+@pytest.mark.parametrize("offsets", ["one", "several"])
+@pytest.mark.parametrize("n", [0, 1, 2, 300])
+def test_one_dimensional_forest_sums_the_same_from_prefixes_and_from_ranks(monkeypatch, n,
+                                                                           offsets):
+    # from _PREFIX_ROWS rows on a 1-d forest routes its rows and sums limbs by bincount;
+    # at 0 every fit takes that source, which must give the prefix source's every bit
+    rng = np.random.default_rng(n)
+    lifetime, seed, n_trees = 7.0, 29, 6
+    first = sample_mondrian(UNIT1, lifetime, RngStream(seed).child(0))
+    ties = np.concatenate([first.threshold[first.split_dim >= 0], [0.0, 0.5, 1.0]])
+    X = np.where(rng.random((n, 1)) < 0.5, rng.choice(ties, size=(n, 1)), rng.random((n, 1)))
+    y = rng.standard_normal(n)
+    if offsets == "several":
+        y = y * np.exp2(rng.integers(-1074, 1000, n))
+        y[::7] = 5e-324
+    assert (len(estimators._split_limbs(y).groups) > 1) == (offsets == "several" and n >= 2)
+    calls = counting_routes(monkeypatch)
+    prefixes = fit_forest(UNIT1, 1, lifetime, n_trees, X, y, master_seed=seed)
+    assert calls == []
+    monkeypatch.setattr(estimators, "_PREFIX_ROWS", 0)
+    ranks = fit_forest(UNIT1, 1, lifetime, n_trees, X, y, master_seed=seed)
+    assert calls == [(n, 1)] * n_trees
+    for a, b in zip(prefixes.trees, ranks.trees):
+        assert a.partition.structurally_equal(b.partition)
+        assert a._counts.dtype == b._counts.dtype and same_statistics(a, b)
+
+
+@pytest.mark.parametrize("lifetime, rows, message", [
+    (3.0, [[0.5], [1.5], [0.2], [-0.1], [0.9], [math.nan]],
+     r"points outside the root box at indices [1, 3, 5]"),
+    (3.0, [[0.0], [1.0], [1.0000000000000002]], r"points outside the root box at indices [2]"),
+    (-1.0, [[0.5], [0.1]], "lifetime must be finite and >= 0, got -1.0"),
+    (math.inf, [[0.5], [2.0]], "lifetime must be finite and >= 0, got inf"),
+    (math.nan, [[0.5], [0.1]], "lifetime must be finite and >= 0, got nan"),
+])
+def test_one_dimensional_forest_refuses_bad_input_before_it_sorts(lifetime, rows, message):
+    # the sort and the prefix sums come after the checks routing used to make: the
+    # lifetime first, then the rows outside the box, named as the caller ordered them
+    X = np.array(rows)
+    with pytest.raises(ValueError) as info:
+        fit_forest(UNIT1, 1, lifetime, 3, X, np.zeros(len(rows)), master_seed=4)
+    assert str(info.value) == message
 
 
 # -- classification ----------------------------------------------------------
