@@ -461,8 +461,8 @@ def test_one_dimensional_forest_sums_the_same_from_prefixes_and_from_ranks(monke
 
 @pytest.mark.parametrize("lifetime, rows, message", [
     (3.0, [[0.5], [1.5], [0.2], [-0.1], [0.9], [math.nan]],
-     r"points outside the root box at indices [1, 3, 5]"),
-    (3.0, [[0.0], [1.0], [1.0000000000000002]], r"points outside the root box at indices [2]"),
+     "points outside the root box at indices [1, 3, 5]"),
+    (3.0, [[0.0], [1.0], [1.0000000000000002]], "points outside the root box at indices [2]"),
     (-1.0, [[0.5], [0.1]], "lifetime must be finite and >= 0, got -1.0"),
     (math.inf, [[0.5], [2.0]], "lifetime must be finite and >= 0, got inf"),
     (math.nan, [[0.5], [0.1]], "lifetime must be finite and >= 0, got nan"),
