@@ -17,22 +17,19 @@ A batch fit splits its labels once (once per forest) into three signed 32-bit
 limbs each, at the label's own 32-bit offset counted from the smallest binary
 exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))``
 units of ``2^low``, so there are 3 limbs per label however far the exponents
-spread.  Labels are grouped by offset (ordinary data has one group).  Each
-tree sums every limb row of a group per leaf with one float64 ``bincount``
-over the rows' leaf ranks, which is exact while at most 2^21 rows enter one
-sum (2^21 * 2^32 = 2^53), so longer inputs are summed in chunks of 2^21 rows;
-the sums are added as ints, and each leaf's limb and group sums fold into one
-Python int.  An update adds its one label's exact integer into its leaf
-directly.
+spread.  Labels are grouped by offset (ordinary data has one group), at most
+2^21 rows to a group, so any float64 or int64 sum of a group's limbs (each
+below 2^32 in magnitude) is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64
+``bincount`` over the rows' leaf ranks sums each limb row per leaf, and each
+leaf's limb and group sums fold into one Python int.  An update adds its one
+label's exact integer into its leaf directly.
 
-A 1-d forest fit routes no row.  It sorts its rows by x once per forest, before
-the labels are split (row order changes no exact sum), and keeps each group's
-limb rows as int64 prefix sums, exact below 2^31 rows (2^31 * 2^32 = 2^63).
-A 1-d leaf is an interval, so on the sorted rows it is a run found by placing
-the tree's sorted thresholds in the sorted x, and each of its limb sums is the
-difference of two prefix entries; the same fold makes the leaf's int.  A
-longer input routes its sorted rows and uses ``bincount``.  The lifetime and
-root-box checks run on the rows as given, so an error names the caller's rows.
+A 1-d forest fit routes no row.  It sorts its rows by x once per forest (row
+order changes no exact sum) and keeps each group's limb rows as int64 prefix
+sums.  A 1-d leaf is an interval, so on the sorted rows it is a run found by
+placing the tree's sorted thresholds in the sorted x, and each of its limb sums
+is the difference of two prefix entries.  The lifetime and root-box checks run
+on the rows as given, so an error names the caller's rows.
 
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
@@ -118,12 +115,10 @@ def _scaled_int(value: float) -> int:
     return mant >> (-shift)  # subnormal: the dropped bits are zero
 
 
-# labels enter leaf sums as limbs below 2^32 in magnitude, and a float64 sum
-# of integers stays exact below 2^53, so one bincount sums at most 2^21 rows
-_CHUNK_ROWS = 1 << 21
-# an int64 prefix sum of such limbs stays exact below 2^63, so a 1-d forest sums
-# its leaves from prefix sums only for fewer rows than this
-_PREFIX_ROWS = 1 << 31
+# labels enter leaf sums as limbs below 2^32 in magnitude, and a float64 sum (or an
+# int64 prefix sum) of integers stays exact below 2^53, so a label group holds at
+# most 2^21 rows
+_GROUP_ROWS = 1 << 21
 _LIMB_MASK = (1 << 32) - 1
 
 
@@ -132,10 +127,11 @@ class _Limbs:
     """Labels split for exact summation, grouped by limb offset.
 
     In the group ``(offset, rows, limbs)``, the i-th label that ``rows`` selects
-    (an index array, or ``slice(None)`` when one group holds every label) is
-    ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
-    is negative only when a label is subnormal.  Each group holds 3 rows, so the
-    limbs take 3 values per label however far the labels' exponents spread.
+    (ascending row indices, a slice of consecutive rows, or ``slice(None)`` for
+    every row) is ``sum_k limbs[k, i] << 32 (offset + k)`` units of
+    2^(unit - 1074); ``unit`` is negative only when a label is subnormal.  Each
+    group holds 3 rows, so the limbs take 3 values per label however far the
+    labels' exponents spread, and at most ``_GROUP_ROWS`` labels.
 
     When the labels belong to rows sorted by x, ``x`` holds that sorted
     coordinate and each group holds, in place of its limbs, their int64 prefix
@@ -162,11 +158,15 @@ def _split_limbs(y: np.ndarray, x: np.ndarray | None = None) -> _Limbs:
     limbs = np.array([sign * (lo & _LIMB_MASK), sign * (hi & _LIMB_MASK), sign * (hi >> 32)],
                      dtype=np.float64)
     offsets = np.flatnonzero(np.bincount(offset, minlength=1)).tolist() or [0]
-    if len(offsets) == 1:
+    if len(offsets) == 1 and y.size <= _GROUP_ROWS:
         groups = [(offsets[0], slice(None), limbs)]
+    elif len(offsets) == 1:  # views of consecutive rows, so the limbs are not copied
+        groups = [(offsets[0], slice(s, s + _GROUP_ROWS), limbs[:, s:s + _GROUP_ROWS])
+                  for s in range(0, y.size, _GROUP_ROWS)]
     else:
-        groups = [(o, rows, limbs[:, rows])
-                  for o in offsets for rows in [np.flatnonzero(offset == o)]]
+        groups = [(o, block, limbs[:, block]) for o in offsets
+                  for rows in [np.flatnonzero(offset == o)]
+                  for block in np.split(rows, range(_GROUP_ROWS, rows.size, _GROUP_ROWS))]
     if x is not None:
         groups = [(o, rows, _prefix(group)) for o, rows, group in groups]
     return _Limbs(groups, low - 53 + _SCALE_BITS, x)
@@ -177,13 +177,6 @@ def _prefix(limbs: np.ndarray) -> np.ndarray:
     prefix = np.zeros((limbs.shape[0], limbs.shape[1] + 1), dtype=np.int64)
     np.cumsum(limbs, axis=1, dtype=np.int64, out=prefix[:, 1:])
     return prefix
-
-
-def _rank_sums(keys: np.ndarray, limb: np.ndarray, n_leaves: int) -> list:
-    """A limb row's sums per leaf rank, one float64 bincount per chunk of rows."""
-    return [np.bincount(keys[start:start + _CHUNK_ROWS], weights=limb[start:start + _CHUNK_ROWS],
-                        minlength=n_leaves).astype(np.int64)
-            for start in range(0, keys.size, _CHUNK_ROWS)]
 
 
 # a leaf's exact sum is at most its count times this (the largest float)
@@ -298,17 +291,26 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
                 base: MondrianTreeModel | None = None) -> MondrianTreeModel:
     """The one producer of leaf sums: the rows of ``X``, or ``base`` plus one row.
 
-    A batch brings its labels as :class:`_Limbs`, summed per leaf and limb and
-    folded into one exact int per leaf.  The limb sums come from ``bincount``
-    over the rows' leaf ranks or, when the labels carry rows sorted by x (a 1-d
-    forest), as differences of prefix sums at each leaf's first and last row, so
-    no row is routed.  An update brings its one label as an exact int in
-    2^-1074 units and adds it to the leaf it hits (splitting one label into
-    limbs costs more than the whole update).  Batch fits, forest fits and
-    updates all run this, so a fold of updates equals a batch fit.
+    A batch brings its labels as :class:`_Limbs`.  Each group gives a (3,
+    n_leaves) int64 array of limb sums, from ``bincount`` over the rows' leaf
+    ranks or, when the labels carry rows sorted by x (a 1-d forest, which routes
+    no row), as differences of prefix sums at each leaf's first and last row;
+    the fold makes one exact int per leaf.  An update adds its one label, an
+    exact int in 2^-1074 units, and a count of 1 to the leaf it hits (splitting
+    one label into limbs costs more than the whole update).  Batch fits, forest
+    fits and updates all run this, so a fold of updates equals a batch fit.
     """
     n_leaves = partition.n_leaves
-    if base is None and labels.x is not None:
+    if base is not None:
+        rank = partition.leaf_indices(X).item()
+        counts, totals = base._counts.copy(), list(base._totals)
+        counts[rank] += 1
+        totals[rank] += labels
+        return MondrianTreeModel(partition, counts, totals)
+    if labels.x is None:
+        ranks = partition.leaf_indices(X)
+        counts = np.bincount(ranks, minlength=n_leaves)
+    else:
         # 1-d leaves are intervals in preorder, so on sorted rows leaf i holds the rows
         # ends[i]:ends[i + 1]; a point on a threshold goes left (closed-left), as
         # side="right" places it
@@ -316,26 +318,24 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         ends = np.concatenate(([0], np.searchsorted(labels.x, thresholds, side="right"),
                                [labels.x.size]))
         counts = np.diff(ends)
-    else:
-        ranks = partition.leaf_indices(X)
-        counts = np.bincount(ranks, minlength=n_leaves)
-        if base is not None:
-            totals = list(base._totals)
-            totals[ranks.item()] += labels
-            return MondrianTreeModel(partition, counts + base._counts, totals)
     totals = None
     for offset, rows, limbs in labels.groups:
         if labels.x is None:
-            sums = [_rank_sums(ranks[rows], limb, n_leaves) for limb in limbs]
+            sums = np.array([np.bincount(ranks[rows], weights=limb, minlength=n_leaves)
+                             for limb in limbs], dtype=np.int64)
         else:
-            # a group's rows are ascending positions in the sorted rows
-            at = ends if isinstance(rows, slice) else np.searchsorted(rows, ends)
-            sums = [[leaf_sums] for leaf_sums in np.diff(limbs[:, at], axis=1)]
+            # the run ends counted in the group's own rows (see _Limbs)
+            if isinstance(rows, np.ndarray):
+                at = np.searchsorted(rows, ends)
+            elif rows.start is None:
+                at = ends
+            else:
+                at = np.clip(ends, rows.start, rows.stop) - rows.start
+            sums = np.diff(limbs[:, at], axis=1)
         part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
         for limb_sums in sums[::-1]:
             part <<= 32
-            for chunk_sums in limb_sums:
-                part += chunk_sums
+            part += limb_sums
         part = part << 32 * offset if offset else part
         totals = part if totals is None else totals + part
     totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
@@ -419,14 +419,13 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
         master = RngStream(master_seed)
     if d == 1:
         # sums are exact, so row order changes no bit; on sorted rows each tree's leaves
-        # are runs of rows, summed from prefix sums without routing any row.  The
-        # lifetime and root-box checks that routing made run before the sort, so a bad
-        # input gets the same error, naming its rows
+        # are runs of rows, summed from prefix sums without routing any row.  The checks
+        # that routing made run before the sort, so a bad input's error names its rows
         _check_lifetime(lifetime, "lifetime")
         _check_in_root_box(box, X)
         order = np.argsort(X[:, 0])
         X, y = X[order], y[order]
-    labels = _split_limbs(y, X[:, 0] if d == 1 and X.shape[0] < _PREFIX_ROWS else None)
+    labels = _split_limbs(y, X[:, 0] if d == 1 else None)
     trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, labels)
              for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)

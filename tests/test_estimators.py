@@ -246,20 +246,26 @@ def test_limb_sums_equal_the_python_int_reference(labels, seed):
     assert fit_tree(part, X, y)._totals == reference_sums(part, X, y)
 
 
-def test_one_float_bincount_stays_below_two_to_the_53():
-    # a limb is below 2^32 in magnitude, so a float sum of this many is an exact integer
-    assert estimators._CHUNK_ROWS * 2**32 <= 2**53
+def test_a_label_group_sums_exactly_in_float64_and_in_int64():
+    # a limb is below 2^32 in magnitude, so over a group's rows a float64 sum is an
+    # exact integer and an int64 prefix sum cannot wrap
+    assert estimators._GROUP_ROWS * 2**32 <= 2**53
+    assert estimators._GROUP_ROWS * (2**32 - 1) < 2**63
 
 
 def test_limb_sums_stay_exact_across_row_chunks(monkeypatch):
     rng = np.random.default_rng(12)
     X = rng.random((200, 2))
-    y = rng.standard_normal(200) * np.exp2(rng.integers(-1074, 1000, 200))
     part = make_partition(seed=5)
-    whole = fit_tree(part, X, y)
-    monkeypatch.setattr(estimators, "_CHUNK_ROWS", 7)
-    chunked = fit_tree(part, X, y)
-    assert chunked._totals == whole._totals == reference_sums(part, X, y)
+    # labels at many limb offsets split into index blocks, labels at one into views
+    for y in (rng.standard_normal(200) * np.exp2(rng.integers(-1074, 1000, 200)),
+              rng.standard_normal(200)):
+        whole = fit_tree(part, X, y)
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", 7)
+        assert max(limbs.shape[1] for _, _, limbs in estimators._split_limbs(y).groups) <= 7
+        chunked = fit_tree(part, X, y)
+        monkeypatch.undo()
+        assert chunked._totals == whole._totals == reference_sums(part, X, y)
 
 
 def test_one_tiny_label_keeps_three_limb_rows():
@@ -427,36 +433,77 @@ def test_one_dimensional_forest_routes_no_row_and_a_tree_fit_routes_once(monkeyp
     assert calls == [(500, 1)]
 
 
-def test_one_int64_prefix_sum_stays_below_two_to_the_63():
-    # a limb is below 2^32 in magnitude, so a prefix over fewer rows than this fits an int64
-    assert estimators._PREFIX_ROWS * (2**32 - 1) < 2**63
+def assert_forest_trees_are_tree_fits(monkeypatch, box, X, y, routed):
+    """Fit a forest in one label group and in groups of at most 7 rows; every tree
+    equals ``fit_tree`` on its partition (ranks and ``bincount``), and both fits
+    give the same bits.  ``routed`` is the forest's expected ``leaf_indices`` calls."""
+    n = len(y)
+    calls = counting_routes(monkeypatch)
+    fits = []
+    for group_rows in (estimators._GROUP_ROWS, 7):
+        monkeypatch.setattr(estimators, "_GROUP_ROWS", group_rows)
+        groups = estimators._split_limbs(y).groups
+        assert sum(limbs.shape[1] for _, _, limbs in groups) == n
+        assert max(limbs.shape[1] for _, _, limbs in groups) <= group_rows
+        calls.clear()
+        fits.append(fit_forest(box, box.dim, 7.0, 6, X, y, master_seed=29).trees)
+        assert calls == routed
+        for tree in fits[-1]:
+            replay = fit_tree(tree.partition, X, y)
+            assert tree._counts.dtype == replay._counts.dtype and same_statistics(tree, replay)
+    for a, b in zip(*fits):
+        assert a.partition.structurally_equal(b.partition) and same_statistics(a, b)
 
 
-@pytest.mark.parametrize("offsets", ["one", "several"])
-@pytest.mark.parametrize("n", [0, 1, 2, 300])
-def test_one_dimensional_forest_sums_the_same_from_prefixes_and_from_ranks(monkeypatch, n,
-                                                                           offsets):
-    # from _PREFIX_ROWS rows on a 1-d forest routes its rows and sums limbs by bincount;
-    # at 0 every fit takes that source, which must give the prefix source's every bit
-    rng = np.random.default_rng(n)
-    lifetime, seed, n_trees = 7.0, 29, 6
-    first = sample_mondrian(UNIT1, lifetime, RngStream(seed).child(0))
-    ties = np.concatenate([first.threshold[first.split_dim >= 0], [0.0, 0.5, 1.0]])
-    X = np.where(rng.random((n, 1)) < 0.5, rng.choice(ties, size=(n, 1)), rng.random((n, 1)))
+def labels_at(rng, n, offsets):
+    """Normal labels at one limb offset, or spread over several with subnormals."""
     y = rng.standard_normal(n)
     if offsets == "several":
         y = y * np.exp2(rng.integers(-1074, 1000, n))
         y[::7] = 5e-324
+    return y
+
+
+@pytest.mark.parametrize("offsets", ["one", "several"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 300])
+def test_one_dimensional_forest_sums_the_same_from_prefixes_and_from_ranks(monkeypatch, n,
+                                                                           offsets):
+    # a 1-d forest sums each leaf from prefix sums of its sorted rows and routes none;
+    # fit_tree routes the rows and sums by bincount, and must give every bit, with half
+    # the rows tied on thresholds and box edges
+    rng = np.random.default_rng(n)
+    first = sample_mondrian(UNIT1, 7.0, RngStream(29).child(0))
+    ties = np.concatenate([first.threshold[first.split_dim >= 0], [0.0, 0.5, 1.0]])
+    X = np.where(rng.random((n, 1)) < 0.5, rng.choice(ties, size=(n, 1)), rng.random((n, 1)))
+    y = labels_at(rng, n, offsets)
     assert (len(estimators._split_limbs(y).groups) > 1) == (offsets == "several" and n >= 2)
+    assert_forest_trees_are_tree_fits(monkeypatch, UNIT1, X, y, routed=[])
+
+
+@pytest.mark.parametrize("offsets", ["one", "several"])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 300])
+def test_two_dimensional_forest_sums_the_same_in_groups_of_any_size(monkeypatch, n, offsets):
+    rng = np.random.default_rng(n)
+    X = np.where(rng.random((n, 2)) < 0.25, rng.choice([0.0, 0.5, 1.0], size=(n, 2)),
+                 rng.random((n, 2)))
+    assert_forest_trees_are_tree_fits(monkeypatch, UNIT2, X, labels_at(rng, n, offsets),
+                                      routed=[(n, 2)] * 6)
+
+
+def test_one_dimensional_forest_above_the_group_bound_equals_tree_fits(monkeypatch):
+    # one row more than a label group holds: the labels split into two views of the
+    # sorted rows, each with its own prefix sums, and still no row is routed
+    n = estimators._GROUP_ROWS + 1
+    rng = np.random.default_rng(21)
+    X = rng.random((n, 1))
+    y = rng.standard_normal(n)
+    assert [rows for _, rows, _ in estimators._split_limbs(y).groups] == [
+        slice(0, n - 1), slice(n - 1, 2 * n - 2)]
     calls = counting_routes(monkeypatch)
-    prefixes = fit_forest(UNIT1, 1, lifetime, n_trees, X, y, master_seed=seed)
+    forest = fit_forest(UNIT1, 1, 8.0, 2, X, y, master_seed=3)
     assert calls == []
-    monkeypatch.setattr(estimators, "_PREFIX_ROWS", 0)
-    ranks = fit_forest(UNIT1, 1, lifetime, n_trees, X, y, master_seed=seed)
-    assert calls == [(n, 1)] * n_trees
-    for a, b in zip(prefixes.trees, ranks.trees):
-        assert a.partition.structurally_equal(b.partition)
-        assert a._counts.dtype == b._counts.dtype and same_statistics(a, b)
+    for tree in forest.trees:
+        assert same_statistics(tree, fit_tree(tree.partition, X, y))
 
 
 @pytest.mark.parametrize("lifetime, rows, message", [

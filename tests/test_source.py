@@ -193,6 +193,31 @@ def test_cli_keeps_one_subcommand_table():
     assert found == ["_SUBCOMMANDS"]
 
 
+def _reads(tree, name, scope=""):
+    """The enclosing qualified name of every read of ``name``, bare or as an attribute."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+              or isinstance(node, ast.Attribute) and node.attr == name):
+            yield scope
+        yield from _reads(node, name, inner)
+
+
+def test_exact_leaf_sums_have_one_row_bound():
+    # a label group of at most _GROUP_ROWS rows keeps every float64 bincount and int64
+    # prefix sum of its limbs exact, and _split_limbs alone makes the groups; a second
+    # row bound would bring back a chunk loop or a size fallback beside it
+    modules = (mondrianforest, rng, partition, estimators, oracles, harness, cli)
+    assert sorted(Path(module.__file__) for module in modules) == SOURCES
+    assert [(module.__name__, name) for module in modules for name in vars(module)
+            if name.endswith("_ROWS")] == [("mondrianforest.estimators", "_GROUP_ROWS")]
+    assert sorted({(path.name, scope) for path in SOURCES for scope in
+                   _reads(ast.parse(path.read_text(encoding="utf-8")), "_GROUP_ROWS")}) == [
+        ("estimators.py", "_split_limbs")]
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
     # perfbench/tracing.py wraps package names by attribute (estimators.partition_to_dict
     # is imported there for it alone); removing one breaks the benchmark's traced run
