@@ -493,12 +493,12 @@ def test_two_dimensional_forest_sums_the_same_in_groups_of_any_size(monkeypatch,
 def test_one_dimensional_forest_above_the_group_bound_equals_tree_fits(monkeypatch):
     # one row more than a label group holds: the labels split into two views of the
     # sorted rows, each with its own prefix sums, and still no row is routed
-    n = estimators._GROUP_ROWS + 1
+    bound = estimators._GROUP_ROWS
     rng = np.random.default_rng(21)
-    X = rng.random((n, 1))
-    y = rng.standard_normal(n)
+    X = rng.random((bound + 1, 1))
+    y = rng.standard_normal(bound + 1)
     assert [rows for _, rows, _ in estimators._split_limbs(y).groups] == [
-        slice(0, n - 1), slice(n - 1, 2 * n - 2)]
+        slice(0, bound), slice(bound, 2 * bound)]
     calls = counting_routes(monkeypatch)
     forest = fit_forest(UNIT1, 1, 8.0, 2, X, y, master_seed=3)
     assert calls == []
