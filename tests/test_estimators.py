@@ -246,10 +246,15 @@ def test_limb_sums_equal_the_python_int_reference(labels, seed):
     assert fit_tree(part, X, y)._totals == reference_sums(part, X, y)
 
 
-def test_a_label_group_sums_exactly_in_float64_and_in_int64():
-    # a limb is below 2^32 in magnitude, so over a group's rows a float64 sum is an
-    # exact integer and an int64 prefix sum cannot wrap
+def test_one_float_bincount_stays_below_two_to_the_53():
+    # a limb is below 2^32 in magnitude, so a float64 sum over a label group's rows is
+    # an exact integer
     assert estimators._GROUP_ROWS * 2**32 <= 2**53
+
+
+def test_one_int64_prefix_sum_stays_below_two_to_the_63():
+    # a limb is below 2^32 in magnitude, so a prefix sum over a label group's rows fits
+    # an int64
     assert estimators._GROUP_ROWS * (2**32 - 1) < 2**63
 
 
