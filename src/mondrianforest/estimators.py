@@ -127,11 +127,11 @@ class _Limbs:
     """Labels split for exact summation, grouped by limb offset.
 
     In the group ``(offset, rows, limbs)``, the i-th label that ``rows`` selects
-    (ascending row indices, a slice of consecutive rows, or ``slice(None)`` for
-    every row) is ``sum_k limbs[k, i] << 32 (offset + k)`` units of
-    2^(unit - 1074); ``unit`` is negative only when a label is subnormal.  Each
-    group holds 3 rows, so the limbs take 3 values per label however far the
-    labels' exponents spread, and at most ``_GROUP_ROWS`` labels.
+    (ascending row indices or a slice of consecutive rows) is
+    ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
+    is negative only when a label is subnormal.  Each group holds 3 rows, so the
+    limbs take 3 values per label however far the labels' exponents spread, and
+    at most ``_GROUP_ROWS`` labels.
 
     When the labels belong to rows sorted by x, ``x`` holds that sorted
     coordinate and each group holds, in place of its limbs, their int64 prefix
@@ -158,11 +158,9 @@ def _split_limbs(y: np.ndarray, x: np.ndarray | None = None) -> _Limbs:
     limbs = np.array([sign * (lo & _LIMB_MASK), sign * (hi & _LIMB_MASK), sign * (hi >> 32)],
                      dtype=np.float64)
     offsets = np.flatnonzero(np.bincount(offset, minlength=1)).tolist() or [0]
-    if len(offsets) == 1 and y.size <= _GROUP_ROWS:
-        groups = [(offsets[0], slice(None), limbs)]
-    elif len(offsets) == 1:  # views of consecutive rows, so the limbs are not copied
+    if len(offsets) == 1:  # views of consecutive rows, so the limbs are not copied
         groups = [(offsets[0], slice(s, s + _GROUP_ROWS), limbs[:, s:s + _GROUP_ROWS])
-                  for s in range(0, y.size, _GROUP_ROWS)]
+                  for s in range(0, max(y.size, 1), _GROUP_ROWS)]
     else:
         groups = [(o, block, limbs[:, block]) for o in offsets
                   for rows in [np.flatnonzero(offset == o)]
@@ -325,12 +323,8 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
                              for limb in limbs], dtype=np.int64)
         else:
             # the run ends counted in the group's own rows (see _Limbs)
-            if isinstance(rows, np.ndarray):
-                at = np.searchsorted(rows, ends)
-            elif rows.start is None:
-                at = ends
-            else:
-                at = np.clip(ends, rows.start, rows.stop) - rows.start
+            at = (np.searchsorted(rows, ends) if isinstance(rows, np.ndarray)
+                  else np.clip(ends, rows.start, rows.stop) - rows.start)
             sums = np.diff(limbs[:, at], axis=1)
         part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
         for limb_sums in sums[::-1]:

@@ -63,17 +63,23 @@ def test_rng_module_owns_the_only_draw_path():
     assert list(_draw_path_uses(ast.parse(rng_source.read_text(encoding="utf-8"))))
 
 
-def _calls(tree, name, scope=""):
-    """The enclosing qualified name of every call to ``name`` in ``tree``."""
+def _scoped(tree, scope=""):
+    """Every node below ``tree`` with the qualified name of the scope that encloses it."""
     for node in ast.iter_child_nodes(tree):
+        yield scope, node
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-        elif isinstance(node, ast.Call):
+        yield from _scoped(node, inner)
+
+
+def _calls(tree, name):
+    """The enclosing qualified name of every call to ``name`` in ``tree``."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call):
             func = node.func
             if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
                 yield scope
-        yield from _calls(node, name, inner)
 
 
 def test_draw_rules_live_only_in_the_stream():
@@ -193,18 +199,6 @@ def test_cli_keeps_one_subcommand_table():
     assert found == ["_SUBCOMMANDS"]
 
 
-def _reads(tree, name, scope=""):
-    """The enclosing qualified name of every read of ``name``, bare or as an attribute."""
-    for node in ast.iter_child_nodes(tree):
-        inner = scope
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = f"{scope}.{node.name}" if scope else node.name
-        elif (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
-              or isinstance(node, ast.Attribute) and node.attr == name):
-            yield scope
-        yield from _reads(node, name, inner)
-
-
 def test_exact_leaf_sums_have_one_row_bound():
     # a label group of at most _GROUP_ROWS rows keeps every float64 bincount and int64
     # prefix sum of its limbs exact, and _split_limbs alone makes the groups; a second
@@ -213,8 +207,11 @@ def test_exact_leaf_sums_have_one_row_bound():
     assert sorted(Path(module.__file__) for module in modules) == SOURCES
     assert [(module.__name__, name) for module in modules for name in vars(module)
             if name.endswith("_ROWS")] == [("mondrianforest.estimators", "_GROUP_ROWS")]
-    assert sorted({(path.name, scope) for path in SOURCES for scope in
-                   _reads(ast.parse(path.read_text(encoding="utf-8")), "_GROUP_ROWS")}) == [
+    assert sorted({(path.name, scope) for path in SOURCES
+                   for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Name) and node.id == "_GROUP_ROWS"
+                   and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Attribute) and node.attr == "_GROUP_ROWS"}) == [
         ("estimators.py", "_split_limbs")]
 
 
