@@ -324,7 +324,7 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         else:
             # the run ends counted in the group's own rows (see _Limbs)
             at = (np.searchsorted(rows, ends) if isinstance(rows, np.ndarray)
-                  else np.clip(ends, rows.start, rows.stop) - rows.start)
+                  else np.maximum(np.minimum(ends, rows.stop) - rows.start, 0))
             sums = np.diff(limbs[:, at], axis=1)
         part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
         for limb_sums in sums[::-1]:
