@@ -13,13 +13,15 @@ commutative, which buys two properties float accumulation cannot offer:
 permuting the training data leaves every prediction bit-identical, and a fold
 of single-point updates equals a batch fit exactly.
 
-A batch fit splits its labels once (once per forest) into three signed 32-bit
-limbs each, at the label's own 32-bit offset counted from the smallest binary
+A batch fit splits its labels once (once per forest) into three 32-bit limbs
+each, at the label's own 32-bit offset counted from the smallest binary
 exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))``
 units of ``2^low``, so there are 3 limbs per label however far the exponents
-spread.  Labels are grouped by offset (ordinary data has one group), at most
-2^21 rows to a group, so any float64 or int64 sum of a group's limbs (each
-below 2^32 in magnitude) is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64
+spread.  The split is the label's two's complement: the two low limbs lie in
+[0, 2^32) and the top limb carries the sign, below 2^21 in magnitude.  Labels
+are grouped by offset (ordinary data has one group), at most 2^21 rows to a
+group, so any float64 or int64 sum of a group's limbs (each below 2^32 in
+magnitude) is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64
 ``bincount`` over the rows' leaf ranks sums each limb row per leaf, and each
 leaf's limb and group sums fold into one Python int.  An update adds its one
 label's exact integer into its leaf directly.
@@ -129,9 +131,10 @@ class _Limbs:
     In the group ``(offset, rows, limbs)``, the i-th label that ``rows`` selects
     (ascending row indices or a slice of consecutive rows) is
     ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
-    is negative only when a label is subnormal.  Each group holds 3 rows, so the
-    limbs take 3 values per label however far the labels' exponents spread, and
-    at most ``_GROUP_ROWS`` labels.
+    is negative only when a label is subnormal.  Limbs 0 and 1 lie in [0, 2^32)
+    and limb 2 holds the sign.  Each group holds 3 rows, so the limbs take 3
+    values per label however far the labels' exponents spread, and at most
+    ``_GROUP_ROWS`` labels.
 
     When the labels belong to rows sorted by x, ``x`` holds that sorted
     coordinate and each group holds, in place of its limbs, their int64 prefix
@@ -149,14 +152,12 @@ def _split_limbs(y: np.ndarray, x: np.ndarray | None = None) -> _Limbs:
     nonzero = mant != 0
     low = int(e[nonzero].min()) if nonzero.any() else 0
     offset, bit = np.divmod(np.where(nonzero, e - low, 0), 32)
-    mag = np.abs(mant)
-    # mag << bit spans three limbs: the low 32 bits shifted (< 2^63) and the
-    # high 21 bits shifted plus the carry out of the low part (< 2^53)
-    lo = (mag & _LIMB_MASK) << bit
-    hi = (lo >> 32) + ((mag >> 32) << bit)
-    sign = np.sign(mant)
-    limbs = np.array([sign * (lo & _LIMB_MASK), sign * (hi & _LIMB_MASK), sign * (hi >> 32)],
-                     dtype=np.float64)
+    # mant << bit in two's complement spans three limbs: the low 32 bits shifted
+    # (in [0, 2^63)) and the signed high 22 bits shifted plus the carry out of the
+    # low part (below 2^53 in magnitude); the top limb is that sum's signed high part
+    lo = (mant & _LIMB_MASK) << bit
+    hi = (lo >> 32) + ((mant >> 32) << bit)
+    limbs = np.array([lo & _LIMB_MASK, hi & _LIMB_MASK, hi >> 32], dtype=np.float64)
     offsets = np.flatnonzero(np.bincount(offset, minlength=1)).tolist() or [0]
     if len(offsets) == 1:  # views of consecutive rows, so the limbs are not copied
         groups = [(offsets[0], slice(s, s + _GROUP_ROWS), limbs[:, s:s + _GROUP_ROWS])

@@ -240,15 +240,12 @@ class SyntheticTask:
         return X, y
 
     def bayes_risk(self) -> float:
-        """0-1 risk of the optimal classifier, by quadrature to ~1e-6 or better."""
+        """0-1 risk of the optimal classifier, by quadrature to ~1e-6 or better.
+
+        Every probability target depends on x1 alone, so the risk is a 1-d integral.
+        """
         if not self.is_classification:
             raise ValueError("bayes_risk is defined for classification tasks")
-        probe = np.linspace(0.0, 1.0, 7)[:, None]
-        grid = np.tile(probe, (1, self.d))
-        varied = self.f(grid)
-        fixed_rest = self.f(np.hstack([probe, np.full((7, self.d - 1), 0.123)])) if self.d > 1 else varied
-        if self.d > 1 and not np.allclose(varied, fixed_rest):
-            raise NotImplementedError("quadrature assumes the probability depends on x1 only")
 
         def integrand(x1):
             eta = float(self.f(np.array([[x1] + [0.5] * (self.d - 1)]))[0])
@@ -310,8 +307,8 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "experiment": self.name,
             "config": self.config,
             "grid": self.grid,
@@ -319,12 +316,9 @@ class ExperimentReport:
             "verdicts": [v.to_dict() for v in self.verdicts],
             "passed": self.passed,
         }
-        if include_timing:
-            out["wall_clock_seconds"] = self.wall_clock
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=2, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
     def to_csv(self) -> str:
         """Grid rows as CSV (columns: n, lifetime, n_trees, risk, se, then
@@ -427,6 +421,9 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
     Every risk experiment builds its rows here, so each input is refused before
     any data is drawn.
     """
+    # int() would run 16.7 as 16 and True as 1, so only an int is taken, as for m_rule
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
     # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
@@ -441,14 +438,13 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
                          "(under schedule 'fixed' it is the scale)")
     if m_rule == "c2":
         n_trees = forest_size_schedule("c2", n, d)
-    # int() would turn 2.5 into 2 trees and True into 1, so only an int is taken
     elif isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
         raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
     elif m_rule < 1:
         raise ValueError("tree count must be >= 1")
     else:
         n_trees = int(m_rule)
-    return {"n": n, "lifetime": lifetime, "n_trees": n_trees}
+    return {"n": int(n), "lifetime": lifetime, "n_trees": n_trees}
 
 
 def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int,
@@ -788,7 +784,8 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     ``slope_tolerance`` (use at least 5 geometrically spaced sample sizes
     for a meaningful fit; fewer than 3 distinct sizes is an error).
     """
-    n_grid = [int(n) for n in n_grid]
+    grid = [_row(n, task.d, schedule, scale, m_rule) for n in n_grid]
+    n_grid = [row["n"] for row in grid]
     if len(set(n_grid)) < 3:
         raise ValueError("n_grid must contain at least 3 distinct sizes")
     if not 0.0 <= eval_margin < 0.5:
@@ -796,7 +793,6 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     if not 0.0 <= slope_tolerance < math.inf:
         raise ValueError("slope_tolerance must be finite and >= 0")
     t0 = time.perf_counter()
-    grid = [_row(n, task.d, schedule, scale, m_rule) for n in n_grid]
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)], _quadratic_risk,
                    eval_margin, replicates, n_test, seed, workers)
     if any(row["risk"] <= 0 for row in grid):
@@ -927,14 +923,14 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
     consecutive grid points beyond twice the joint standard error, so the
     sizes must increase strictly.
     """
-    n_grid = [int(n) for n in n_grid]
+    grid = [_row(n, d, schedule, scale, m_rule) for n in n_grid]
+    n_grid = [row["n"] for row in grid]
     if len(n_grid) < 2:
         raise ValueError("n_grid must contain at least 2 points")
     if any(a >= b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid sizes must increase strictly")
     t0 = time.perf_counter()
     task = SyntheticTask(kind="classification_d", d=d, target=target)
-    grid = [_row(n, d, schedule, scale, m_rule) for n in n_grid]
     bayes = task.bayes_risk()
     _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
                    _excess_classification_risk, bayes, replicates, n_test, seed, workers)

@@ -728,7 +728,7 @@ def _lifetime(data: dict) -> float:
     return float(_field(data["lifetime"], _NUMBER, "lifetime"))
 
 
-def partition_to_dict(partition: MondrianPartition, include_provenance: bool = True) -> dict:
+def partition_to_dict(partition: MondrianPartition) -> dict:
     """JSON-ready dict: root box plus depth-first node records.
 
     Internal nodes serialize as ``{"split": {"dim", "threshold", "time"}}``
@@ -741,16 +741,14 @@ def partition_to_dict(partition: MondrianPartition, include_provenance: bool = T
     nodes = [{"leaf": {"pending_clock": clock}} if dim < 0
              else {"split": {"dim": dim, "threshold": next(splits), "time": clock}}
              for dim, clock in zip(dims, clocks)]
-    out = {
+    return {
         "schema": PARTITION_SCHEMA,
         "dim": partition.dim,
         "lifetime": partition.lifetime,
         "box": _box_to_dict(partition.box),
         "nodes": nodes,
+        "seed_provenance": partition.seed_provenance,
     }
-    if include_provenance:
-        out["seed_provenance"] = partition.seed_provenance
-    return out
 
 
 def _box_to_dict(box: BoxRegion) -> dict:
@@ -797,8 +795,8 @@ def partition_from_dict(data: dict) -> MondrianPartition:
         raise ValueError(f"malformed partition document: {exc!r}") from None
 
 
-def partition_to_json(partition: MondrianPartition, **kwargs) -> str:
-    return json.dumps(partition_to_dict(partition, **kwargs), indent=2)
+def partition_to_json(partition: MondrianPartition) -> str:
+    return json.dumps(partition_to_dict(partition), indent=2)
 
 
 def _json_loads(text: str, what: str, **kwargs):

@@ -53,6 +53,20 @@ def test_task_constants_scale_with_dimension():
     assert lip.sup_f == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_probability_targets_depend_on_the_first_coordinate_alone(d):
+    # SyntheticTask.bayes_risk integrates min(eta, 1 - eta) over x1 alone
+    gen = np.random.default_rng(d)
+    X = gen.random((64, d))
+    moved = np.column_stack([X[:, 0], gen.random((64, d - 1))])
+    targets = [name for name, spec in harness._TARGETS.items()
+               if spec.eta_antiderivative is not None]
+    assert targets
+    for target in targets:
+        task = SyntheticTask(kind="classification_d", d=d, target=target)
+        assert np.array_equal(task.f(X), task.f(moved)), target
+
+
 def test_task_sampling_shapes_and_noise():
     from mondrianforest import RngStream
 
@@ -375,6 +389,51 @@ def test_reports_write_a_numpy_int_tree_count_as_an_int(sweep):
     assert report.to_json() == SWEEPS_OF_TREE_RULE[sweep](2).to_json()
 
 
+SWEEPS_OF_SIZE = {
+    "rate_sweep": lambda n: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [n, 32, 64], "lipschitz", 1.0, 1,
+        replicates=2, seed=1),
+    "classification_sweep": lambda n: classification_sweep(
+        1, [n, 64], "lipschitz", 1, replicates=2, seed=1),
+    "estimate_risk": lambda n: estimate_risk(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), n, 1.0, 1, replicates=2,
+        n_test=16, seed=1),
+    "tree_vs_forest": lambda n: tree_vs_forest(
+        32, [1.0, 4.0], 2, replicates=2, seed=1, n_test=16, curved_n=n),
+}
+
+
+@pytest.mark.parametrize("n, message", [
+    (16.7, r"n must be an int >= 1, got 16\.7"),
+    (True, r"n must be an int >= 1, got True"),
+    ("16", r"n must be an int >= 1, got '16'"),
+    (0, r"n must be >= 1"),
+])
+@pytest.mark.parametrize("sweep", sorted(SWEEPS_OF_SIZE))
+def test_risk_experiments_refuse_a_size_that_is_not_an_int_before_drawing(
+        monkeypatch, sweep, n, message):
+    # the sweeps used to run int(n): 16.7 ran at n = 16 and True at n = 1
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("data was drawn before the size was checked")
+
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        SWEEPS_OF_SIZE[sweep](n)
+
+
+def test_reports_write_numpy_int_sizes_as_ints():
+    # a grid row keeps its size as a Python int, which json.dumps can write
+    report = tree_vs_forest(np.int64(32), [1.0, 4.0], 3, 2, 0, n_test=64, curved_n=np.int64(64))
+    assert {type(row["n"]) for row in report.grid} == {int}
+    assert report.to_json() == tree_vs_forest(32, [1.0, 4.0], 3, 2, 0, n_test=64,
+                                              curved_n=64).to_json()
+    task = SyntheticTask(kind="lipschitz_1d", sigma=0.1)
+    sweep = rate_sweep(task, np.array([32, 64, 128]), "lipschitz", 1.0, 1, replicates=2,
+                       seed=1, n_test=16)
+    assert sweep.to_json() == rate_sweep(task, [32, 64, 128], "lipschitz", 1.0, 1,
+                                         replicates=2, seed=1, n_test=16).to_json()
+
+
 SWEEPS_OF_SCHEDULE = {
     "rate_sweep": lambda schedule: rate_sweep(
         SyntheticTask(kind="lipschitz_1d", sigma=0.1), [64, 128, 256], schedule, 1.0, 1,
@@ -584,7 +643,6 @@ def test_report_json_excludes_timing_by_default():
     report = verify_leaf_count(1, 2.0, samples=200, seed=13)
     assert report.wall_clock > 0
     assert "wall_clock" not in report.to_json()
-    assert "wall_clock_seconds" in report.to_json(include_timing=True)
 
 
 def test_report_csv_column_order():

@@ -762,10 +762,13 @@ def test_bad_config_value_exits_two_with_one_line(tmp_path, capsys, config, mess
      "--n-grid got ',': expected a comma-separated list of integers"),
     (["verify-cell-dist", "--lifetime", "1", "--x", ","], None, None,
      "--x got ',': expected a comma-separated list of numbers"),
+    (["sample", "--lifetime", "0", "--format", "xml"], None, None, "unknown format 'xml'"),
+    (["sample", "--lifetime", "0"], "d 2\n", None, "line 1: expected key=value"),
 ], ids=["flag-samples", "config-line-samples", "config-json-samples", "flag-lifetime",
         "flag-n-grid", "flag-trees", "config-json-trees-float", "mf-seed-word", "mf-seed-blank",
         "flag-seed-negative", "flag-seed-2-to-the-64", "config-line-seed-negative",
-        "mf-seed-negative", "config-line-classify-maybe", "flag-n-grid-empty", "flag-x-empty"])
+        "mf-seed-negative", "config-line-classify-maybe", "flag-n-grid-empty", "flag-x-empty",
+        "flag-format-xml", "config-line-without-equals"])
 def test_a_value_that_fails_conversion_names_its_option(tmp_path, capsys, monkeypatch,
                                                         argv, config, env, message):
     # the conversion's own message names only the bad token, so the option is named before it
@@ -838,6 +841,14 @@ def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, l
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert line in captured.err
+
+
+def test_fit_on_a_data_file_without_y_exits_two_with_one_line(tmp_path, capsys):
+    # predict takes such a file, so this case stands outside the table above
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2\n0.5,0.5\n")
+    code = run(["fit", "--data", str(data), "--lifetime", "1"])
+    assert_one_line_exit_two(code, capsys.readouterr(), "fit", "fit needs a y column")
 
 
 def test_fit_names_the_file_row_outside_the_box_in_one_dimension(tmp_path, capsys):

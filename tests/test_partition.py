@@ -264,6 +264,48 @@ def test_first_split_dimension_frequency():
     assert abs(freq - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / len(picks))
 
 
+class ZeroAt(RngStream):
+    """A stream that hands out an extra 0.0 as its scalar draw number ``at``.
+
+    The draws around it are those of ``RngStream(seed)``, so a rule that redraws
+    the 0.0 reproduces the plain stream's result with one more draw counted.
+    """
+
+    def __init__(self, seed, at):
+        super().__init__(seed)
+        self.at = at
+
+    def uniform(self):
+        if self.counter + 1 == self.at:
+            self.counter += 1
+            return 0.0
+        return super().uniform()
+
+
+def test_a_threshold_on_the_cell_edge_is_redrawn():
+    # the root draws its clock, its axis and then its threshold: a 0.0 as the third
+    # draw puts the threshold on the lower edge, and one more uniform replaces it
+    plain = sample(8, 3.0)
+    scripted = sample_mondrian(UNIT2, 3.0, ZeroAt(8, 3))
+    assert plain.root.split is not None
+    assert 0.0 < scripted.root.split.threshold < 1.0
+    assert scripted.structurally_equal(plain)
+    assert scripted.seed_provenance["draws"] == plain.seed_provenance["draws"] + 1
+
+
+def test_a_uniform_of_zero_is_redrawn_for_a_clock():
+    # -log1p(-0.0) / rate is a clock of 0, which would not keep split times increasing
+    rng = ZeroAt(8, 1)
+    clock = rng.exponential(2.0)
+    assert math.isfinite(clock) and clock > 0
+    assert clock == RngStream(8).exponential(2.0)
+    assert rng.counter == 2
+    # the root's clock is the sampler's first draw
+    scripted = sample_mondrian(UNIT2, 3.0, ZeroAt(8, 1))
+    assert scripted.structurally_equal(sample(8, 3.0))
+    assert scripted.seed_provenance["draws"] == sample(8, 3.0).seed_provenance["draws"] + 1
+
+
 # -- covering and location ---------------------------------------------------
 
 def test_locate_single_leaf_returns_root():
@@ -546,8 +588,7 @@ def test_json_emission_is_bit_stable():
     part = sample(51, 5.0)
     assert partition_to_json(part) == partition_to_json(part)
     clone = partition_from_json(partition_to_json(part))
-    assert partition_to_json(clone, include_provenance=False) == \
-        partition_to_json(part, include_provenance=False)
+    assert partition_to_json(clone) == partition_to_json(part)
 
 
 def test_json_schema_tag_is_checked():

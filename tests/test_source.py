@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -213,6 +214,14 @@ def test_exact_leaf_sums_have_one_row_bound():
                    and isinstance(node.ctx, ast.Load)
                    or isinstance(node, ast.Attribute) and node.attr == "_GROUP_ROWS"}) == [
         ("estimators.py", "_split_limbs")]
+
+
+def test_artifact_writers_take_only_the_artifact():
+    # partitions are written with their seed provenance and reports without their
+    # timing, always; a switch that drops or adds a field would write a second format
+    writers = (partition.partition_to_dict, partition.partition_to_json,
+               harness.ExperimentReport.to_dict, harness.ExperimentReport.to_json)
+    assert [len(inspect.signature(writer).parameters) for writer in writers] == [1] * 4
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(monkeypatch):
