@@ -729,7 +729,7 @@ def _lifetime(data: dict) -> float:
 
 
 def partition_to_dict(partition: MondrianPartition) -> dict:
-    """JSON-ready dict: root box plus depth-first node records.
+    """JSON-ready dict: root box, depth-first node records and seed provenance.
 
     Internal nodes serialize as ``{"split": {"dim", "threshold", "time"}}``
     (0-based axis), leaves as ``{"leaf": {"pending_clock"}}`` with ``null``
