@@ -23,6 +23,11 @@ report exists only in the CLI, so its two pins are the bytes of the files
 that ``risk`` writes: one with a fixed lifetime and tree count, one with the
 C² schedule and the ``c2`` tree rule.
 
+The CLI's own bytes are pinned from one small ``fit``: its model file, the
+``predict`` files in JSON and CSV for values and ``--classify`` from both
+``--data`` and ``--point``, and the ``--help`` text of the top level and of
+each subcommand at 80 columns.
+
 The digests are fixed: a change that alters them alters the sampler or a
 verdict.
 """
@@ -228,3 +233,79 @@ def test_risk_report_bytes_are_pinned(run, tmp_path):
         assert cli.run(argv.split() + ["--format", fmt, "--output", str(path)]) == 0
         written.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert written == digests
+
+
+def write_rows(path, header, rows):
+    path.write_text("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
+
+
+def fit_small_model(tmp_path):
+    """Fit the pinned 3-tree 2-d model; returns the model path and a query CSV path."""
+    X = RngStream(9).generator.random((64, 2))
+    y = (X[:, 0] > X[:, 1]).astype(float)
+    train, query, model = tmp_path / "train.csv", tmp_path / "query.csv", tmp_path / "model.json"
+    write_rows(train, "x1,x2,y", [[a, b, c] for (a, b), c in zip(X.tolist(), y.tolist())])
+    write_rows(query, "x1,x2", RngStream(9, (1,)).generator.random((16, 2)).tolist())
+    assert cli.run(["fit", "--data", str(train), "--lifetime", "4", "--trees", "3",
+                    "--seed", "7", "--output", str(model)]) == 0
+    return model, query
+
+
+def sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+PINNED_MODEL = "e21a14ac8a958524aede20a7022c2058afe11402c457856c92bf43cfa1fa5afb"
+
+# (input, predicted kind, format) -> sha256 of the file predict writes
+PINNED_PREDICT = {
+    ("data", "values", "json"): "59a8e2a9ba119c0dd278799e186c33fcda6f032e93c9ec1e92fe3a156ef5a7e7",
+    ("data", "values", "csv"): "e60a4318c30cd9106984f4bccc35a0ac0245335e0dd242d88ac235d9e4230e38",
+    ("data", "classes", "json"): "97a35716b258e2f866e86925ee253913fb2e97d5a4e33e725a16e528b75724cc",
+    ("data", "classes", "csv"): "e09c7acbb76b407f090c81dfa1d2494858909978b8d371c345ea6425c6866316",
+    ("point", "values", "json"): "61d0621001618ab03f8f03d4fa6aafca3b22c69dfc2db7c26aa27ae2a73f5bb7",
+    ("point", "values", "csv"): "991da8b87f29211d2a8abe6ef41c0ba0c1a5b6c1d4496c48036deb505d8dbcaa",
+    ("point", "classes", "json"): "03285d306edd3be6010013f57aa13363658370c3a75ec8f893e550a15535ccd8",
+    ("point", "classes", "csv"): "4dbee3e1b1dcfe6a005df56eedaef33033c5099b264dfd67612a8b20978d61bc",
+}
+
+
+def test_cli_fit_and_predict_bytes_are_pinned(tmp_path):
+    model, query = fit_small_model(tmp_path)
+    assert sha256_file(model) == PINNED_MODEL
+    written = {}
+    for source, inputs in (("data", ["--data", str(query)]), ("point", ["--point", "0.25,0.75"])):
+        for kind, flags in (("values", []), ("classes", ["--classify"])):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{source}-{kind}.{fmt}"
+                assert cli.run(["predict", "--model", str(model), *inputs, *flags,
+                                "--format", fmt, "--output", str(out)]) == 0
+                written[source, kind, fmt] = sha256_file(out)
+    assert written == PINNED_PREDICT
+
+
+# subcommand (None for the top level) -> sha256 of its --help text at 80 columns
+PINNED_HELP = {
+    None: "d647506f1763310a8eab9446dce514f3031a985686b4289c64cee7e40171ee3b",
+    "sample": "5a592dc9502ad4eb65ecfd799f22bda9fd59b91fbfcf30a011aeb76a9b767112",
+    "verify-leaf-count": "f5ac77fbe235c365954bb43c7933e2f35c47b5c1f4c8570888bbcb102fe3cd24",
+    "verify-cell-dist": "84943771bb262cfc64b27f0164b4327700a2e2a29946d9675c7e52dd15a04c7f",
+    "verify-diameter": "fefbf4febfba5d855b802ecee5bee3af7a28e5027ffdce963b1b52b8a057cf26",
+    "verify-restriction": "a3657add3b0b8a8bde8550f32ba2165a3397f4a78b90ebd1a57a23be270cd746",
+    "risk": "59cbcaf48fe75304d999e0ea5b07c5a9bbde4e659545eff4fae59a7051d440ec",
+    "rate-sweep": "5c2a045876755be7d4169d960757c554eca5eaf5e5b769c98f6cd9f1cc959e5b",
+    "tree-vs-forest": "cb61fcbd887d68ad76dab4ed8e85058d4167e9b4d2799b5b916e3c5535f349eb",
+    "classify-sweep": "c8987f0541c44521a8f72d25360b605760cfb204a15325f7fa06ac49a7374149",
+    "fit": "5ebdcc76c427dc9669b6724cf8e5a5bd106d2171efd2d8d69a1b8b2ea2969e81",
+    "predict": "0f6df1557f153e84910d3803d98e5dd5b470d81d276c45b339d390e5f182e289",
+}
+
+
+@pytest.mark.parametrize("subcommand", list(PINNED_HELP), ids=str)
+def test_cli_help_text_is_pinned(monkeypatch, capsys, subcommand):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.run([subcommand, "--help"] if subcommand else ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_HELP[subcommand]
