@@ -822,12 +822,17 @@ def test_option_errors_are_reported_before_any_file_is_read(capsys, argv, messag
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, line", [("", "line 1"), ("x1,y\n0.5\n", "line 2"),
-                                        ("x1,y\n", "no data rows"),
-                                        ("x1,y\n0.5,1\nabc,1\n", "line 3"),
-                                        ("x1,y\n1_0,1\n", "line 2")],
-                         ids=["empty-file", "short-row", "header-only", "not-a-number",
-                              "underscore"])
+@pytest.mark.parametrize("text, line", [
+    ("", "line 1"), ("x1,y\n0.5\n", "line 2"), ("x1,y\n", "no data rows"),
+    ("x1,y\n0.5,1\nabc,1\n", "line 3"), ("x1,y\n1_0,1\n", "line 2"),
+    ("x1,y\n0.5,1\n\nabc,1\n", "line 4: could not convert string to float: 'abc'"),
+    ("x1,y\n0.5\nabc,1\n", "line 2: expected 2 values, got 1"),
+    ("x1,y\nabc,1\n0.5\n", "line 2: could not convert string to float: 'abc'"),
+    ("x1,y\n0.5,1_0\n", "line 2: could not convert string to float: '1_0'"),
+    ("x1,y\n0.5,1\n0.5,1,2\n", "line 3: expected 2 values, got 3"),
+], ids=["empty-file", "short-row", "header-only", "not-a-number", "underscore",
+        "blank-line-counted", "short-row-first", "not-a-number-first", "underscore-in-y",
+        "long-row"])
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, line):
     data = tmp_path / "data.csv"
@@ -893,6 +898,27 @@ def test_data_csv_y_column_may_stand_between_x_columns(tmp_path, capsys):
         assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
         outputs.append((model.read_text(), capsys.readouterr().out))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text", [
+    "x1,x2\r\n0.25,0.5\r\n0.75,0.125\r\n",
+    'x1,x2\n"0.25",0.5\n0.75,"0.125"\n',
+    "x1,x2\n 0.25 ,0.5\n0.75,  0.125\n",
+    "x1,x2\n\uff10.\uff12\uff15,0.5\n0.75,0.125\n",
+], ids=["crlf", "quoted", "padded", "full-width-digits"])
+def test_data_csv_reads_what_float_reads(tmp_path, capsys, text):
+    # csv.reader takes the quoting and line endings, float() the number grammar
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(FOREST_DOC))
+    plain, form = tmp_path / "plain.csv", tmp_path / "form.csv"
+    plain.write_bytes(b"x1,x2\n0.25,0.5\n0.75,0.125\n")
+    form.write_bytes(text.encode("utf-8"))
+    outputs = []
+    for data in (plain, form):
+        assert run(["predict", "--model", str(model), "--data", str(data)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(set(json.loads(outputs[0])["predictions"])) == 2
 
 
 def test_predict_classify_on_tree_model_uses_the_forest_rule(tmp_path, capsys):
