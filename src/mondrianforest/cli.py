@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the harness operations, plus ``sample`` for
 raw partitions and ``fit``/``predict`` for model files.  Every run echoes its
 full configuration into the report it writes, and identical invocations
-produce byte-identical artifacts (timings never enter the output).
+produce byte-identical artifacts (timings never enter the output).  The
+parser registers every subcommand but builds options only for the one
+invoked.
 
 Exit codes: 0 on success with all verdicts passing, 1 when any verdict
 fails, 2 on usage errors (bad flags, bad config or model files, violated
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,15 +92,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand, with options only for the one ``argv`` invokes.
+
+    The top-level parser takes no option with a value, so the first token that
+    is not an option names the subcommand, as it does for argparse.
+    """
     parser = _Parser(
         prog="mondrian-forest",
         description="Mondrian partition sampling, tree/forest estimators, and "
                     "the Monte-Carlo verification harness.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
+    invoked = next((token for token in argv if not token.startswith("-")), None)
     for name, (handler, opts) in _SUBCOMMANDS.items():
         sub = subparsers.add_parser(name, help=handler.__doc__)
+        if name != invoked:
+            continue
         for opt in opts + _COMMON:
             flag = "--" + opt.name
             if opt.convert is bool:
@@ -226,7 +237,8 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Read a data file with header x1..xd[,y]; returns (X, y or None, d).
 
     Columns bind by name: x1..xd in file order, plus at most one y anywhere.
-    A value that is not a number is refused with its line.
+    All values go through ``float()`` in one pass; a value that is not a number
+    is refused with its line.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -240,24 +252,39 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
                 f"x{j}" for j in range(1, len(x_cols) + 1)]:
             raise ValueError(f"{path} line 1: header {','.join(names)!r} is not x1..xd "
                              "in order with at most one y column")
-        rows = []
-        for row in filter(None, reader):  # blank lines are skipped
-            if len(row) != len(header):
-                raise ValueError(f"{path} line {reader.line_num}: expected {len(header)} "
-                                 f"values, got {len(row)}")
-            try:
-                if "_" in "".join(row):  # float() reads Python's digit grouping: "1_0" is 10.0
-                    bad = next(v for v in row if "_" in v)
-                    raise ValueError(f"could not convert string to float: {bad!r}")
-                rows.append(list(map(float, row)))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+        rows, lines = [], []
+        for row in reader:
+            if row:  # blank lines are skipped, but counted in line numbers
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    data = np.array(rows, dtype=np.float64)
+    width = len(header)
+    cells = list(chain.from_iterable(rows))
+    # float() reads Python's digit grouping: "1_0" is 10.0
+    if set(map(len, rows)) != {width} or "_" in "".join(cells):
+        raise _first_bad_row(path, width, rows, lines)
+    try:
+        data = np.fromiter(map(float, cells), np.float64, len(cells)).reshape(len(rows), width)
+    except ValueError:
+        raise _first_bad_row(path, width, rows, lines) from None
     X = data[:, x_cols]
     y = data[:, y_cols[0]] if y_cols else None
     return X, y, len(x_cols)
+
+
+def _first_bad_row(path: str, width: int, rows: list, lines: list) -> ValueError:
+    """The refusal of the first row that is not ``width`` numbers, naming its line."""
+    for row, line in zip(rows, lines):
+        if len(row) != width:
+            return ValueError(f"{path} line {line}: expected {width} values, got {len(row)}")
+        bad = next((v for v in row if "_" in v), None)
+        if bad is not None:
+            return ValueError(f"{path} line {line}: could not convert string to float: {bad!r}")
+        try:
+            list(map(float, row))
+        except ValueError as exc:
+            return ValueError(f"{path} line {line}: {exc}")
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -368,12 +395,13 @@ def _cmd_predict(cfg: dict) -> str:
         X = np.asarray([cfg["point"]], dtype=np.float64)
     else:
         X, _, _ = _read_csv_matrix(cfg["data"])
-    values = predict_class(model, X) if cfg["classify"] else model.predict(X)
+    values = (predict_class(model, X) if cfg["classify"] else model.predict(X)).tolist()
     if cfg["format"] == "csv":
-        lines = ["prediction"] + [repr(v) if isinstance(v, float) else str(v)
-                                  for v in np.asarray(values).tolist()]
-        return "\n".join(lines) + "\n"
-    return json.dumps({"predictions": np.asarray(values).tolist()}, indent=2)
+        return "\n".join(["prediction", *map(repr, values)]) + "\n"
+    # json.dumps(..., indent=2) would run the pure-Python encoder; a list of numbers
+    # holds ", " only between items, so the C encoder's one line splits into that layout
+    items = json.dumps(values)[1:-1].replace(", ", ",\n    ")
+    return '{\n  "predictions": [\n    ' + items + "\n  ]\n}"
 
 
 _SUBCOMMANDS: dict[str, tuple[object, list[_Opt]]] = {
@@ -468,7 +496,8 @@ def run(argv=None) -> int:
     The one writer of output: a report is written as JSON or CSV and exits 0
     only when every verdict passed; any other artifact is text and exits 0.
     """
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     args, unknown = parser.parse_known_args(argv)
     if unknown:  # the subcommand's own flags were parsed, so name it in the error
         parser.prog = " ".join(filter(None, [parser.prog, args.subcommand]))

@@ -347,7 +347,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def _verdict(name: str, statistic: float, holds, threshold: float, rule: str, n: int) -> Verdict:
     """The one pass/fail decision: ``holds(statistic, threshold)``, with
     ``holds`` a comparison such as ``operator.le``."""
-    return Verdict(name, bool(holds(statistic, threshold)), statistic, threshold, rule, n)
+    return Verdict(name, bool(holds(statistic, threshold)), statistic, threshold, rule, int(n))
 
 
 def _band_verdict(name: str, value: float, center: float, se: float, n: int) -> Verdict:
@@ -413,6 +413,16 @@ def _quadratic_risk(task, model, stream, n_test, eval_margin) -> float:
 _SCHEDULES = ("c2", "consistency", "fixed", "lipschitz")
 
 
+def _size(value, name: str, least: int) -> int:
+    """``value`` as a Python int >= ``least``, refused unless it is an int or a numpy int."""
+    # int() would run 16.7 as 16 and True as 1, and range() refuses 3.0 with a TypeError
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
 def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
     """The risk-grid row ``{"n", "lifetime", "n_trees"}`` of size ``n`` in dimension ``d``.
 
@@ -421,11 +431,7 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
     Every risk experiment builds its rows here, so each input is refused before
     any data is drawn.
     """
-    # int() would run 16.7 as 16 and True as 1, so only an int is taken, as for m_rule
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _size(n, "n", 1)
     # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {list(_SCHEDULES)}")
@@ -444,7 +450,7 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
         raise ValueError("tree count must be >= 1")
     else:
         n_trees = int(m_rule)
-    return {"n": int(n), "lifetime": lifetime, "n_trees": n_trees}
+    return {"n": n, "lifetime": lifetime, "n_trees": n_trees}
 
 
 def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int,
@@ -456,10 +462,7 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
     ``(seed, path + (r,))`` and scores its forest with ``score(..., extra)``.
     All replicates of the experiment go through one :func:`_map`.
     """
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2")
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1")
+    replicates, n_test = _size(replicates, "replicates", 2), _size(n_test, "n_test", 1)
     payloads = [(score, task, row["n"], row["lifetime"], row["n_trees"], n_test, seed,
                  path + (rep,), extra)
                 for row, task, path in points for rep in range(replicates)]
@@ -835,7 +838,7 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     ``m_large``-tree forest must undercut 0.95 times the single-tree minimum
     over the same grid.
     """
-    if n < 18:
+    if _size(n, "n", 1) < 18:
         raise ValueError("the lower bound requires n >= 18")
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and >= 0")

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mondrianforest import cli
 from mondrianforest.cli import _SUBCOMMANDS, load_config, run
 
 
@@ -213,6 +214,22 @@ def test_every_subcommand_help_mentions_its_flags(capsys):
             assert "--" + opt.name in text
         for flag in ("--seed", "--output", "--format", "--config", "--threads"):
             assert flag in text
+
+
+def test_parser_builds_options_only_for_the_invoked_subcommand(monkeypatch, capsys):
+    flags = []
+    add_argument = cli._Parser.add_argument
+
+    def recording(self, *names, **kwargs):
+        flags.extend(names)
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_argument", recording)
+    assert run(["sample", "--lifetime", "0"]) == 0
+    # every parser adds its own -h; only sample's options are built besides
+    assert flags.count("-h") == 1 + len(_SUBCOMMANDS)
+    assert sorted(set(flags) - {"-h", "--help"}) == sorted(
+        "--" + opt.name for opt in _SUBCOMMANDS["sample"][1] + cli._COMMON)
 
 
 def test_top_level_help_lists_each_subcommand_with_its_handler_docstring(capsys, monkeypatch):

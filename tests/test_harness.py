@@ -421,6 +421,57 @@ def test_risk_experiments_refuse_a_size_that_is_not_an_int_before_drawing(
         SWEEPS_OF_SIZE[sweep](n)
 
 
+def no_sampling(*args, **kwargs):
+    raise AssertionError("data was drawn before the counts were checked")
+
+
+RISK_EXPERIMENTS = {
+    "rate_sweep": lambda replicates=2, n_test=16: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [16, 32, 64], "lipschitz", 1.0, 1,
+        replicates=replicates, seed=1, n_test=n_test),
+    "classification_sweep": lambda replicates=2, n_test=16: classification_sweep(
+        1, [16, 64], "lipschitz", 1, replicates=replicates, seed=1, n_test=n_test),
+    "estimate_risk": lambda replicates=2, n_test=16: estimate_risk(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), 16, 1.0, 1, replicates=replicates,
+        n_test=n_test, seed=1),
+    "tree_vs_forest": lambda replicates=2, n_test=16: tree_vs_forest(
+        32, [1.0, 4.0], 2, replicates=replicates, seed=1, n_test=n_test, curved_n=16),
+}
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    ("replicates", 3.0, r"replicates must be an int >= 2, got 3\.0"),
+    ("replicates", True, r"replicates must be an int >= 2, got True"),
+    ("replicates", "3", r"replicates must be an int >= 2, got '3'"),
+    ("replicates", 1, r"replicates must be >= 2"),
+    ("n_test", 16.5, r"n_test must be an int >= 1, got 16\.5"),
+    ("n_test", True, r"n_test must be an int >= 1, got True"),
+    ("n_test", 0, r"n_test must be >= 1"),
+])
+@pytest.mark.parametrize("experiment", sorted(RISK_EXPERIMENTS))
+def test_risk_experiments_refuse_a_count_that_is_not_an_int_before_drawing(
+        monkeypatch, experiment, argument, value, message):
+    # range() refused replicates=3.0 with a TypeError, and n_test=16.5 failed the same
+    # way only after a replicate had drawn its data and fitted its forest
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        RISK_EXPERIMENTS[experiment](**{argument: value})
+
+
+def test_tree_vs_forest_refuses_a_size_that_is_not_an_int_before_drawing(monkeypatch):
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=r"n must be an int >= 1, got '32'"):
+        tree_vs_forest("32", [1.0, 4.0], 2, replicates=2, seed=1, n_test=16, curved_n=16)
+
+
+@pytest.mark.parametrize("experiment", ["rate_sweep", "classification_sweep", "tree_vs_forest"])
+def test_reports_write_numpy_int_counts_as_ints(experiment):
+    # a verdict's sample size is replicates times a count, which json.dumps cannot write
+    # as a numpy int
+    report = RISK_EXPERIMENTS[experiment](replicates=np.int64(2), n_test=np.int64(16))
+    assert report.to_json() == RISK_EXPERIMENTS[experiment]().to_json()
+
+
 def test_reports_write_numpy_int_sizes_as_ints():
     # a grid row keeps its size as a Python int, which json.dumps can write
     report = tree_vs_forest(np.int64(32), [1.0, 4.0], 3, 2, 0, n_test=64, curved_n=np.int64(64))
