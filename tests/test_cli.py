@@ -297,6 +297,21 @@ def test_predict_classify_flag(tmp_path, capsys):
     assert json.loads(out)["predictions"] == [1]
 
 
+@pytest.mark.parametrize("flags", [[], ["--classify"]], ids=["values", "classes"])
+def test_predict_writes_the_layouts_of_indented_json_and_repr(tmp_path, capsys, flags):
+    model_path = fit_step_classifier(tmp_path, capsys)
+    query = tmp_path / "query.csv"
+    query.write_text("x1\n" + "".join(f"{v!r}\n" for v in np.linspace(0.0, 1.0, 41).tolist()))
+    argv = ["predict", "--model", str(model_path), "--data", str(query), *flags]
+    code, out, _ = invoke(argv, capsys)
+    assert code == 0
+    values = json.loads(out)["predictions"]
+    assert out == json.dumps({"predictions": values}, indent=2) + "\n"
+    code, out, _ = invoke(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out == "\n".join(["prediction", *map(repr, values)]) + "\n"
+
+
 @pytest.mark.parametrize("value, classify", [("yes", True), ("off", False)])
 def test_predict_classify_reads_a_config_boolean(tmp_path, capsys, value, classify):
     model_path = fit_step_classifier(tmp_path, capsys)

@@ -1,6 +1,7 @@
 """Partition and model files are validated on load; bad ones exit 2."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -919,6 +920,50 @@ def test_data_csv_reads_what_float_reads(tmp_path, capsys, text):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert len(set(json.loads(outputs[0])["predictions"])) == 2
+
+
+def read_rows_one_by_one(path):
+    """A data CSV with header x1,y read row by row: the reference for the one-pass reader."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: expected {len(header)} "
+                                 f"values, got {len(row)}")
+            try:
+                if "_" in "".join(row):
+                    bad = next(v for v in row if "_" in v)
+                    raise ValueError(f"could not convert string to float: {bad!r}")
+                rows.append(list(map(float, row)))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    data = np.array(rows, dtype=np.float64)
+    return data[:, :1], data[:, 1]
+
+
+CSV_CELLS = ["0.5", "-1e-300", " 2 ", "nan", "\uff10.\uff15", '"3"', '"4\n5"', "", "abc", "1_0"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from(CSV_CELLS), max_size=3), max_size=6),
+       st.sampled_from(["\n", "\r\n"]))
+def test_one_pass_reader_matches_the_row_by_row_reader(rows, newline):
+    # the same arrays, or the same refusal naming the same line and value
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(newline.join(["x1,y", *map(",".join, rows)]) + newline)
+        outcomes = []
+        for read in (lambda: cli._read_csv_matrix(path)[:2], lambda: read_rows_one_by_one(path)):
+            try:
+                outcomes.append(tuple(a.tobytes() for a in read()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_predict_classify_on_tree_model_uses_the_forest_rule(tmp_path, capsys):
