@@ -242,21 +242,25 @@ def _read_csv_matrix(path: str) -> tuple[np.ndarray, np.ndarray | None, int]:
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} line 1: expected a header x1..xd[,y], found end of file")
-        names = [h.strip() for h in header]
-        x_cols = [i for i, h in enumerate(names) if h != "y"]
-        y_cols = [i for i, h in enumerate(names) if h == "y"]
-        if not x_cols or len(y_cols) > 1 or [names[i] for i in x_cols] != [
-                f"x{j}" for j in range(1, len(x_cols) + 1)]:
-            raise ValueError(f"{path} line 1: header {','.join(names)!r} is not x1..xd "
-                             "in order with at most one y column")
-        rows, lines = [], []
-        for row in reader:
-            if row:  # blank lines are skipped, but counted in line numbers
-                rows.append(row)
-                lines.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path} line 1: expected a header x1..xd[,y], found end of file")
+            names = [h.strip() for h in header]
+            x_cols = [i for i, h in enumerate(names) if h != "y"]
+            y_cols = [i for i, h in enumerate(names) if h == "y"]
+            if not x_cols or len(y_cols) > 1 or [names[i] for i in x_cols] != [
+                    f"x{j}" for j in range(1, len(x_cols) + 1)]:
+                raise ValueError(f"{path} line 1: header {','.join(names)!r} is not x1..xd "
+                                 "in order with at most one y column")
+            rows, lines = [], []
+            for row in reader:
+                if row:  # blank lines are skipped, but counted in line numbers
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            # csv's own refusal, such as a field over its size limit
+            raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
     width = len(header)

@@ -831,9 +831,12 @@ def test_option_errors_are_reported_before_any_file_is_read(capsys, argv, messag
     ("x1,y\nabc,1\n0.5\n", "line 2: could not convert string to float: 'abc'"),
     ("x1,y\n0.5,1_0\n", "line 2: could not convert string to float: '1_0'"),
     ("x1,y\n0.5,1\n0.5,1,2\n", "line 3: expected 2 values, got 3"),
+    ("x1,y\n0.5,1\n\n" + "1" * 140_000 + ",1\n",
+     "line 4: field larger than field limit (131072)"),
+    ("x" + "1" * 140_000 + ",y\n0.5,1\n", "line 1: field larger than field limit (131072)"),
 ], ids=["empty-file", "short-row", "header-only", "not-a-number", "underscore",
         "blank-line-counted", "short-row-first", "not-a-number-first", "underscore-in-y",
-        "long-row"])
+        "long-row", "field-over-csv-limit", "header-field-over-csv-limit"])
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_bad_data_csv_exits_two_with_one_line(tmp_path, capsys, command, text, line):
     data = tmp_path / "data.csv"
