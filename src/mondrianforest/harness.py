@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np  # scipy is imported where it is used: it was most of the import time
 
-from .estimators import fit_forest, forest_size_schedule, lifetime_schedule
+from .estimators import MondrianForestModel, fit_forest, forest_size_schedule, lifetime_schedule
 from .oracles import (
     diameter_second_moment_bound,
     diameter_tail_bound,
@@ -390,15 +390,22 @@ def _map(fn, payloads: list, workers: int) -> list:
 # -- risk estimation ---------------------------------------------------------
 
 
-def _replicate(payload) -> float:
-    """One replicate: data from child stream 0, a forest grown from child 1,
-    then ``score`` of the forest (test inputs come from child 2)."""
-    score, task, n, lifetime, n_trees, n_test, seed, path, extra = payload
+def _replicate(payload) -> list[float]:
+    """One replicate: data from child stream 0, a forest of ``max(tree_counts)``
+    trees grown from child 1, then ``score`` of its leading ``m`` trees for each
+    count ``m`` (test inputs come from child 2).
+
+    Tree ``m`` of a forest is grown from child ``m`` of its stream, so the leading
+    trees are exactly the smaller forest: one fit scores every count.
+    """
+    score, task, n, lifetime, tree_counts, n_test, seed, path, extra = payload
     stream = RngStream(seed, path)
     X, y = task.sample_data(n, stream.child(0))
-    model = fit_forest(BoxRegion.unit(task.d), task.d, lifetime, n_trees, X, y,
+    model = fit_forest(BoxRegion.unit(task.d), task.d, lifetime, max(tree_counts), X, y,
                        master_seed=stream.child(1))
-    return score(task, model, stream, n_test, extra)
+    return [score(task, MondrianForestModel(model.trees[:m], lifetime, model.master_seed),
+                  stream, n_test, extra)
+            for m in tree_counts]
 
 
 def _quadratic_risk(task, model, stream, n_test, eval_margin) -> float:
@@ -457,18 +464,23 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
                    workers: int) -> None:
     """Write ``risk`` and ``se`` into each grid row from fresh replicates.
 
-    ``points`` holds ``(row, task, path)`` triples, where ``row`` comes from
-    :func:`_row`; replicate ``r`` of a row runs on the stream
-    ``(seed, path + (r,))`` and scores its forest with ``score(..., extra)``.
-    All replicates of the experiment go through one :func:`_map`.
+    ``points`` holds ``(rows, task, path)`` triples, where ``rows`` come from
+    :func:`_row` and share ``n`` and ``lifetime``, differing only in
+    ``n_trees``.  Replicate ``r`` of a point runs on the stream
+    ``(seed, path + (r,))`` as one payload: its data are drawn and its largest
+    forest is fitted once, and each row scores that forest's leading
+    ``n_trees`` trees with ``score(..., extra)``, so the rows of a point are
+    paired.  All replicates of the experiment go through one :func:`_map`.
     """
     replicates, n_test = _size(replicates, "replicates", 2), _size(n_test, "n_test", 1)
-    payloads = [(score, task, row["n"], row["lifetime"], row["n_trees"], n_test, seed,
-                 path + (rep,), extra)
-                for row, task, path in points for rep in range(replicates)]
+    payloads = [(score, task, rows[0]["n"], rows[0]["lifetime"],
+                 [row["n_trees"] for row in rows], n_test, seed, path + (rep,), extra)
+                for rows, task, path in points for rep in range(replicates)]
     values = _map(_replicate, payloads, workers)
-    for i, (row, _, _) in enumerate(points):
-        row["risk"], row["se"] = _mean_se(values[i * replicates:(i + 1) * replicates])
+    for i, (rows, _, _) in enumerate(points):
+        scores = values[i * replicates:(i + 1) * replicates]
+        for j, row in enumerate(rows):
+            row["risk"], row["se"] = _mean_se([value[j] for value in scores])
 
 
 def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
@@ -486,7 +498,7 @@ def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
     if not 0.0 <= eval_margin < 0.5:
         raise ValueError("eval_margin must be in [0, 1/2)")
     row = _row(n, task.d, "fixed", lifetime, n_trees)
-    _estimate_grid([(row, task, ())], _quadratic_risk, eval_margin, replicates, n_test,
+    _estimate_grid([([row], task, ())], _quadratic_risk, eval_margin, replicates, n_test,
                    seed, workers)
     return row["risk"], row["se"]
 
@@ -796,7 +808,7 @@ def rate_sweep(task: SyntheticTask, n_grid, schedule: str, scale: float, m_rule,
     if not 0.0 <= slope_tolerance < math.inf:
         raise ValueError("slope_tolerance must be finite and >= 0")
     t0 = time.perf_counter()
-    _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)], _quadratic_risk,
+    _estimate_grid([([row], task, (i,)) for i, row in enumerate(grid)], _quadratic_risk,
                    eval_margin, replicates, n_test, seed, workers)
     if any(row["risk"] <= 0 for row in grid):
         raise ValueError("risks must be positive to fit a log-log slope; add noise or bias")
@@ -836,7 +848,8 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     must stay above 0.9 times the explicit lower-bound branch.  On the curved
     target (``sin(pi x)`` at ``curved_n`` samples) the grid-minimal risk of an
     ``m_large``-tree forest must undercut 0.95 times the single-tree minimum
-    over the same grid.
+    over the same grid.  Each curved replicate fits the forest once and scores
+    its tree 0 as the single tree, so tree and forest are paired.
     """
     if _size(n, "n", 1) < 18:
         raise ValueError("the lower bound requires n >= 18")
@@ -851,14 +864,16 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     linear = SyntheticTask(kind="linear_1d", sigma=math.sqrt(sigma2))
     curved = SyntheticTask(kind="c2_d", d=1, sigma=curved_sigma)
 
-    points = [(_row(n, 1, "fixed", lam, 1), linear, (0, i))
+    points = [([_row(n, 1, "fixed", lam, 1)], linear, (0, i))
               for i, lam in enumerate(lambda_grid)]
-    # tree and forest share replicate streams: the single tree is exactly
-    # tree 0 of the forest, so the comparison is paired
-    points += [(_row(curved_n, 1, "fixed", lam, m_rule), curved, (1, i))
-               for i, lam in enumerate(curved_lambda_grid) for m_rule in (1, m_large)]
+    # one point per curved lifetime: each replicate fits the forest once, and the
+    # single tree is its tree 0, so the comparison is paired
+    points += [([_row(curved_n, 1, "fixed", lam, m_rule) for m_rule in (1, m_large)],
+                curved, (1, i))
+               for i, lam in enumerate(curved_lambda_grid)]
     _estimate_grid(points, _quadratic_risk, 0.0, replicates, n_test, seed, workers)
-    grid = [row | {"task": "linear" if task is linear else "curved"} for row, task, _ in points]
+    grid = [row | {"task": "linear" if task is linear else "curved"}
+            for rows, task, _ in points for row in rows]
     linear_tree = [row["risk"] for row in grid[:len(lambda_grid)]]
     curved_tree = [row["risk"] for row in grid[len(lambda_grid)::2]]
     curved_forest = [row["risk"] for row in grid[len(lambda_grid) + 1::2]]
@@ -935,7 +950,7 @@ def classification_sweep(d: int, n_grid, schedule: str, m_rule, replicates: int,
     t0 = time.perf_counter()
     task = SyntheticTask(kind="classification_d", d=d, target=target)
     bayes = task.bayes_risk()
-    _estimate_grid([(row, task, (i,)) for i, row in enumerate(grid)],
+    _estimate_grid([([row], task, (i,)) for i, row in enumerate(grid)],
                    _excess_classification_risk, bayes, replicates, n_test, seed, workers)
     verdicts = [
         _verdict(f"excess-risk-decrease-{prev['n']}-to-{cur['n']}", prev["risk"] - cur["risk"],

@@ -10,6 +10,7 @@ from mondrianforest import (
     classification_sweep,
     estimate_risk,
     expected_leaf_count,
+    fit_forest,
     lipschitz_risk_bound,
     rate_sweep,
     tree_vs_forest,
@@ -179,7 +180,7 @@ POOLED_EXPERIMENTS = {
         replicates=2, seed=5, n_test=16, workers=workers), 6),
     "tree_vs_forest": (lambda workers: tree_vs_forest(
         20, [1.0, 4.0], 2, replicates=2, seed=5, n_test=16, curved_n=20,
-        workers=workers), 12),
+        workers=workers), 8),
     "classification_sweep": (lambda workers: classification_sweep(
         1, [16, 32], "lipschitz", 1, replicates=3, seed=5, workers=workers), 6),
     # experiment(workers), partition sample count of the whole experiment
@@ -642,6 +643,39 @@ def test_tree_vs_forest_single_tree_forest_matches_tree_column():
     for lam in (2.0, 6.0):
         risks = [row["risk"] for row in curved if row["lifetime"] == lam]
         assert risks[0] == risks[1] == trees[lam]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("task", [SyntheticTask(kind="c2_d", d=1, sigma=0.1),
+                                  SyntheticTask(kind="lipschitz_d", d=2, sigma=0.2)],
+                         ids=["d1-prefix-sums", "d2-routed"])
+def test_a_shared_fit_scores_each_tree_count_as_its_own_fit(monkeypatch, task, workers):
+    # one point of rows (1, m) fits m trees once per replicate and scores the leading
+    # tree and the whole forest; two one-row points fit each count on the same streams
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    rows = [harness._row(300, task.d, "fixed", 6.0, m) for m in (1, 5)]
+    shared = [dict(row) for row in rows]
+    harness._estimate_grid([(shared, task, (1, 0))], harness._quadratic_risk, 0.0,
+                           replicates=3, n_test=128, seed=8, workers=workers)
+    harness._estimate_grid([([row], task, (1, 0)) for row in rows], harness._quadratic_risk,
+                           0.0, replicates=3, n_test=128, seed=8, workers=workers)
+    assert shared == rows
+    assert rows[0]["risk"] != rows[1]["risk"]
+
+
+def test_tree_vs_forest_fits_each_replicate_once(monkeypatch):
+    calls = []
+
+    def counting_fit_forest(box, d, lifetime, n_trees, X, y, master_seed):
+        calls.append((len(X), n_trees))
+        return fit_forest(box, d, lifetime, n_trees, X, y, master_seed=master_seed)
+
+    monkeypatch.setattr(harness, "fit_forest", counting_fit_forest)
+    tree_vs_forest(20, [1.0, 4.0], 3, replicates=2, seed=5, n_test=16, curved_n=30,
+                   curved_lambda_grid=[2.0, 8.0])
+    # 2 linear and 2 curved lifetimes, 2 replicates each; a curved replicate fits
+    # its m_large-tree forest once and scores tree 0 as the single tree
+    assert sorted(calls) == [(20, 1)] * 4 + [(30, 3)] * 4
 
 
 def test_tree_vs_forest_requires_lower_bound_regime():

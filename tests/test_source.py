@@ -253,6 +253,13 @@ def test_harness_draws_partitions_only_in_the_per_sample_function():
     assert found == [("harness.py", "_sample")]
 
 
+def test_harness_fits_forests_only_in_the_per_replicate_function():
+    # every risk replicate draws its data and fits its largest forest once, in the
+    # one payload function; a second fit would refit trees a paired row shares
+    found = [scope for scope in _scopes_calling("fit_forest") if scope[0] == "harness.py"]
+    assert found == [("harness.py", "_replicate")]
+
+
 def test_importing_the_package_leaves_scipy_unloaded():
     # scipy was most of the package's import time; the harness imports it where it is used
     src = str(Path(mondrianforest.__file__).parent.parent)
