@@ -478,9 +478,8 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
                 for rows, task, path in points for rep in range(replicates)]
     values = _map(_replicate, payloads, workers)
     for i, (rows, _, _) in enumerate(points):
-        scores = values[i * replicates:(i + 1) * replicates]
-        for j, row in enumerate(rows):
-            row["risk"], row["se"] = _mean_se([value[j] for value in scores])
+        for row, column in zip(rows, zip(*values[i * replicates:(i + 1) * replicates])):
+            row["risk"], row["se"] = _mean_se(column)
 
 
 def estimate_risk(task: SyntheticTask, n: int, lifetime: float, n_trees: int,
