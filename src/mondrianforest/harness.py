@@ -865,8 +865,8 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
 
     points = [([_row(n, 1, "fixed", lam, 1)], linear, (0, i))
               for i, lam in enumerate(lambda_grid)]
-    # one point per curved lifetime: each replicate fits the forest once, and the
-    # single tree is its tree 0, so the comparison is paired
+    # one point per curved lifetime: the single tree is tree 0 of each replicate's
+    # forest, fitted once, so the comparison is paired
     points += [([_row(curved_n, 1, "fixed", lam, m_rule) for m_rule in (1, m_large)],
                 curved, (1, i))
                for i, lam in enumerate(curved_lambda_grid)]
