@@ -184,9 +184,9 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
     for key, opt in spec.items():
         if opt.required and merged[key] is None:
             raise ValueError(f"missing required option --{opt.name}")
-    if merged.get("format") not in (None, "json", "csv"):
+    if merged["format"] not in ("json", "csv"):
         raise ValueError(f"unknown format {merged['format']!r}")
-    if not isinstance(merged["threads"], int) or merged["threads"] < 1:
+    if merged["threads"] < 1:
         raise ValueError(f"--threads must be >= 1, got {merged['threads']}")
     return merged
 
@@ -219,17 +219,16 @@ def _convert(opt: _Opt, raw):
 
 
 def _write_output(text: str, path: str) -> None:
-    if path in (None, "-"):
+    text = text if text.endswith("\n") else text + "\n"
+    if path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _make_task(cfg: dict) -> SyntheticTask:
-    return SyntheticTask(kind=cfg["task"], d=cfg["d"], target=cfg.get("target") or "",
+    return SyntheticTask(kind=cfg["task"], d=cfg["d"], target=cfg["target"],
                          sigma=cfg["sigma"])
 
 
@@ -374,7 +373,7 @@ def _cmd_classify_sweep(cfg: dict) -> ExperimentReport:
     return harness.classification_sweep(cfg["d"], cfg["n_grid"], cfg["schedule"],
                                         cfg["trees"], cfg["replicates"], cfg["seed"],
                                         scale=cfg["scale"], n_test=cfg["n_test"],
-                                        target=cfg.get("target") or "", workers=cfg["threads"])
+                                        target=cfg["target"], workers=cfg["threads"])
 
 
 def _cmd_fit(cfg: dict) -> str:

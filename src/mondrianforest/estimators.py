@@ -317,7 +317,7 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
         ends = np.concatenate(([0], np.searchsorted(labels.x, thresholds, side="right"),
                                [labels.x.size]))
         counts = np.diff(ends)
-    totals = None
+    parts = []
     for offset, rows, limbs in labels.groups:
         if labels.x is None:
             sums = np.array([np.bincount(ranks[rows], weights=limb, minlength=n_leaves)
@@ -327,14 +327,14 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
             at = (np.searchsorted(rows, ends) if isinstance(rows, np.ndarray)
                   else np.maximum(np.minimum(ends, rows.stop) - rows.start, 0))
             sums = np.diff(limbs[:, at], axis=1)
-        part = np.zeros(n_leaves, dtype=object)  # Python ints, exact at any size
-        for limb_sums in sums[::-1]:
-            part <<= 32
-            part += limb_sums
-        part = part << 32 * offset if offset else part
-        totals = part if totals is None else totals + part
-    totals = totals << labels.unit if labels.unit >= 0 else totals >> -labels.unit
-    return MondrianTreeModel(partition, counts, totals.tolist())
+        # each leaf's limb sums as one Python int at the group's place in 2^-1074 units;
+        # that place is below 0 only for subnormal labels, whose dropped bits are zero
+        shift = 32 * offset + labels.unit
+        leaves = zip(*sums.tolist())
+        parts.append([(c << 64) + (b << 32) + a << shift for a, b, c in leaves] if shift >= 0
+                     else [(c << 64) + (b << 32) + a >> -shift for a, b, c in leaves])
+    totals = parts[0] if len(parts) == 1 else [sum(leaf) for leaf in zip(*parts)]
+    return MondrianTreeModel(partition, counts, totals)
 
 
 def predict_tree(model: MondrianTreeModel, x):

@@ -186,8 +186,7 @@ class SyntheticTask:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {sorted(_TASK_KINDS)}")
         if self.kind.endswith("_1d") and self.d != 1:
             raise ValueError(f"{self.kind} requires d = 1")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        object.__setattr__(self, "d", _size(self.d, "d", 1))
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and >= 0")
         target = self.target or _TASK_KINDS[self.kind]
@@ -392,27 +391,27 @@ def _map(fn, payloads: list, workers: int) -> list:
 
 def _replicate(payload) -> list[float]:
     """One replicate: data from child stream 0, a forest of ``max(tree_counts)``
-    trees grown from child 1, then ``score`` of its leading ``m`` trees for each
-    count ``m`` (test inputs come from child 2).
+    trees grown from child 1 and ``n_test`` uniform test inputs from child 2, then
+    ``score`` of the forest's leading ``m`` trees on those inputs for each count ``m``.
 
     Tree ``m`` of a forest is grown from child ``m`` of its stream, so the leading
-    trees are exactly the smaller forest: one fit scores every count.
+    trees are exactly the smaller forest: one fit and one test draw score every count.
     """
     score, task, n, lifetime, tree_counts, n_test, seed, path, extra = payload
     stream = RngStream(seed, path)
     X, y = task.sample_data(n, stream.child(0))
     model = fit_forest(BoxRegion.unit(task.d), task.d, lifetime, max(tree_counts), X, y,
                        master_seed=stream.child(1))
+    X_test = stream.child(2).generator.random((n_test, task.d))
     return [score(task, MondrianForestModel(model.trees[:m], lifetime, model.master_seed),
-                  stream, n_test, extra)
+                  X_test, extra)
             for m in tree_counts]
 
 
-def _quadratic_risk(task, model, stream, n_test, eval_margin) -> float:
-    X_test = stream.child(2).generator.random((n_test, task.d))
-    if eval_margin > 0.0:
-        # risk conditional on inputs in the margin-interior of the cube
-        X_test = eval_margin + (1.0 - 2.0 * eval_margin) * X_test
+def _quadratic_risk(task, model, X_test, eval_margin) -> float:
+    # risk conditional on inputs in the margin-interior of the cube; margin 0 maps
+    # each input to itself bit for bit
+    X_test = eval_margin + (1.0 - 2.0 * eval_margin) * X_test
     residual = model.predict(X_test) - task.f(X_test)
     return float(np.mean(residual**2))
 
@@ -467,10 +466,11 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
     ``points`` holds ``(rows, task, path)`` triples, where ``rows`` come from
     :func:`_row` and share ``n`` and ``lifetime``, differing only in
     ``n_trees``.  Replicate ``r`` of a point runs on the stream
-    ``(seed, path + (r,))`` as one payload: its data are drawn and its largest
-    forest is fitted once, and each row scores that forest's leading
-    ``n_trees`` trees with ``score(..., extra)``, so the rows of a point are
-    paired.  All replicates of the experiment go through one :func:`_map`.
+    ``(seed, path + (r,))`` as one payload: its data and test inputs are drawn
+    and its largest forest is fitted once, and each row scores that forest's
+    leading ``n_trees`` trees with ``score(task, model, X_test, extra)``, so the
+    rows of a point are paired.  All replicates of the experiment go through one
+    :func:`_map`.
     """
     replicates, n_test = _size(replicates, "replicates", 2), _size(n_test, "n_test", 1)
     payloads = [(score, task, rows[0]["n"], rows[0]["lifetime"],
@@ -518,8 +518,7 @@ def _sample_legs(legs, samples: int, seed: int, workers: int) -> list[np.ndarray
     Sample ``i`` of leg ``k`` is drawn on the stream ``(seed, (len(legs) * i + k,))``,
     so legs interleave on one family of streams; all of them share one :func:`_map`.
     """
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    samples = _size(samples, "samples", 2)
     payloads = [(box, lifetime, seed, (len(legs) * i + k,), statistic)
                 for k, (box, lifetime, statistic) in enumerate(legs) for i in range(samples)]
     values = _map(_sample, payloads, workers)
@@ -917,12 +916,11 @@ def _exact_classifier_risk_1d(model, eta_antiderivative) -> float:
     return float(np.where(decisions == 1, widths - eta_mass, eta_mass).sum())
 
 
-def _excess_classification_risk(task, model, stream, n_test, bayes) -> float:
+def _excess_classification_risk(task, model, X_test, bayes) -> float:
     # every probability target has an antiderivative, so 1-d risk is always exact
     if task.d == 1:
         risk = _exact_classifier_risk_1d(model, task.spec.eta_antiderivative)
     else:
-        X_test = stream.child(2).generator.random((n_test, task.d))
         eta = task.f(X_test)
         decisions = model.predict_class(X_test)
         risk = float(np.mean(np.where(decisions == 1, 1.0 - eta, eta)))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _natural
 
 __all__ = [
     "SplitLimitError",
@@ -120,7 +120,7 @@ class BoxRegion:
     @classmethod
     def unit(cls, dim: int) -> "BoxRegion":
         """The unit cube [0, 1]^dim, closed on all edges."""
-        if dim < 1:
+        if _natural(dim, "dim") < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         return cls(np.zeros(dim), np.ones(dim))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -37,6 +38,18 @@ def test_task_validation():
         SyntheticTask(kind="classification_d", target="pyramid")
     with pytest.raises(ValueError):
         SyntheticTask(kind="c2_d", d=2, target="sine_wave_probability")
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "2"])
+def test_task_refuses_a_dimension_that_is_not_an_int(d):
+    # 2.5 was accepted and only failed later, inside numpy, once data were drawn
+    with pytest.raises(ValueError, match=rf"d must be an int >= 1, got {re.escape(repr(d))}$"):
+        SyntheticTask(kind="lipschitz_d", d=d)
+
+
+def test_task_keeps_a_numpy_int_dimension_as_an_int():
+    task = SyntheticTask(kind="lipschitz_d", d=np.int64(2))
+    assert type(task.d) is int and task.d == 2
 
 
 def test_linear_task_is_one_plus_x():
@@ -463,6 +476,39 @@ def test_tree_vs_forest_refuses_a_size_that_is_not_an_int_before_drawing(monkeyp
     monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
     with pytest.raises(ValueError, match=r"n must be an int >= 1, got '32'"):
         tree_vs_forest("32", [1.0, 4.0], 2, replicates=2, seed=1, n_test=16, curved_n=16)
+
+
+def no_partitions(*args, **kwargs):
+    raise AssertionError("a partition was drawn before the sizes were checked")
+
+
+LAW_EXPERIMENTS = {
+    "verify_leaf_count": (lambda d=1, samples=100: verify_leaf_count(d, 1.0, samples, 0),
+                          ("d", "samples")),
+    "verify_cell_distribution": (lambda d=1, samples=100: verify_cell_distribution(
+        d, 1.0, [0.5] * int(d), samples, 0), ("d", "samples")),
+    "verify_diameter": (lambda d=1, samples=100: verify_diameter(
+        d, 1.0, [0.5] * int(d), samples, 0), ("d", "samples")),
+    "verify_restriction": (lambda d=1, samples=100: verify_restriction(
+        d, 1.0, BoxRegion([0.25] * int(d), [0.75] * int(d)), samples, 0), ("d", "samples")),
+    "classification_sweep": (lambda d=1: classification_sweep(
+        d, [16, 64], "lipschitz", 1, replicates=2, seed=1), ("d",)),
+}
+BAD_SIZES = {"samples": [100.0, "100"], "d": [2.0, True]}
+
+
+@pytest.mark.parametrize("experiment, argument, value", [
+    (experiment, argument, value) for experiment, (_, arguments) in LAW_EXPERIMENTS.items()
+    for argument in arguments for value in BAD_SIZES[argument]])
+def test_law_experiments_refuse_a_size_that_is_not_an_int_before_drawing(
+        monkeypatch, experiment, argument, value):
+    # range() refused samples=100.0 and np.zeros refused d=2.0 with a TypeError, and
+    # classification_sweep(2.0, ...) failed in its Bayes quadrature
+    monkeypatch.setattr(harness, "sample_mondrian", no_partitions)
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    run, _ = LAW_EXPERIMENTS[experiment]
+    with pytest.raises(ValueError, match=rf"must be an int >= \d, got {re.escape(repr(value))}$"):
+        run(**{argument: value})
 
 
 @pytest.mark.parametrize("experiment", ["rate_sweep", "classification_sweep", "tree_vs_forest"])

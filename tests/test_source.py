@@ -260,6 +260,30 @@ def test_harness_fits_forests_only_in_the_per_replicate_function():
     assert found == [("harness.py", "_replicate")]
 
 
+def test_exact_leaf_sums_use_no_object_arrays():
+    # each leaf's exact sum is a plain Python int built from its limb sums' tolist();
+    # an object array would bring back a per-limb fold through numpy's object loops
+    def is_object(value):
+        return (isinstance(value, ast.Name) and value.id == "object"
+                or isinstance(value, ast.Attribute) and value.attr == "object_"
+                or isinstance(value, ast.Constant) and value.value in ("O", "object"))
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.keyword) and node.arg == "dtype" and is_object(node.value)]
+    assert found == []
+
+
+def test_harness_draws_test_inputs_once_per_replicate():
+    # a replicate draws its test inputs in _replicate and every row scores them;
+    # a score that read a stream would redraw them once per row
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    found = sorted({scope for scope, node in _scoped(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "generator"})
+    assert found == ["SyntheticTask.sample_data", "_replicate"]
+
+
 def test_importing_the_package_leaves_scipy_unloaded():
     # scipy was most of the package's import time; the harness imports it where it is used
     src = str(Path(mondrianforest.__file__).parent.parent)
