@@ -15,16 +15,19 @@ of single-point updates equals a batch fit exactly.
 
 A batch fit splits its labels once (once per forest) into three 32-bit limbs
 each, at the label's own 32-bit offset counted from the smallest binary
-exponent among the labels: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))``
-units of ``2^low``, so there are 3 limbs per label however far the exponents
-spread.  The split is the label's two's complement: the two low limbs lie in
-[0, 2^32) and the top limb carries the sign, below 2^21 in magnitude.  Labels
-are grouped by offset (ordinary data has one group), at most 2^21 rows to a
-group, so any float64 or int64 sum of a group's limbs (each below 2^32 in
-magnitude) is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64
-``bincount`` over the rows' leaf ranks sums each limb row per leaf, and each
-leaf's limb and group sums fold into one Python int.  An update adds its one
-label's exact integer into its leaf directly.
+exponent among the labels, each exponent clamped at -1021, the least normal
+one: label ``i`` is ``sum_k limbs[k, i] * 2^(32 (o_i + k))`` units of
+``2^(low - 53)``, so there are 3 limbs per label however far the exponents
+spread.  A subnormal's mantissa is then its own value in 2^-1074 units, so
+every place in 2^-1074 units is a left shift, as is every label's exact int.
+The split is the label's two's complement: the two low limbs lie in [0, 2^32)
+and the top limb carries the sign, below 2^21 in magnitude.  Labels are
+grouped by offset (ordinary data has one group), at most 2^21 rows to a group,
+so any float64 or int64 sum of a group's limbs (each below 2^32 in magnitude)
+is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64 ``bincount`` over the
+rows' leaf ranks sums each limb row per leaf, and each leaf's limb and group
+sums fold into one Python int.  An update adds its one label's exact integer
+into its leaf directly.
 
 A 1-d forest fit routes no row.  It sorts its rows by x once per forest (row
 order changes no exact sum) and keeps each group's limb rows as int64 prefix
@@ -101,7 +104,6 @@ _FOREST_MODEL_V1 = "mondrian-forest-model/1"
 # label values are scaled by 2^1074 to integers; 2^-1074 is the smallest
 # positive float64, so every finite float64 is an exact multiple of it
 _SCALE_BITS = 1074
-_MANT = 2.0**53
 
 
 def _scaled_int(value: float) -> int:
@@ -109,12 +111,8 @@ def _scaled_int(value: float) -> int:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"labels must be finite, got {value}")
-    m, e = math.frexp(value)
-    mant = int(m * _MANT)
-    shift = e - 53 + _SCALE_BITS
-    if shift >= 0:
-        return mant << shift
-    return mant >> (-shift)  # subnormal: the dropped bits are zero
+    num, den = value.as_integer_ratio()  # den is a power of two, at most 2^1074
+    return num << _SCALE_BITS + 1 - den.bit_length()
 
 
 # labels enter leaf sums as limbs below 2^32 in magnitude, and a float64 sum (or an
@@ -130,11 +128,12 @@ class _Limbs:
 
     In the group ``(offset, rows, limbs)``, the i-th label that ``rows`` selects
     (ascending row indices or a slice of consecutive rows) is
-    ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074); ``unit``
-    is negative only when a label is subnormal.  Limbs 0 and 1 lie in [0, 2^32)
-    and limb 2 holds the sign.  Each group holds 3 rows, so the limbs take 3
-    values per label however far the labels' exponents spread, and at most
-    ``_GROUP_ROWS`` labels.
+    ``sum_k limbs[k, i] << 32 (offset + k)`` units of 2^(unit - 1074).  Places
+    are counted from the least exponent, clamped at -1021, so ``unit >= 0`` and
+    a subnormal's mantissa is its value in 2^-1074 units.  Limbs 0 and 1 lie in
+    [0, 2^32) and limb 2 holds the sign.  Each group holds 3 rows, so the limbs
+    take 3 values per label however far the labels' exponents spread, and at
+    most ``_GROUP_ROWS`` labels.
 
     When the labels belong to rows sorted by x, ``x`` holds that sorted
     coordinate and each group holds, in place of its limbs, their int64 prefix
@@ -147,8 +146,10 @@ class _Limbs:
 
 
 def _split_limbs(y: np.ndarray, x: np.ndarray | None = None) -> _Limbs:
-    m, e = np.frexp(y)
-    mant = (m * _MANT).astype(np.int64)  # y = mant * 2^(e - 53), |mant| < 2^53
+    # y = mant * 2^(e - 53), |mant| < 2^53; e is clamped at the least normal exponent,
+    # so a subnormal's mant is its own value in 2^-1074 units
+    e = np.maximum(np.frexp(y)[1], -1021)
+    mant = np.ldexp(y, 53 - e).astype(np.int64)
     nonzero = mant != 0
     low = int(e[nonzero].min()) if nonzero.any() else 0
     offset, bit = np.divmod(np.where(nonzero, e - low, 0), 32)
@@ -327,12 +328,9 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
             at = (np.searchsorted(rows, ends) if isinstance(rows, np.ndarray)
                   else np.maximum(np.minimum(ends, rows.stop) - rows.start, 0))
             sums = np.diff(limbs[:, at], axis=1)
-        # each leaf's limb sums as one Python int at the group's place in 2^-1074 units;
-        # that place is below 0 only for subnormal labels, whose dropped bits are zero
+        # each leaf's limb sums as one Python int at the group's place in 2^-1074 units
         shift = 32 * offset + labels.unit
-        leaves = zip(*sums.tolist())
-        parts.append([(c << 64) + (b << 32) + a << shift for a, b, c in leaves] if shift >= 0
-                     else [(c << 64) + (b << 32) + a >> -shift for a, b, c in leaves])
+        parts.append([(c << 64) + (b << 32) + a << shift for a, b, c in zip(*sums.tolist())])
     totals = parts[0] if len(parts) == 1 else [sum(leaf) for leaf in zip(*parts)]
     return MondrianTreeModel(partition, counts, totals)
 

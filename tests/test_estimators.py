@@ -98,6 +98,23 @@ def test_fit_rejects_nonfinite_labels():
         fit_tree(part, np.array([[0.5, 0.5]]), np.array([math.nan]))
 
 
+@pytest.mark.parametrize("X, y, message", [
+    (np.zeros(4), np.zeros(4), r"^X must have shape \(n, 2\)$"),
+    (np.zeros((4, 3)), np.zeros(4), r"^X must have shape \(n, 2\)$"),
+    (np.zeros((4, 2)), np.zeros(3), r"^y must have shape \(n,\)$"),
+    (np.zeros((4, 2)), np.zeros((4, 1)), r"^y must have shape \(n,\)$"),
+], ids=["X-1d", "X-columns", "y-rows", "y-2d"])
+def test_fit_refuses_data_of_the_wrong_shape_before_routing(monkeypatch, X, y, message):
+    part = make_partition()
+
+    def no_routing(self, X):
+        raise AssertionError("rows were routed before their shapes were checked")
+
+    monkeypatch.setattr(MondrianPartition, "leaf_indices", no_routing)
+    with pytest.raises(ValueError, match=message):
+        fit_tree(part, X, y)
+
+
 def test_leaf_statistics_counts_and_sums():
     part = make_partition()
     X, y = make_data(80)
@@ -115,6 +132,14 @@ def test_class_counts_for_binary_labels():
     model = fit_tree(part, np.random.default_rng(0).random((4, 2)), y)
     stats = model.leaf_statistics()[0]
     assert stats.class_counts == (1, 3)
+
+
+@pytest.mark.parametrize("labels", [[0.5], [-1.0], [1.0, 2.0]])
+def test_class_counts_refuse_labels_that_are_not_zero_or_one(labels):
+    part = make_partition(lifetime=0.0)
+    model = fit_tree(part, np.full((len(labels), 2), 0.5), np.array(labels))
+    with pytest.raises(ValueError, match=r"^labels were not all in \{0, 1\}$"):
+        model.leaf_statistics()[0].class_counts
 
 
 # -- streaming updates -------------------------------------------------------
@@ -140,6 +165,13 @@ def test_fold_of_updates_equals_batch_fit_exactly():
     assert np.array_equal(model._counts, batch._counts)
     probe = np.random.default_rng(5).random((64, 2))
     assert np.array_equal(predict_tree(model, probe), predict_tree(batch, probe))
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf, -math.inf])
+def test_update_refuses_a_label_that_is_not_finite(label):
+    model = fit_tree(make_partition(), np.empty((0, 2)), np.empty(0))
+    with pytest.raises(ValueError, match=rf"^labels must be finite, got {label}$"):
+        update_tree(model, [0.5, 0.5], label)
 
 
 def test_update_does_not_mutate_input_model():
@@ -652,3 +684,13 @@ def test_forest_model_roundtrip_bit_exact():
 def test_model_json_rejects_unknown_schema():
     with pytest.raises(ValueError):
         model_from_json('{"schema": "bogus/1"}')
+
+
+def test_forest_document_of_another_schema_is_refused():
+    with pytest.raises(ValueError, match=r"^unsupported forest model schema: 'x'$"):
+        estimators.forest_model_from_dict({"schema": "x"})
+
+
+def test_model_json_refuses_what_is_not_a_model():
+    with pytest.raises(TypeError, match=r"^not a model: object$"):
+        model_to_json(object())

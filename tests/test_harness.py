@@ -52,6 +52,16 @@ def test_task_keeps_a_numpy_int_dimension_as_an_int():
     assert type(task.d) is int and task.d == 2
 
 
+def test_task_refuses_an_unknown_target():
+    with pytest.raises(ValueError, match=r"^unknown target 'nope'$"):
+        SyntheticTask(kind="lipschitz_d", d=2, target="nope")
+
+
+def test_bayes_risk_refuses_a_regression_task():
+    with pytest.raises(ValueError, match=r"^bayes_risk is defined for classification tasks$"):
+        SyntheticTask(kind="lipschitz_1d").bayes_risk()
+
+
 def test_linear_task_is_one_plus_x():
     task = SyntheticTask(kind="linear_1d", sigma=0.0)
     X = np.array([[0.0], [0.25], [1.0]])
@@ -317,6 +327,17 @@ def test_verify_cell_distribution_rejects_a_non_finite_point_before_drawing(monk
         verify_cell_distribution(2, 5.0, x, samples=10, seed=1, workers=workers)
 
 
+@pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_verify_cell_distribution_refuses_a_point_of_another_shape_before_drawing(monkeypatch,
+                                                                                 x):
+    def no_sampling(*args):
+        raise AssertionError("partitions were drawn for a point of the wrong shape")
+
+    monkeypatch.setattr(harness, "_sample_legs", no_sampling)
+    with pytest.raises(ValueError, match=r"^x must have shape \(2,\)$"):
+        verify_cell_distribution(2, 5.0, x, samples=10, seed=1)
+
+
 def test_cell_distribution_atoms_shrink_with_lifetime():
     small = verify_cell_distribution(1, 2.0, [0.5], samples=400, seed=6)
     large = verify_cell_distribution(1, 8.0, [0.5], samples=400, seed=6)
@@ -470,6 +491,39 @@ def test_risk_experiments_refuse_a_count_that_is_not_an_int_before_drawing(
     monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
     with pytest.raises(ValueError, match=message):
         RISK_EXPERIMENTS[experiment](**{argument: value})
+
+
+EXPERIMENTS_OF_EVAL_MARGIN = {
+    "rate_sweep": lambda margin: rate_sweep(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), [16, 32, 64], "lipschitz", 1.0, 1,
+        replicates=2, seed=1, n_test=16, eval_margin=margin),
+    "estimate_risk": lambda margin: estimate_risk(
+        SyntheticTask(kind="lipschitz_1d", sigma=0.1), 16, 1.0, 1, replicates=2,
+        n_test=16, seed=1, eval_margin=margin),
+}
+
+
+@pytest.mark.parametrize("margin", [0.5, -0.25, math.nan])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS_OF_EVAL_MARGIN))
+def test_risk_experiments_refuse_a_margin_outside_zero_to_one_half_before_drawing(
+        monkeypatch, experiment, margin):
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=r"^eval_margin must be in \[0, 1/2\)$"):
+        EXPERIMENTS_OF_EVAL_MARGIN[experiment](margin)
+
+
+def test_classification_sweep_refuses_a_grid_of_one_size_before_drawing(monkeypatch):
+    monkeypatch.setattr(SyntheticTask, "sample_data", no_sampling)
+    with pytest.raises(ValueError, match=r"^n_grid must contain at least 2 points$"):
+        classification_sweep(1, [64], "lipschitz", 1, replicates=2, seed=1)
+
+
+def test_rate_sweep_refuses_to_fit_a_slope_to_zero_risks():
+    # a constant target without noise, at lifetime 0, is fitted exactly at every size
+    task = SyntheticTask(kind="lipschitz_d", d=1, target="constant", sigma=0.0)
+    with pytest.raises(ValueError, match=r"^risks must be positive to fit a log-log slope; "
+                                         r"add noise or bias$"):
+        rate_sweep(task, [16, 32, 64], "fixed", 0.0, 1, replicates=2, seed=1, n_test=16)
 
 
 def test_tree_vs_forest_refuses_a_size_that_is_not_an_int_before_drawing(monkeypatch):

@@ -50,6 +50,22 @@ def test_box_validation():
         BoxRegion([0.0], [math.inf])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BoxRegion([], []), r"^box must have at least one axis$"),
+    (lambda: BoxRegion.unit(0), r"^dim must be >= 1, got 0$"),
+    (lambda: UNIT2.contains([0.5]), r"^point has dimension 1, box has 2$"),
+    (lambda: UNIT2.split(0, 1.0), r"^threshold 1\.0 not interior to \[0\.0, 1\.0\] on axis 0$"),
+    (lambda: UNIT2.split(1, 0.0), r"^threshold 0\.0 not interior to \[0\.0, 1\.0\] on axis 1$"),
+    (lambda: sample(3).leaf_indices(np.array([0.5, 0.5])), r"^X must have shape \(n, 2\)$"),
+    (lambda: sample(3).leaf_indices(np.full((3, 3), 0.5)), r"^X must have shape \(n, 2\)$"),
+    (lambda: restrict(sample(3), BoxRegion.unit(1)), r"^sub-box dimension mismatch$"),
+], ids=["box-no-axis", "unit-dim-0", "contains-dim", "split-at-upper", "split-at-lower",
+        "leaf-indices-1d", "leaf-indices-columns", "restrict-dim"])
+def test_boxes_and_partitions_refuse_a_wrong_dimension_or_threshold(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("lower, upper", [([-1e308], [1e308]), ([0.0, 0.0], [1e308, 1e308])],
                          ids=["side-overflows", "sides-sum-overflows"])
 def test_box_whose_side_lengths_overflow_is_rejected(lower, upper):
@@ -645,8 +661,8 @@ def one_d_partitions(draw):
     part = sample_mondrian(box, lifetime, RngStream(draw(st.integers(0, 2**32 - 1))))
     if draw(st.booleans()):
         a, b = draw(st.floats(0.01, 0.5)), draw(st.floats(0.5, 1.0))
-        part = restrict(part, BoxRegion([lower + width * a], [lower + width * b],
-                                        [draw(st.booleans())]))
+        lo, hi = lower + width * a, lower + width * b
+        part = restrict(part, BoxRegion([lo], [hi], [draw(st.booleans()) or lo == hi]))
     return part
 
 

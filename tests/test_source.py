@@ -275,6 +275,17 @@ def test_exact_leaf_sums_use_no_object_arrays():
     assert found == []
 
 
+def test_exact_scaled_ints_place_labels_by_left_shifts():
+    # every label's place in 2^-1074 units is at least 0, so a scaled int or a leaf's
+    # fold only shifts left; a right shift is the two's-complement split of the limbs
+    # and the odd part of a saved sum, and one elsewhere would bring back a subnormal branch
+    tree = ast.parse(Path(estimators.__file__).read_text(encoding="utf-8"))
+    found = sorted({scope for scope, node in _scoped(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.RShift)})
+    assert found == ["_odd_shift", "_split_limbs"]
+
+
 def test_harness_draws_test_inputs_once_per_replicate():
     # a replicate draws its test inputs in _replicate and every row scores them;
     # a score that read a stream would redraw them once per row
