@@ -4,8 +4,10 @@ Subcommands map one-to-one onto the harness operations, plus ``sample`` for
 raw partitions and ``fit``/``predict`` for model files.  Every run echoes its
 full configuration into the report it writes, and identical invocations
 produce byte-identical artifacts (timings never enter the output).  The
-parser registers every subcommand but builds options only for the one
-invoked.
+parser builds options only for the invoked subcommand, and when the first
+argument names a subcommand it registers that one alone; otherwise (an
+option or an unknown name first) it registers every subcommand, so the
+top-level help and the "invalid choice" error list them all.
 
 Exit codes: 0 on success with all verdicts passing, 1 when any verdict
 fails, 2 on usage errors (bad flags, bad config or model files, violated
@@ -93,10 +95,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Every subcommand, with options only for the one ``argv`` invokes.
+    """The subcommands ``argv`` may invoke, with options only for the one it does.
 
     The top-level parser takes no option with a value, so the first token that
-    is not an option names the subcommand, as it does for argparse.
+    is not an option names the subcommand, as it does for argparse.  A known
+    subcommand as the first token is the only one registered: each subparser
+    costs more to build than parsing does.  Any other first token registers
+    them all, for the help and the errors that list them.
     """
     parser = _Parser(
         prog="mondrian-forest",
@@ -105,7 +110,9 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     invoked = next((token for token in argv if not token.startswith("-")), None)
-    for name, (handler, opts) in _SUBCOMMANDS.items():
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        handler, opts = _SUBCOMMANDS[name]
         sub = subparsers.add_parser(name, help=handler.__doc__)
         if name != invoked:
             continue

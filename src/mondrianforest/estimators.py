@@ -26,8 +26,11 @@ grouped by offset (ordinary data has one group), at most 2^21 rows to a group,
 so any float64 or int64 sum of a group's limbs (each below 2^32 in magnitude)
 is exact: 2^21 * 2^32 = 2^53.  Per tree, one float64 ``bincount`` over the
 rows' leaf ranks sums each limb row per leaf, and each leaf's limb and group
-sums fold into one Python int.  An update adds its one label's exact integer
-into its leaf directly.
+sums fold into one Python int.  An update checks its one point against the
+root box on Python floats, finds its leaf's rank by the scalar walk from the
+root, and adds its one label's exact integer into that leaf directly.  It runs
+no numpy reduction and no batch routing, so past copying the leaf statistics a
+step costs one walk of the tree's depth.
 
 A 1-d forest fit routes no row.  It sorts its rows by x once per forest (row
 order changes no exact sum) and keeps each group's limb rows as int64 prefix
@@ -289,20 +292,23 @@ def _check_data(dim: int, X, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
                 base: MondrianTreeModel | None = None) -> MondrianTreeModel:
-    """The one producer of leaf sums: the rows of ``X``, or ``base`` plus one row.
+    """The one producer of leaf sums: the rows of ``X``, or ``base`` plus the point ``X``.
 
     A batch brings its labels as :class:`_Limbs`.  Each group gives a (3,
     n_leaves) int64 array of limb sums, from ``bincount`` over the rows' leaf
     ranks or, when the labels carry rows sorted by x (a 1-d forest, which routes
     no row), as differences of prefix sums at each leaf's first and last row;
-    the fold makes one exact int per leaf.  An update adds its one label, an
-    exact int in 2^-1074 units, and a count of 1 to the leaf it hits (splitting
-    one label into limbs costs more than the whole update).  Batch fits, forest
-    fits and updates all run this, so a fold of updates equals a batch fit.
+    the fold makes one exact int per leaf.  An update's point, shape (dim,),
+    takes the scalar walk, which gives its leaf's rank; the update adds its one
+    label, an exact int in 2^-1074 units, and a count of 1 to that leaf
+    (splitting one label into limbs costs more than the whole update).  Batch
+    fits, forest fits and updates all run this, so a fold of updates equals a
+    batch fit.
     """
     n_leaves = partition.n_leaves
     if base is not None:
-        rank = partition.leaf_indices(X).item()
+        _check_in_root_box(partition.box, X)
+        rank = partition._descend(X.tolist())[1]
         counts, totals = base._counts.copy(), list(base._totals)
         counts[rank] += 1
         totals[rank] += labels
@@ -341,9 +347,15 @@ def predict_tree(model: MondrianTreeModel, x):
 
 
 def update_tree(model: MondrianTreeModel, x, y) -> MondrianTreeModel:
-    """New model equivalent to refitting on the data plus one point."""
+    """New model equivalent to refitting on the data plus one point.
+
+    ``x`` has shape (dim,).  ValueError for a point of another shape, then for
+    a label that is not finite, then for a point outside the root box.
+    """
     x = np.asarray(x, dtype=np.float64)
-    return _accumulate(model.partition, x[None, :], _scaled_int(y), base=model)
+    if x.shape != (model.partition.dim,):
+        raise ValueError(f"x must have shape ({model.partition.dim},)")
+    return _accumulate(model.partition, x, _scaled_int(y), base=model)
 
 
 class MondrianForestModel:

@@ -166,8 +166,14 @@ class BoxRegion:
         """Point membership under the edge-inclusion flags."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.lower.shape:
-            raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
-        return bool(np.all((self._lowest <= x) & (x <= self.upper)))
+            if x.ndim == 1:
+                raise ValueError(f"point has dimension {x.size}, box has {self.dim}")
+            raise ValueError(f"point has shape {x.shape}, box has dimension {self.dim}")
+        # least <= x <= upper on the point's Python floats: one point pays for no
+        # numpy reduction, and nan fails both comparisons
+        point = x.tolist()
+        return (all(map(operator.le, self._lowest.tolist(), point))
+                and all(map(operator.le, point, self.upper.tolist())))
 
     def contains_box(self, other: "BoxRegion") -> bool:
         """Whether ``other`` is contained in this box as a point set."""
@@ -277,7 +283,14 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _check_in_root_box(box: BoxRegion, X: np.ndarray) -> None:
-    """ValueError naming the rows of ``X`` (shape (n, dim)) that lie outside ``box``."""
+    """ValueError naming the rows of ``X`` (shape (n, dim)) that lie outside ``box``.
+
+    One point, ``X`` of shape (dim,), is row 0 and is checked by ``box.contains``.
+    """
+    if X.ndim == 1:
+        if not box.contains(X):
+            raise ValueError("points outside the root box at indices [0]")
+        return
     lowest, upper = box._lowest, box.upper
     # the whole-array min and max clear a batch inside the bounds of every axis (nan
     # fails them), and only a batch they cannot clear pays for the per-row mask
@@ -371,27 +384,35 @@ class MondrianPartition:
         x = np.asarray(x, dtype=np.float64)
         if not self.box.contains(x):
             raise ValueError(f"point {x.tolist()} is outside the root box")
-        return self._node(self._descend(x.tolist()))
+        return self._node(self._descend(x.tolist())[0])
 
-    def _descend(self, point: list) -> int:
-        # the scalar walk from the root to the leaf holding ``point``; ties go left
+    def _descend(self, point: list) -> tuple[int, int]:
+        # the scalar walk from the root to the leaf holding ``point``, ties going left; it
+        # returns the leaf's node index and its rank: a right turn at node i passes the
+        # (right[i] - i) // 2 leaves of its left subtree, nodes i + 1 to right[i] - 1
         dims, thrs, rights = self.split_dim, self.threshold, self.right
-        node = 0
-        while dims.item(node) >= 0:
-            node = node + 1 if point[dims.item(node)] <= thrs.item(node) else rights.item(node)
-        return node
+        node = rank = 0
+        while (axis := dims.item(node)) >= 0:
+            if point[axis] <= thrs.item(node):
+                node += 1
+            else:
+                right = rights.item(node)
+                rank += (right - node) // 2
+                node = right
+        return node, rank
 
     def leaf_indices(self, X) -> np.ndarray:
         """DFS-left-first leaf index for each row of ``X`` (shape (n, dim))."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
+        if X.shape[0] == 1:
+            # one row (as in predicting at a point): the scalar walk, which counts the
+            # leaf's rank as it goes, costs less than the batch checks and loops
+            _check_in_root_box(self.box, X[0])
+            return np.array([self._descend(X[0].tolist())[1]])
         _check_in_root_box(self.box, X)
         dim, thr, right = self.split_dim, self.threshold, self.right
-        if X.shape[0] == 1:
-            # one row (as in update_tree): the gather loop's numpy calls cost more than
-            # the walk; a leaf's rank is the number of leaves before it in preorder
-            return np.array([np.count_nonzero(dim[:self._descend(X[0].tolist())] < 0)])
         if self.dim == 1:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
             # point on a threshold goes left (closed-left), as side="left" places it

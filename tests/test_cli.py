@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -227,9 +228,44 @@ def test_parser_builds_options_only_for_the_invoked_subcommand(monkeypatch, caps
     monkeypatch.setattr(cli._Parser, "add_argument", recording)
     assert run(["sample", "--lifetime", "0"]) == 0
     # every parser adds its own -h; only sample's options are built besides
-    assert flags.count("-h") == 1 + len(_SUBCOMMANDS)
+    assert flags.count("-h") == 2
     assert sorted(set(flags) - {"-h", "--help"}) == sorted(
         "--" + opt.name for opt in _SUBCOMMANDS["sample"][1] + cli._COMMON)
+
+
+def registered(argv):
+    """The subcommand names ``cli._build_parser(argv)`` registers."""
+    parser = cli._build_parser(argv)
+    return list(next(action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("argv", [["sample"], ["fit", "--help"], ["predict", "--point", "0.5"]])
+def test_a_subcommand_named_first_is_the_only_one_registered(argv):
+    assert registered(argv) == argv[:1]
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h", "fit"], ["bogus"], ["--seed", "1", "fit"],
+                                  ["Fit"]])
+def test_an_option_or_unknown_name_first_registers_every_subcommand(argv):
+    assert registered(argv) == list(_SUBCOMMANDS)
+
+
+def test_help_and_invalid_choice_before_a_subcommand_list_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        run(["-h", "fit"])
+    assert exc.value.code == 0
+    words = " ".join(capsys.readouterr().out.split())
+    assert all(f" {name} {handler.__doc__} " in words
+               for name, (handler, _) in _SUBCOMMANDS.items())
+    with pytest.raises(SystemExit) as exc:
+        run(["bogus", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mondrian-forest: error: argument SUBCOMMAND: invalid choice: ")
+    choices = err.split("(choose from ", 1)[1].rstrip(")\n").split(", ")
+    assert [choice.strip("'") for choice in choices] == list(_SUBCOMMANDS)
 
 
 def test_top_level_help_lists_each_subcommand_with_its_handler_docstring(capsys, monkeypatch):

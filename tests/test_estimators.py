@@ -174,6 +174,26 @@ def test_update_refuses_a_label_that_is_not_finite(label):
         update_tree(model, [0.5, 0.5], label)
 
 
+@pytest.mark.parametrize("d, x, label, message", [
+    (1, 0.5, 1.0, r"^x must have shape \(1,\)$"),
+    (1, np.float64(0.5), 1.0, r"^x must have shape \(1,\)$"),
+    (1, [[0.5]], 1.0, r"^x must have shape \(1,\)$"),
+    (2, [0.5], 1.0, r"^x must have shape \(2,\)$"),
+    (2, [0.5, 0.5, 0.5], 1.0, r"^x must have shape \(2,\)$"),
+    (2, [[0.2, 0.3]], 1.0, r"^x must have shape \(2,\)$"),
+    (2, [math.nan, 0.5], 1.0, r"^points outside the root box at indices \[0\]$"),
+    (2, [1.5, 0.5], 1.0, r"^points outside the root box at indices \[0\]$"),
+    # the point's shape is checked first, then the label, then the root box
+    (2, [0.5], math.nan, r"^x must have shape \(2,\)$"),
+    (2, [1.5, 0.5], math.inf, r"^labels must be finite, got inf$"),
+], ids=["d1-scalar", "d1-numpy-scalar", "d1-row", "d2-short", "d2-long", "d2-row", "d2-nan",
+        "d2-outside", "shape-before-label", "label-before-box"])
+def test_update_refuses_a_bad_point_in_order(d, x, label, message):
+    model = fit_tree(make_partition(box=BoxRegion.unit(d)), np.empty((0, d)), np.empty(0))
+    with pytest.raises(ValueError, match=message):
+        update_tree(model, x, label)
+
+
 def test_update_does_not_mutate_input_model():
     part = make_partition()
     X, y = make_data(30)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mondrianforest import (
     expected_leaf_count,
     expected_leaf_count_box,
     extend,
+    fit_tree,
     leaf_cells,
     leaf_count,
     locate_leaf,
@@ -21,6 +23,7 @@ from mondrianforest import (
     prune,
     restrict,
     sample_mondrian,
+    update_tree,
 )
 from mondrianforest.partition import validate_partition
 
@@ -54,12 +57,15 @@ def test_box_validation():
     (lambda: BoxRegion([], []), r"^box must have at least one axis$"),
     (lambda: BoxRegion.unit(0), r"^dim must be >= 1, got 0$"),
     (lambda: UNIT2.contains([0.5]), r"^point has dimension 1, box has 2$"),
+    (lambda: UNIT2.contains([[0.2, 0.3]]), r"^point has shape \(1, 2\), box has dimension 2$"),
+    (lambda: BoxRegion.unit(1).contains(0.5), r"^point has shape \(\), box has dimension 1$"),
     (lambda: UNIT2.split(0, 1.0), r"^threshold 1\.0 not interior to \[0\.0, 1\.0\] on axis 0$"),
     (lambda: UNIT2.split(1, 0.0), r"^threshold 0\.0 not interior to \[0\.0, 1\.0\] on axis 1$"),
     (lambda: sample(3).leaf_indices(np.array([0.5, 0.5])), r"^X must have shape \(n, 2\)$"),
     (lambda: sample(3).leaf_indices(np.full((3, 3), 0.5)), r"^X must have shape \(n, 2\)$"),
     (lambda: restrict(sample(3), BoxRegion.unit(1)), r"^sub-box dimension mismatch$"),
-], ids=["box-no-axis", "unit-dim-0", "contains-dim", "split-at-upper", "split-at-lower",
+], ids=["box-no-axis", "unit-dim-0", "contains-dim", "contains-2d-point", "contains-scalar",
+         "split-at-upper", "split-at-lower",
         "leaf-indices-1d", "leaf-indices-columns", "restrict-dim"])
 def test_boxes_and_partitions_refuse_a_wrong_dimension_or_threshold(call, message):
     with pytest.raises(ValueError, match=message):
@@ -754,6 +760,99 @@ def test_batch_inside_a_box_that_is_not_a_cube_routes():
     for outside in ([1.5, 0.5], [-1.0, 0.5]):
         with pytest.raises(ValueError, match=r"indices \[1\]$"):
             part.leaf_indices([[0.5, 0.5], outside])
+
+
+# -- one point takes the scalar walk ------------------------------------------------
+
+
+@st.composite
+def partitions_and_points(draw):
+    """A partition at d = 1-3 from sample_mondrian, extend or restrict, with points.
+
+    The box has any offsets, widths and lower-edge flags; a restricted box may
+    open its lower edges and put one on a threshold of the partition it
+    restricts.  The points lie inside the box: at its least members and
+    upper edges (corners and faces), at its middle, on thresholds, and
+    anywhere; each comes with a label and a place in a shuffled order.
+    """
+    d = draw(st.integers(1, 3))
+    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    box = BoxRegion(lower, lower + width, draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    # 1 + lifetime * |C| leaves on average in 1-d, more from 2-d on; the first entries
+    # are drawn most, so 0 (one leaf) comes last
+    lifetime = draw(st.sampled_from([4.0, 8.0, 2.0, 1.0, 0.0])) / box.linear_dimension
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)))
+    part = sample_mondrian(box, lifetime, rng)
+    op = draw(st.sampled_from(["sample", "extend", "restrict"]))
+    if op == "extend":
+        part = extend(part, 2.0 * lifetime, rng)
+    elif op == "restrict":
+        a = lower + width * np.array(draw(st.lists(st.floats(0.01, 0.45), min_size=d, max_size=d)))
+        b = lower + width * np.array(draw(st.lists(st.floats(0.55, 1.0), min_size=d, max_size=d)))
+        for axis in range(d):
+            on_axis = [t for j, t in zip(part.split_dim.tolist(), part.threshold.tolist())
+                       if j == axis and a[axis] < t < b[axis]]
+            if on_axis and draw(st.booleans()):
+                a[axis] = draw(st.sampled_from(on_axis))
+        part = restrict(part, BoxRegion(a, b, draw(st.lists(st.booleans(), min_size=d,
+                                                            max_size=d))))
+    box = part.box
+    least = np.where(box.left_closed, box.lower, np.nextafter(box.lower, np.inf))
+    upper = box.upper
+    splits = np.flatnonzero(part.split_dim >= 0).tolist()
+    candidates = [[least[j], upper[j], (least[j] + upper[j]) / 2,
+                   *part.threshold[part.split_dim == j].tolist()] for j in range(d)]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, candidates)), min_size=1, max_size=10))
+    for index in draw(st.lists(st.sampled_from(splits), max_size=8)) if splits else []:
+        node = part._node(index)  # the middle of its cell, on its threshold
+        x = (node.box.lower + node.box.upper) / 2
+        x[node.split.dim] = node.split.threshold
+        rows.append(x)
+    for u in draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), max_size=6)):
+        rows.append(box.lower + (upper - box.lower) * np.array(u))
+    X = np.clip(np.array(rows, dtype=np.float64), least, upper)
+    labels = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(X), max_size=len(X)))
+    order = draw(st.permutations(range(len(X))))
+    return part, X, np.array(labels), order
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(partitions_and_points())
+def test_one_point_routes_as_it_does_in_a_batch(case):
+    part, X, y, order = case
+    box, n = part.box, len(X)
+    leaves = np.flatnonzero(part.split_dim < 0)
+    ranks = [part.leaf_indices(x[None]).item() for x in X]
+    # a 2-row batch takes searchsorted in 1-d and the level loop from 2-d on
+    assert [part.leaf_indices(np.stack([X[i], X[(i + 1) % n]])).tolist() for i in range(n)] == [
+        [ranks[i], ranks[(i + 1) % n]] for i in range(n)]
+    assert [part.locate_leaf(x).index for x in X] == leaves[ranks].tolist()
+    assert all(box.contains(x) for x in X)
+    empty = fit_tree(part, np.empty((0, part.dim)), np.empty(0))
+    model = empty
+    for i in order:
+        model = update_tree(model, X[i], y[i])
+    batch = fit_tree(part, X, y)
+    assert model._counts.tolist() == batch._counts.tolist()
+    assert model._totals == batch._totals
+    least = np.where(box.left_closed, box.lower, np.nextafter(box.lower, np.inf))
+    for axis in range(part.dim):
+        for value in (np.nextafter(least[axis], -np.inf), np.nextafter(box.upper[axis], np.inf),
+                      math.nan):
+            bad = X[0].copy()
+            bad[axis] = value
+            assert not box.contains(bad)
+            with pytest.raises(ValueError, match=r"^points outside the root box at indices \[0\]$"):
+                part.leaf_indices(bad[None])
+            with pytest.raises(ValueError, match=r"^points outside the root box at indices \[1\]$"):
+                part.leaf_indices(np.stack([X[0], bad]))
+            with pytest.raises(ValueError, match=rf"^point {re.escape(str(bad.tolist()))} is "
+                                                 "outside the root box$"):
+                part.locate_leaf(bad)
+            with pytest.raises(ValueError, match=r"^points outside the root box at indices \[0\]$"):
+                update_tree(empty, bad, 1.0)
 
 
 # -- a side with no float strictly inside cannot be split ----------------------------

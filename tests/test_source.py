@@ -145,6 +145,18 @@ def test_tree_predict_is_the_one_path_from_rows_to_leaf_means():
         ("estimators.py", "MondrianTreeModel.predict")]
 
 
+def test_one_point_takes_the_one_scalar_walk():
+    # MondrianPartition._descend gives a point's leaf node and rank in one walk; only the
+    # one-point paths take it (a one-row batch, locate_leaf and an update), a batch keeps
+    # its level loop or searchsorted, and no rank is counted from the node arrays
+    assert _scopes_calling("_descend") == [
+        ("estimators.py", "_accumulate"), ("partition.py", "MondrianPartition.leaf_indices"),
+        ("partition.py", "MondrianPartition.locate_leaf")]
+    tree = ast.parse(Path(partition.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if "count_nonzero" in (getattr(node, "attr", None), getattr(node, "id", None))] == []
+
+
 def test_tree_models_are_built_by_accumulation_and_the_one_loader():
     # fitting builds trees in _accumulate, and both model schemas load through
     # _tree_model, so every check of a loaded tree runs on every file
