@@ -39,6 +39,14 @@ placing the tree's sorted thresholds in the sorted x, and each of its limb sums
 is the difference of two prefix entries.  The lifetime and root-box checks run
 on the rows as given, so an error names the caller's rows.
 
+From 2-d on, a forest of 2 or more trees places a batch of 2 or more rows once
+for all its trees, in fitting and in prediction: each column is sorted once
+(``partition._PlacedRows``), and each tree reads its rows' leaves from its
+leaf table (see :mod:`.partition`).  Each tree still checks the rows against
+its own root box, so an error names the same rows.  A prediction derives each
+leaf's mean from the exact sums, or, for fewer rows than the tree has leaves
+(a point, say), only the means of the rows' leaves.
+
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
 columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
@@ -71,6 +79,7 @@ from .partition import (
     _json_loads,
     _lifetime,
     _node_columns,
+    _PlacedRows,
     _typed,
     partition_from_dict,
     partition_to_dict,  # noqa: F401  the benchmark's tracer wraps this name here
@@ -260,12 +269,21 @@ class MondrianTreeModel:
     def predict(self, x):
         """Prediction at a point (1-d input) or batch of points (2-d input)."""
         # the one path from rows to leaf means, derived from the exact sums on each call
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return float(self.predict(x[None, :])[0])
+        # (a forest passes its placed batch, which leaf_indices reads as rows)
+        if not isinstance(x, _PlacedRows):
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim == 1:
+                return float(self.predict(x[None, :])[0])
+        ranks = self.partition.leaf_indices(x)
+        if ranks.size < self.n_leaves:
+            # fewer rows than leaves (a point, say): derive only the rows' leaf means
+            ranks = ranks.tolist()
+            return np.array([_leaf_mean(self._totals[r], c)
+                             for r, c in zip(ranks, self._counts[ranks].tolist())],
+                            dtype=np.float64)
         means = np.array([_leaf_mean(t, c) for c, t in zip(self._counts.tolist(), self._totals)],
                          dtype=np.float64)
-        return means[self.partition.leaf_indices(x)]
+        return means[ranks]
 
 
 def fit_tree(partition: MondrianPartition, X, y) -> MondrianTreeModel:
@@ -394,7 +412,7 @@ class MondrianForestModel:
 
     def predict(self, x):
         """Arithmetic mean of tree predictions, summed in tree order; a float for a point."""
-        x = np.asarray(x, dtype=np.float64)
+        x = _placed(np.asarray(x, dtype=np.float64), self.n_trees)
         return sum(tree.predict(x) for tree in self.trees) / self.n_trees
 
     def predict_class(self, x):
@@ -431,9 +449,18 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
         order = np.argsort(X[:, 0])
         X, y = X[order], y[order]
     labels = _split_limbs(y, X[:, 0] if d == 1 else None)
-    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), X, labels)
+    rows = _placed(X, n_trees)
+    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), rows, labels)
              for m in range(n_trees)]
     return MondrianForestModel(trees, lifetime, master_seed)
+
+
+def _placed(X: np.ndarray, n_trees: int):
+    """``X`` placed once for all trees, or ``X`` itself where one tree or row, or d = 1, would
+    not share the sort (see :class:`partition._PlacedRows`)."""
+    if X.ndim == 2 and X.shape[0] >= 2 and X.shape[1] >= 2 and n_trees >= 2:
+        return _PlacedRows(X)
+    return X
 
 
 def predict_forest(model: MondrianForestModel, x):

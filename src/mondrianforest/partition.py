@@ -15,6 +15,16 @@ child of node ``i`` is ``i + 1``).  Birth times (the parent's clock), cell
 boxes and leaf ranks are derived when asked for; :class:`PartitionNode` is a
 read-only view of one node.
 
+Rows find their leaves by :meth:`MondrianPartition.leaf_indices`.  One point
+takes the scalar walk from the root, a 1-d batch ``searchsorted`` on the
+sorted thresholds, and a batch in 2 or more dimensions a level loop that moves
+every row one node down per level.  A batch that a forest placed for all its
+trees (:class:`_PlacedRows`, each column sorted once) is read from the tree's
+leaf table instead, when the table is no larger than the batch: the tree's
+thresholds, sorted per axis, cut the root box into a grid whose every cell
+lies in one leaf, and a row's cell on each axis is counted on the sorted
+column for all rows at once.
+
 A node's clock never changes once drawn: :func:`prune` turns a node whose
 split time is past the new lifetime into a leaf with that pending clock, and
 :func:`extend` splits a leaf whose pending clock is within the new lifetime
@@ -300,6 +310,29 @@ def _check_in_root_box(box: BoxRegion, X: np.ndarray) -> None:
             raise ValueError(f"points outside the root box at indices {bad.tolist()}")
 
 
+class _PlacedRows:
+    """A batch ``rows`` (shape (n, dim)) with each column sorted once, for many trees.
+
+    ``columns`` is ``(sorted, rank)``, each of shape (dim, n): every column in
+    ascending order, and each row's place in it.  A forest places its batch
+    once, and :meth:`MondrianPartition.leaf_indices` reads each tree's leaves
+    from the placement; ``shape`` is the batch's.
+    """
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+        order = np.argsort(rows.T, axis=1)
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(rows.shape[0]), axis=1)
+        self.columns = np.take_along_axis(rows.T, order, axis=1), rank
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+
 class MondrianPartition:
     """A sampled Mondrian partition: root box, lifetime, node arrays, provenance.
 
@@ -402,8 +435,12 @@ class MondrianPartition:
         return node, rank
 
     def leaf_indices(self, X) -> np.ndarray:
-        """DFS-left-first leaf index for each row of ``X`` (shape (n, dim))."""
-        X = np.asarray(X, dtype=np.float64)
+        """DFS-left-first leaf index for each row of ``X`` (shape (n, dim)).
+
+        ``X`` may also be a batch placed for many trees (:class:`_PlacedRows`).
+        """
+        placed = X if isinstance(X, _PlacedRows) else None
+        X = np.asarray(X if placed is None else X.rows, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"X must have shape (n, {self.dim})")
         if X.shape[0] == 1:
@@ -417,6 +454,17 @@ class MondrianPartition:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
+        if placed is not None and math.prod(
+                k + 1 for k in np.bincount(dim[dim >= 0], minlength=self.dim).tolist()) <= len(X):
+            # a placed batch reads each row's leaf from the leaf table, which is never
+            # larger than the batch: a row's slab on axis a is the number of sorted
+            # thresholds below it, counted for all rows at once on the sorted column
+            edges, steps, table = self._leaf_table()
+            flat = 0
+            for column, rank, edge, step in zip(*placed.columns, edges, steps):
+                per_slab = np.diff(np.searchsorted(column, edge, side="right"))
+                flat = flat + np.repeat(step, per_slab)[rank]
+            return table[flat]
         # every row moves one node down per level: child[2 * i + 1] is node i's right
         # child, child[2 * i] its left; a leaf is both of its own children, so a row that
         # reaches it stays whatever it compares, and a point on a threshold goes left
@@ -433,6 +481,65 @@ class MondrianPartition:
         for _ in range(max(depth)):
             cur = child[2 * cur + (x[row + axis[cur]] > thr[cur])]
         return (np.cumsum(leaf) - 1)[cur]
+
+    def _leaf_table(self):
+        """``(edges, steps, table)``: the leaf rank of each cell of the tree's threshold grid.
+
+        Axis ``a``'s ``K_a`` thresholds, sorted, cut the root box into ``K_a + 1``
+        slabs; slab ``c`` holds the points with ``c`` of them strictly below,
+        which is the closed-left rule, and each cell of the grid lies in one
+        leaf.  ``edges[a]`` is the sorted thresholds between -inf and inf,
+        ``steps[a]`` each slab's offset into ``table``, the leaf ranks over the
+        grid in C order.  A split at sorted place ``k`` leaves slabs ``[lo, k]``
+        to its left child and ``[k + 1, hi]`` to its right, so equal thresholds
+        in two subtrees stay exact: the slab between them holds no point.
+        """
+        dim, thr, right = self.split_dim, self.threshold, self.right
+        d, n = self.dim, dim.size
+        splits = np.flatnonzero(dim >= 0)
+        axis = dim[splits]
+        order = np.lexsort((thr[splits], axis))
+        counts = np.bincount(axis, minlength=d).tolist()
+        firsts = [sum(counts[:a]) for a in range(d)]
+        strides = [math.prod(k + 1 for k in counts[a + 1:]) for a in range(d)]
+        cells = strides[0] * (counts[0] + 1)
+        place = np.empty(splits.size, dtype=np.intp)
+        place[order] = np.arange(splits.size) - np.repeat(firsts, counts)
+        # each leaf's box in slabs, scaled by the strides: row a of `value` holds lo_a and
+        # row d + a holds hi_a + 1, set at a split's right and left child respectively and
+        # passed down to the nodes below; every node points at its parent, or at itself
+        # where its row is set (the root holds lo = 0 and hi + 1 = cells, past the
+        # table), and pointer jumping finds each leaf's nearest setting ancestor
+        parent = np.zeros(n, dtype=np.intp)
+        parent[splits + 1] = parent[right[splits]] = splits
+        pointer = (parent + np.arange(0, 2 * d * n, n)[:, None]).ravel()
+        value = np.zeros(2 * d * n, dtype=np.intp)
+        value[d * n::n] = cells
+        lo_at = axis * n + right[splits]
+        hi_at = (axis + d) * n + splits + 1
+        pointer[lo_at], pointer[hi_at] = lo_at, hi_at
+        value[lo_at] = value[hi_at] = (place + 1) * np.array(strides)[axis]
+        for _ in range(splits.size.bit_length()):  # 2^rounds > splits >= depth
+            pointer = pointer[pointer]
+        leaves = np.flatnonzero(dim < 0)
+        box = value[pointer.reshape(2 * d, n)[:, leaves]]
+        # paint the ranks by a difference array: leaf r adds (-1)^|S| r at its corner that
+        # takes hi + 1 on the axes in S and lo on the others (row c of `corners` takes hi + 1
+        # on axis a when bit a of c is set); a corner past the table lands in the last bin,
+        # which is dropped, and one cumsum per axis turns the differences into the ranks
+        corners = box[[0, d]]
+        for a in range(1, d):
+            corners = np.concatenate((corners + box[a], corners + box[a + d]))
+        signs = [(-1.0) ** bin(c).count("1") for c in range(2 ** d)]
+        weights = np.multiply.outer(signs, np.arange(leaves.size, dtype=np.float64))
+        diff = np.bincount(np.minimum(corners, cells).ravel(), weights.ravel(), cells + 1)
+        table = diff[:cells].astype(np.intp).reshape([k + 1 for k in counts])
+        for a in range(d):
+            np.cumsum(table, axis=a, out=table)
+        ordered = thr[splits][order].tolist()
+        edges = [np.array([-math.inf, *ordered[f:f + k], math.inf]) for f, k in zip(firsts, counts)]
+        steps = [np.arange(0, (k + 1) * s, s) for k, s in zip(counts, strides)]
+        return edges, steps, table.ravel()
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:
         """Node-for-node equality of boxes, splits, times, and pending clocks.

@@ -414,6 +414,47 @@ def test_forest_predict_is_the_tree_order_mean_bit_for_bit():
     assert predict_forest(forest, probe[5].tolist()) == point
 
 
+def counting_leaf_means(monkeypatch):
+    """Spy on ``_leaf_mean``; the returned list gets one entry per call."""
+    calls = []
+    mean = estimators._leaf_mean
+
+    def spy(total, count):
+        calls.append(count)
+        return mean(total, count)
+
+    monkeypatch.setattr(estimators, "_leaf_mean", spy)
+    return calls
+
+
+def test_a_point_derives_only_its_own_leaf_mean_in_each_tree(monkeypatch):
+    # a batch with fewer rows than a tree has leaves (a point, say) derives the mean of
+    # each row's leaf alone; a point's value is still its row's in any batch, bit for bit
+    X, y = make_data(400)
+    forest = fit_forest(UNIT2, 2, 6.0, 5, X, y, master_seed=17)
+    probe = np.random.default_rng(9).random((300, 2))
+    leaves = [tree.n_leaves for tree in forest.trees]
+    assert max(leaves) < len(probe)
+    batch = predict_forest(forest, probe)
+    per_tree = forest.per_tree_predictions(probe)
+    calls = counting_leaf_means(monkeypatch)
+    for i, x in enumerate(probe[:40]):
+        calls.clear()
+        point = predict_forest(forest, x)
+        assert type(point) is float and np.float64(point).tobytes() == batch[i].tobytes()
+        assert len(calls) == forest.n_trees
+        calls.clear()
+        assert [predict_tree(tree, x) for tree in forest.trees] == per_tree[:, i].tolist()
+        assert len(calls) == forest.n_trees
+    few = probe[:min(leaves) - 1]
+    calls.clear()
+    assert predict_forest(forest, few).tobytes() == batch[:len(few)].tobytes()
+    assert len(calls) == len(few) * forest.n_trees
+    calls.clear()
+    assert predict_forest(forest, probe).tobytes() == batch.tobytes()
+    assert calls == [c for tree in forest.trees for c in tree._counts.tolist()]
+
+
 def test_per_tree_predictions_of_one_point_has_one_value_per_tree():
     X, y = make_data()
     forest = fit_forest(UNIT2, 2, 4.0, 6, X, y, master_seed=12)

@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 
 from mondrianforest import (
     BoxRegion,
+    MondrianForestModel,
+    MondrianPartition,
     RngStream,
     SplitLimitError,
     cell_l2_diameter,
     expected_leaf_count,
     expected_leaf_count_box,
     extend,
+    fit_forest,
     fit_tree,
     leaf_cells,
     leaf_count,
     locate_leaf,
+    partition_from_dict,
     partition_from_json,
     partition_to_json,
     prune,
@@ -25,7 +29,7 @@ from mondrianforest import (
     sample_mondrian,
     update_tree,
 )
-from mondrianforest.partition import validate_partition
+from mondrianforest.partition import _PlacedRows, validate_partition
 
 UNIT2 = BoxRegion.unit(2)
 
@@ -760,6 +764,130 @@ def test_batch_inside_a_box_that_is_not_a_cube_routes():
     for outside in ([1.5, 0.5], [-1.0, 0.5]):
         with pytest.raises(ValueError, match=r"indices \[1\]$"):
             part.leaf_indices([[0.5, 0.5], outside])
+
+
+# -- a forest's placed batch reads each tree's leaf table ----------------------------
+
+
+def counting_tables(mp):
+    """Spy on the leaf-table builder; the returned list gets each built table's size."""
+    built = []
+    build = MondrianPartition._leaf_table
+
+    def spy(self):
+        table = build(self)
+        built.append(table[2].size)
+        return table
+
+    mp.setattr(MondrianPartition, "_leaf_table", spy)
+    return built
+
+
+def grid_cells(part):
+    """Cells of the partition's threshold grid: the product of (thresholds + 1) per axis."""
+    return math.prod(int(k) + 1 for k in np.bincount(part.split_dim[part.split_dim >= 0],
+                                                     minlength=part.dim))
+
+
+def tiled(X, n):
+    """``n`` rows: the rows of ``X`` over and over."""
+    return X[np.arange(n) % len(X)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(multi_d_partitions(), st.sampled_from([2.0, 1.0, 3.0]),
+       st.lists(st.floats(0.0, 1.0), max_size=24), st.integers(0, 2**32 - 1))
+def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, seed):
+    # extended to a lifetime of at least scale * d / |C|, every partition has splits, and
+    # their thresholds more neighbours
+    lifetime = max(part.lifetime, scale * part.dim / part.box.linear_dimension)
+    part = extend(part, lifetime, RngStream(seed, (1,)))
+    box, d = part.box, part.dim
+    lo, hi = box.lower, box.upper
+    first = np.where(box.left_closed, lo, np.nextafter(lo, hi))
+    middle = (first + hi) / 2
+    corners = [np.where(np.array(bits, dtype=bool), hi, first) for bits in np.ndindex(*(2,) * d)]
+    faces = [np.where(np.arange(d) == axis, edge, middle) for axis in range(d) for edge in (first, hi)]
+    on_thresholds = []
+    for node in part.iter_nodes():
+        if not node.is_leaf:
+            for value in (-np.inf, None, np.inf):  # one float below, on and one float above
+                x = (node.box.lower + node.box.upper) / 2
+                x[node.split.dim] = (node.split.threshold if value is None
+                                     else np.nextafter(node.split.threshold, value))
+                on_thresholds.append(x)
+    inside = [lo + (hi - lo) * u for u in np.reshape(fractions[:len(fractions) // d * d], (-1, d))]
+    X = np.clip(np.array(corners + faces + on_thresholds + inside), first, hi)
+    cells = grid_cells(part)
+    # the table is read when its cells number no more than the rows: with max(cells, len(X))
+    # rows it is, and with one row fewer than its cells the level loop runs instead
+    for n, table in ((max(cells, len(X)), True), (min(cells - 1, 3 * len(X)), False)):
+        if n < 2 or n > 4096:
+            continue
+        rows = tiled(X, n)
+        walked = part.leaf_indices(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            built = counting_tables(mp)
+            assert part.leaf_indices(_PlacedRows(rows)).tolist() == walked.tolist()
+        assert built == ([cells] if table else [])
+        assert all(size <= n for size in built)
+        # a forest of this tree and two more predicts its trees' mean from placed rows,
+        # byte for byte, and fits every tree as fit_tree does
+        y = np.random.default_rng(seed).standard_normal(n)
+        others = [sample_mondrian(box, part.lifetime, RngStream(seed).child(m)) for m in range(2)]
+        trees = [fit_tree(p, rows, y) for p in [part, *others]]
+        forest = MondrianForestModel(trees, part.lifetime, seed)
+        mean = sum(tree.predict(rows) for tree in trees) / 3
+        assert forest.predict(rows).tobytes() == mean.tobytes()
+        fitted = fit_forest(box, d, part.lifetime, 2, rows, y, seed)
+        for tree, p in zip(fitted.trees, others):
+            alone = fit_tree(p, rows, y)
+            assert tree.partition.structurally_equal(p)
+            assert tree._counts.tolist() == alone._counts.tolist()
+            assert tree._totals == alone._totals
+
+
+def test_equal_thresholds_in_two_subtrees_route_through_the_table():
+    # axis 0 is split at 0.3 and at 0.7 on both sides of the root's split of axis 1, one
+    # pair nested the other way round from the other; the grid has an empty slab between
+    # each pair, and rows on, one float below and one float above each threshold route
+    # as locate_leaf says
+    def split(axis, threshold, time):
+        return {"split": {"dim": axis, "threshold": threshold, "time": time}}
+
+    leaf = {"leaf": {"pending_clock": 2.0}}
+    part = partition_from_dict({
+        "schema": "mondrian-partition/1", "dim": 2, "lifetime": 1.0,
+        "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "left_closed": [True, True]},
+        "nodes": [split(1, 0.5, 0.1),
+                  split(0, 0.3, 0.2), leaf, split(0, 0.7, 0.3), leaf, leaf,
+                  split(0, 0.7, 0.2), split(0, 0.3, 0.3), leaf, leaf, leaf],
+        "seed_provenance": None})
+    near = [v for t in (0.3, 0.5, 0.7) for v in (math.nextafter(t, 0.0), t, math.nextafter(t, 1.0))]
+    X = np.array([(a, b) for a in [0.0, *near, 1.0] for b in [0.0, *near, 1.0]])
+    ranks = {node.index: r for r, node in enumerate(part.leaves())}
+    walked = [ranks[part.locate_leaf(x).index] for x in X]
+    assert grid_cells(part) == 10 < len(X)
+    with pytest.MonkeyPatch.context() as mp:
+        built = counting_tables(mp)
+        assert part.leaf_indices(_PlacedRows(X)).tolist() == walked
+    assert built == [10]
+    assert sorted(set(walked)) == list(range(6))
+
+
+def test_a_grid_larger_than_the_batch_takes_the_level_loop(monkeypatch):
+    # a d = 3 tree with more grid cells than rows never builds its table, which is
+    # therefore never larger than the batch it serves
+    part = sample_mondrian(BoxRegion.unit(3), 6.0, RngStream(8))
+    cells = grid_cells(part)
+    X = np.random.default_rng(8).random((200, 3))
+    assert len(X) < cells
+    built = counting_tables(monkeypatch)
+    assert part.leaf_indices(_PlacedRows(X)).tolist() == part.leaf_indices(X).tolist()
+    assert built == []
+    rows = tiled(X, cells)
+    assert part.leaf_indices(_PlacedRows(rows)).tolist() == part.leaf_indices(rows).tolist()
+    assert built == [cells]
 
 
 # -- one point takes the scalar walk ------------------------------------------------

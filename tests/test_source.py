@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import mondrianforest
 from mondrianforest import cli, estimators, harness, oracles, partition, rng
 
@@ -155,6 +157,39 @@ def test_one_point_takes_the_one_scalar_walk():
     tree = ast.parse(Path(partition.__file__).read_text(encoding="utf-8"))
     assert [node.lineno for node in ast.walk(tree)
             if "count_nonzero" in (getattr(node, "attr", None), getattr(node, "id", None))] == []
+
+
+def test_a_forest_places_its_batch_and_each_tree_reads_its_one_leaf_table():
+    # fit_forest and MondrianForestModel.predict place a batch (each column sorted once)
+    # for all their trees by the one rule in _placed; MondrianPartition._leaf_table is the
+    # one builder of a tree's leaf table, and leaf_indices its one reader
+    assert _scopes_calling("_PlacedRows") == [("estimators.py", "_placed")]
+    assert _scopes_calling("_placed") == [("estimators.py", "MondrianForestModel.predict"),
+                                          ("estimators.py", "fit_forest")]
+    assert _scopes_calling("_leaf_table") == [("partition.py", "MondrianPartition.leaf_indices")]
+    assert [scope for path in SOURCES
+            for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name == "_leaf_table"] == [
+        "MondrianPartition"]
+
+
+def test_a_placed_forest_fit_routes_each_tree_once_with_the_batch_shape(monkeypatch):
+    # perfbench/tracing.py counts routed points by np.shape of leaf_indices' argument, so
+    # placed rows keep the batch's shape (n, d), and a 2-d forest routes once per tree
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    tracing = importlib.import_module("tracing")
+    calls = []
+    route = partition.MondrianPartition.leaf_indices
+
+    def spy(self, X):
+        calls.append((type(X).__name__, np.shape(X), tracing._rows_info({"X": X}, None)))
+        return route(self, X)
+
+    monkeypatch.setattr(partition.MondrianPartition, "leaf_indices", spy)
+    X = np.random.default_rng(5).random((300, 2))
+    estimators.fit_forest(partition.BoxRegion.unit(2), 2, 4.0, 3, X, X[:, 0], 5)
+    assert calls == [("_PlacedRows", (300, 2), {"points": 300})] * 3
 
 
 def test_tree_models_are_built_by_accumulation_and_the_one_loader():
