@@ -40,9 +40,10 @@ is the difference of two prefix entries.  The lifetime and root-box checks run
 on the rows as given, so an error names the caller's rows.
 
 From 2-d on, a forest of 2 or more trees places a batch of 2 or more rows once
-for all its trees, in fitting and in prediction: each column is sorted once
-(``partition._PlacedRows``), and each tree reads its rows' leaves from its
-leaf table (see :mod:`.partition`).  Each tree still checks the rows against
+for all its trees, in fitting and in prediction: each column is sorted once,
+when a tree first reads it (``partition._PlacedRows``), and each tree whose
+leaf table pays on that batch reads its rows' leaves from it; the others take
+the level loop (see :mod:`.partition`).  Each tree still checks the rows against
 its own root box, so an error names the same rows.  A prediction derives each
 leaf's mean from the exact sums, or, for fewer rows than the tree has leaves
 (a point, say), only the means of the rows' leaves.
@@ -457,7 +458,8 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
 
 def _placed(X: np.ndarray, n_trees: int):
     """``X`` placed once for all trees, or ``X`` itself where one tree or row, or d = 1, would
-    not share the sort (see :class:`partition._PlacedRows`)."""
+    not share the sort (see :class:`partition._PlacedRows`, sorted only if a tree's table
+    reads it)."""
     if X.ndim == 2 and X.shape[0] >= 2 and X.shape[1] >= 2 and n_trees >= 2:
         return _PlacedRows(X)
     return X

@@ -19,8 +19,10 @@ Rows find their leaves by :meth:`MondrianPartition.leaf_indices`.  One point
 takes the scalar walk from the root, a 1-d batch ``searchsorted`` on the
 sorted thresholds, and a batch in 2 or more dimensions a level loop that moves
 every row one node down per level.  A batch that a forest placed for all its
-trees (:class:`_PlacedRows`, each column sorted once) is read from the tree's
-leaf table instead, when the table is no larger than the batch: the tree's
+trees (:class:`_PlacedRows`, each column sorted when first read) is read from
+the tree's leaf table instead, when the table is no larger than the batch and
+the batch large enough to pay for the table's build (the level loop would
+take at least ``_TABLE_ROW_LEVELS`` row-levels per axis): the tree's
 thresholds, sorted per axis, cut the root box into a grid whose every cell
 lies in one leaf, and a row's cell on each axis is counted on the sorted
 column for all rows at once.
@@ -82,6 +84,15 @@ __all__ = [
 PARTITION_SCHEMA = "mondrian-partition/1"
 
 DEFAULT_MAX_SPLITS = 1_000_000
+
+# a placed batch reads a tree's leaf table only where the level loop would take at
+# least this many row-levels (rows times the tree's depth) per axis: the table's build
+# costs some 70-100 us at d = 2-4 whatever the batch, and its read a few passes over
+# the rows per axis, where a level costs one.  Timed on 310 shapes (trees of 2-204
+# leaves, batches of 16-16384 rows, d = 2-4), the rule took the slower path by more
+# than 10 % once (1.28x), where a table read whenever it fits the batch ran up to
+# 4.6x slower than the level loop
+_TABLE_ROW_LEVELS = 6144
 
 
 class SplitLimitError(RuntimeError):
@@ -313,20 +324,26 @@ def _check_in_root_box(box: BoxRegion, X: np.ndarray) -> None:
 class _PlacedRows:
     """A batch ``rows`` (shape (n, dim)) with each column sorted once, for many trees.
 
-    ``columns`` is ``(sorted, rank)``, each of shape (dim, n): every column in
-    ascending order, and each row's place in it.  A forest places its batch
-    once, and :meth:`MondrianPartition.leaf_indices` reads each tree's leaves
-    from the placement; ``shape`` is the batch's.
+    ``columns()`` is ``(sorted, rank)``, each of shape (dim, n): every column in
+    ascending order, and each row's place in it, sorted when a tree first reads
+    them, so a batch that no tree reads from its table is never sorted.  A
+    forest places its batch once, and :meth:`MondrianPartition.leaf_indices`
+    reads each tree's leaves from the placement; ``shape`` is the batch's.
     """
 
-    __slots__ = ("rows", "columns")
+    __slots__ = ("rows", "_columns")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
-        order = np.argsort(rows.T, axis=1)
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order, np.arange(rows.shape[0]), axis=1)
-        self.columns = np.take_along_axis(rows.T, order, axis=1), rank
+        self._columns = None
+
+    def columns(self) -> tuple:
+        if self._columns is None:
+            order = np.argsort(self.rows.T, axis=1)
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.arange(self.rows.shape[0]), axis=1)
+            self._columns = np.take_along_axis(self.rows.T, order, axis=1), rank
+        return self._columns
 
     @property
     def shape(self) -> tuple:
@@ -454,14 +471,18 @@ class MondrianPartition:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
-        if placed is not None and math.prod(
-                k + 1 for k in np.bincount(dim[dim >= 0], minlength=self.dim).tolist()) <= len(X):
+        depth, rights = [0] * dim.size, right.tolist()
+        for i in np.flatnonzero(dim >= 0).tolist():  # preorder: a parent comes before its children
+            depth[i + 1] = depth[rights[i]] = depth[i] + 1
+        levels = max(depth)
+        if (placed is not None and len(X) * levels >= _TABLE_ROW_LEVELS * self.dim
+                and self._grid()[1] <= len(X)):
             # a placed batch reads each row's leaf from the leaf table, which is never
             # larger than the batch: a row's slab on axis a is the number of sorted
             # thresholds below it, counted for all rows at once on the sorted column
             edges, steps, table = self._leaf_table()
             flat = 0
-            for column, rank, edge, step in zip(*placed.columns, edges, steps):
+            for column, rank, edge, step in zip(*placed.columns(), edges, steps):
                 per_slab = np.diff(np.searchsorted(column, edge, side="right"))
                 flat = flat + np.repeat(step, per_slab)[rank]
             return table[flat]
@@ -473,14 +494,17 @@ class MondrianPartition:
         child = np.stack((np.where(leaf, node, node + 1), np.where(leaf, node, right)),
                          axis=1).ravel()
         axis = np.where(leaf, 0, dim)
-        depth, rights = [0] * dim.size, right.tolist()
-        for i in np.flatnonzero(~leaf).tolist():  # preorder: a parent comes before its children
-            depth[i + 1] = depth[rights[i]] = depth[i] + 1
         x, row = X.ravel(), np.arange(0, X.size, self.dim)
         cur = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(max(depth)):
+        for _ in range(levels):
             cur = child[2 * cur + (x[row + axis[cur]] > thr[cur])]
         return (np.cumsum(leaf) - 1)[cur]
+
+    def _grid(self) -> tuple[list, int]:
+        """``(counts, cells)``: each axis's number of thresholds, and the cells of the grid
+        they cut the root box into, the product of ``count + 1`` over the axes."""
+        counts = np.bincount(self.split_dim[self.split_dim >= 0], minlength=self.dim).tolist()
+        return counts, math.prod(k + 1 for k in counts)
 
     def _leaf_table(self):
         """``(edges, steps, table)``: the leaf rank of each cell of the tree's threshold grid.
@@ -499,10 +523,9 @@ class MondrianPartition:
         splits = np.flatnonzero(dim >= 0)
         axis = dim[splits]
         order = np.lexsort((thr[splits], axis))
-        counts = np.bincount(axis, minlength=d).tolist()
+        counts, cells = self._grid()
         firsts = [sum(counts[:a]) for a in range(d)]
         strides = [math.prod(k + 1 for k in counts[a + 1:]) for a in range(d)]
-        cells = strides[0] * (counts[0] + 1)
         place = np.empty(splits.size, dtype=np.intp)
         place[order] = np.arange(splits.size) - np.repeat(firsts, counts)
         # each leaf's box in slabs, scaled by the strides: row a of `value` holds lo_a and

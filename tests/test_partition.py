@@ -29,7 +29,7 @@ from mondrianforest import (
     sample_mondrian,
     update_tree,
 )
-from mondrianforest.partition import _PlacedRows, validate_partition
+from mondrianforest.partition import _TABLE_ROW_LEVELS, _PlacedRows, validate_partition
 
 UNIT2 = BoxRegion.unit(2)
 
@@ -783,10 +783,17 @@ def counting_tables(mp):
     return built
 
 
-def grid_cells(part):
-    """Cells of the partition's threshold grid: the product of (thresholds + 1) per axis."""
-    return math.prod(int(k) + 1 for k in np.bincount(part.split_dim[part.split_dim >= 0],
-                                                     minlength=part.dim))
+def depth(node):
+    """Levels below ``node``: the level loop's passes over the rows."""
+    return 0 if node.is_leaf else 1 + max(depth(child) for child in node.children)
+
+
+def table_rows(part):
+    """The fewest rows a placed batch needs to read ``part``'s leaf table: as many as the
+    grid's cells, and enough that the level loop would take _TABLE_ROW_LEVELS row-levels
+    per axis (none suffice for a tree without splits)."""
+    levels = depth(part.root)
+    return max(part._grid()[1], -(-_TABLE_ROW_LEVELS * part.dim // levels)) if levels else math.inf
 
 
 def tiled(X, n):
@@ -818,11 +825,13 @@ def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, s
                 on_thresholds.append(x)
     inside = [lo + (hi - lo) * u for u in np.reshape(fractions[:len(fractions) // d * d], (-1, d))]
     X = np.clip(np.array(corners + faces + on_thresholds + inside), first, hi)
-    cells = grid_cells(part)
-    # the table is read when its cells number no more than the rows: with max(cells, len(X))
-    # rows it is, and with one row fewer than its cells the level loop runs instead
-    for n, table in ((max(cells, len(X)), True), (min(cells - 1, 3 * len(X)), False)):
-        if n < 2 or n > 4096:
+    cells, least = part._grid()[1], table_rows(part)
+    # the table is read when its cells number no more than the rows and the level loop
+    # would take enough row-levels: with max(least, len(X)) rows it is, and with one row
+    # fewer than either bound the level loop runs instead
+    for n, table in ((max(least, len(X)), True),
+                     (min(cells, -(-_TABLE_ROW_LEVELS * d // depth(part.root))) - 1, False)):
+        if n < 2 or n > 16384:
             continue
         rows = tiled(X, n)
         walked = part.leaf_indices(rows)
@@ -851,7 +860,8 @@ def test_equal_thresholds_in_two_subtrees_route_through_the_table():
     # axis 0 is split at 0.3 and at 0.7 on both sides of the root's split of axis 1, one
     # pair nested the other way round from the other; the grid has an empty slab between
     # each pair, and rows on, one float below and one float above each threshold route
-    # as locate_leaf says
+    # as locate_leaf says, in a batch too small for the table (the level loop) and in one
+    # large enough
     def split(axis, threshold, time):
         return {"split": {"dim": axis, "threshold": threshold, "time": time}}
 
@@ -867,10 +877,14 @@ def test_equal_thresholds_in_two_subtrees_route_through_the_table():
     X = np.array([(a, b) for a in [0.0, *near, 1.0] for b in [0.0, *near, 1.0]])
     ranks = {node.index: r for r, node in enumerate(part.leaves())}
     walked = [ranks[part.locate_leaf(x).index] for x in X]
-    assert grid_cells(part) == 10 < len(X)
+    assert part._grid() == ([4, 1], 10)
     with pytest.MonkeyPatch.context() as mp:
         built = counting_tables(mp)
         assert part.leaf_indices(_PlacedRows(X)).tolist() == walked
+        assert built == []
+        rows = tiled(X, table_rows(part))
+        assert part.leaf_indices(_PlacedRows(rows)).tolist() == tiled(np.array(walked),
+                                                                      len(rows)).tolist()
     assert built == [10]
     assert sorted(set(walked)) == list(range(6))
 
@@ -879,15 +893,32 @@ def test_a_grid_larger_than_the_batch_takes_the_level_loop(monkeypatch):
     # a d = 3 tree with more grid cells than rows never builds its table, which is
     # therefore never larger than the batch it serves
     part = sample_mondrian(BoxRegion.unit(3), 6.0, RngStream(8))
-    cells = grid_cells(part)
+    cells = part._grid()[1]
     X = np.random.default_rng(8).random((200, 3))
     assert len(X) < cells
     built = counting_tables(monkeypatch)
     assert part.leaf_indices(_PlacedRows(X)).tolist() == part.leaf_indices(X).tolist()
     assert built == []
-    rows = tiled(X, cells)
+    rows = tiled(X, table_rows(part))
     assert part.leaf_indices(_PlacedRows(rows)).tolist() == part.leaf_indices(rows).tolist()
     assert built == [cells]
+
+
+@pytest.mark.parametrize("d, lifetime, n", [(2, 0.4, 256), (2, 1.5, 1024), (3, 0.5, 1024)])
+def test_a_small_batch_through_a_shallow_tree_takes_the_level_loop(monkeypatch, d, lifetime, n):
+    # the table's build costs more than a few levels of the loop over a small batch, so a
+    # placed batch whose grid fits but whose loop would take too few row-levels is routed
+    # by the loop, and no tree of such a forest sorts the batch
+    X = np.random.default_rng(d).random((n, d))
+    built = counting_tables(monkeypatch)
+    placed = _PlacedRows(X)
+    forest = fit_forest(BoxRegion.unit(d), d, lifetime, 4, X, X[:, 0], 3)
+    for tree in forest.trees:
+        part = tree.partition
+        assert part._grid()[1] <= n < table_rows(part)
+        assert part.leaf_indices(placed).tolist() == part.leaf_indices(X).tolist()
+    assert built == []
+    assert placed._columns is None
 
 
 # -- one point takes the scalar walk ------------------------------------------------

@@ -162,11 +162,15 @@ def test_one_point_takes_the_one_scalar_walk():
 def test_a_forest_places_its_batch_and_each_tree_reads_its_one_leaf_table():
     # fit_forest and MondrianForestModel.predict place a batch (each column sorted once)
     # for all their trees by the one rule in _placed; MondrianPartition._leaf_table is the
-    # one builder of a tree's leaf table, and leaf_indices its one reader
+    # one builder of a tree's leaf table, and leaf_indices its one reader; the grid's
+    # threshold counts and cells are derived once, in MondrianPartition._grid, for the
+    # reader's size rule and the builder alike
     assert _scopes_calling("_PlacedRows") == [("estimators.py", "_placed")]
     assert _scopes_calling("_placed") == [("estimators.py", "MondrianForestModel.predict"),
                                           ("estimators.py", "fit_forest")]
     assert _scopes_calling("_leaf_table") == [("partition.py", "MondrianPartition.leaf_indices")]
+    assert _scopes_calling("_grid") == [("partition.py", "MondrianPartition._leaf_table"),
+                                        ("partition.py", "MondrianPartition.leaf_indices")]
     assert [scope for path in SOURCES
             for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.FunctionDef) and node.name == "_leaf_table"] == [
