@@ -892,7 +892,7 @@ def test_equal_thresholds_in_two_subtrees_route_through_the_table():
 def test_a_grid_larger_than_the_batch_takes_the_level_loop(monkeypatch):
     # a d = 3 tree with more grid cells than rows never builds its table, which is
     # therefore never larger than the batch it serves
-    part = sample_mondrian(BoxRegion.unit(3), 6.0, RngStream(8))
+    part = sample_mondrian(BoxRegion.unit(3), 2.0, RngStream(8))
     cells = part._grid()[1]
     X = np.random.default_rng(8).random((200, 3))
     assert len(X) < cells
