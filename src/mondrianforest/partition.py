@@ -87,11 +87,11 @@ DEFAULT_MAX_SPLITS = 1_000_000
 
 # a placed batch reads a tree's leaf table only where the level loop would take at
 # least this many row-levels (rows times the tree's depth) per axis: the table's build
-# costs some 70-100 us at d = 2-4 whatever the batch, and its read a few passes over
-# the rows per axis, where a level costs one.  Timed on 310 shapes (trees of 2-204
-# leaves, batches of 16-16384 rows, d = 2-4), the rule took the slower path by more
-# than 10 % once (1.28x), where a table read whenever it fits the batch ran up to
-# 4.6x slower than the level loop
+# costs some 70-100 us at d = 2-4 whatever the batch, and its read, per row and axis,
+# about what the loop spends per row and level.  Timed on 310 shapes (trees of 2-204
+# leaves, batches of 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took
+# the slower path by more than 10 % once (1.28x), where a table read whenever it fits
+# the batch ran up to 4.6x slower than the level loop
 _TABLE_ROW_LEVELS = 6144
 
 
