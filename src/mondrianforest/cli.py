@@ -33,7 +33,7 @@ from .estimators import fit_forest, model_from_json, model_to_json, predict_clas
 from .harness import ExperimentReport, SyntheticTask
 from .partition import (DEFAULT_MAX_SPLITS, BoxRegion, SplitLimitError, _json_loads,
                         partition_to_json, sample_mondrian)
-from .rng import RngStream
+from .rng import RngStream, _natural
 
 USAGE_ERROR = 2
 VERDICT_FAILURE = 1
@@ -193,8 +193,7 @@ def _resolve_options(args: argparse.Namespace, opts: list[_Opt]) -> dict:
             raise ValueError(f"missing required option --{opt.name}")
     if merged["format"] not in ("json", "csv"):
         raise ValueError(f"unknown format {merged['format']!r}")
-    if merged["threads"] < 1:
-        raise ValueError(f"--threads must be >= 1, got {merged['threads']}")
+    _natural(merged["threads"], "--threads", 1)
     return merged
 
 

@@ -320,9 +320,8 @@ def _accumulate(partition: MondrianPartition, X: np.ndarray, labels,
     the fold makes one exact int per leaf.  An update's point, shape (dim,),
     takes the scalar walk, which gives its leaf's rank; the update adds its one
     label, an exact int in 2^-1074 units, and a count of 1 to that leaf
-    (splitting one label into limbs costs more than the whole update).  Batch
-    fits, forest fits and updates all run this, so a fold of updates equals a
-    batch fit.
+    (splitting one label into limbs costs more than the whole update).  Every
+    leaf sum is an exact int either way, so a fold of updates equals a batch fit.
     """
     n_leaves = partition.n_leaves
     if base is not None:
@@ -429,10 +428,7 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
     drive the trees (used for composing experiments from derived streams).
     """
     # range() would refuse 2.5 with a TypeError and take True as 1 tree
-    if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)):
-        raise ValueError(f"n_trees must be an int, got {n_trees!r}")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    n_trees = _natural(n_trees, "n_trees", 1)
     if box.dim != d:
         raise ValueError(f"box has dimension {box.dim}, expected {d}")
     X, y = _check_data(d, X, y)
@@ -510,10 +506,8 @@ def forest_size_schedule(kind: str, n: int, d: int, scale: float = 1.0) -> int:
 
 
 def _check_schedule_args(n: int, d: int, scale: float) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _natural(n, "n", 1)
+    _natural(d, "d", 1)
     # a nan scale would give a nan lifetime and an infinite one an overflowing tree count
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and > 0, got {scale}")

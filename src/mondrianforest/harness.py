@@ -40,7 +40,7 @@ from .oracles import (
     truncated_exp_cdf,
 )
 from .partition import BoxRegion, leaf_count, restrict, sample_mondrian
-from .rng import RngStream
+from .rng import RngStream, _natural
 
 __all__ = [
     "SyntheticTask",
@@ -186,7 +186,7 @@ class SyntheticTask:
             raise ValueError(f"unknown task kind {self.kind!r}; expected one of {sorted(_TASK_KINDS)}")
         if self.kind.endswith("_1d") and self.d != 1:
             raise ValueError(f"{self.kind} requires d = 1")
-        object.__setattr__(self, "d", _size(self.d, "d", 1))
+        object.__setattr__(self, "d", _natural(self.d, "d", 1))
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and >= 0")
         target = self.target or _TASK_KINDS[self.kind]
@@ -372,9 +372,7 @@ def _map(fn, payloads: list, workers: int) -> list:
     than ``32 * processes`` are left they go one at a time, so the costliest
     replicates of a grid ordered by ``n`` cannot leave a process idle at the end.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    processes = min(_natural(workers, "workers", 1), len(payloads), os.cpu_count() or 1)
     if processes < 2:
         return _run_chunk(fn, payloads)
     chunks, start = [], 0
@@ -419,16 +417,6 @@ def _quadratic_risk(task, model, X_test, eval_margin) -> float:
 _SCHEDULES = ("c2", "consistency", "fixed", "lipschitz")
 
 
-def _size(value, name: str, least: int) -> int:
-    """``value`` as a Python int >= ``least``, refused unless it is an int or a numpy int."""
-    # int() would run 16.7 as 16 and True as 1, and range() refuses 3.0 with a TypeError
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return int(value)
-
-
 def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
     """The risk-grid row ``{"n", "lifetime", "n_trees"}`` of size ``n`` in dimension ``d``.
 
@@ -437,7 +425,7 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
     Every risk experiment builds its rows here, so each input is refused before
     any data is drawn.
     """
-    n = _size(n, "n", 1)
+    n = _natural(n, "n", 1)
     # "fixed" is not one of lifetime_schedule's kinds, so its error would not list it
     if schedule not in _SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {list(_SCHEDULES)}")
@@ -450,12 +438,8 @@ def _row(n: int, d: int, schedule: str, scale: float, m_rule) -> dict:
                          "(under schedule 'fixed' it is the scale)")
     if m_rule == "c2":
         n_trees = forest_size_schedule("c2", n, d)
-    elif isinstance(m_rule, bool) or not isinstance(m_rule, (int, np.integer)):
-        raise ValueError(f"tree count must be an int >= 1 or 'c2', got {m_rule!r}")
-    elif m_rule < 1:
-        raise ValueError("tree count must be >= 1")
     else:
-        n_trees = int(m_rule)
+        n_trees = _natural(m_rule, "tree count", 1)
     return {"n": n, "lifetime": lifetime, "n_trees": n_trees}
 
 
@@ -472,7 +456,7 @@ def _estimate_grid(points, score, extra, replicates: int, n_test: int, seed: int
     rows of a point are paired.  All replicates of the experiment go through one
     :func:`_map`.
     """
-    replicates, n_test = _size(replicates, "replicates", 2), _size(n_test, "n_test", 1)
+    replicates, n_test = _natural(replicates, "replicates", 2), _natural(n_test, "n_test", 1)
     payloads = [(score, task, rows[0]["n"], rows[0]["lifetime"],
                  [row["n_trees"] for row in rows], n_test, seed, path + (rep,), extra)
                 for rows, task, path in points for rep in range(replicates)]
@@ -518,7 +502,7 @@ def _sample_legs(legs, samples: int, seed: int, workers: int) -> list[np.ndarray
     Sample ``i`` of leg ``k`` is drawn on the stream ``(seed, (len(legs) * i + k,))``,
     so legs interleave on one family of streams; all of them share one :func:`_map`.
     """
-    samples = _size(samples, "samples", 2)
+    samples = _natural(samples, "samples", 2)
     payloads = [(box, lifetime, seed, (len(legs) * i + k,), statistic)
                 for k, (box, lifetime, statistic) in enumerate(legs) for i in range(samples)]
     values = _map(_sample, payloads, workers)
@@ -849,7 +833,7 @@ def tree_vs_forest(n: int, lambda_grid, m_large: int, replicates: int, seed: int
     over the same grid.  Each curved replicate fits the forest once and scores
     its tree 0 as the single tree, so tree and forest are paired.
     """
-    if _size(n, "n", 1) < 18:
+    if _natural(n, "n", 1) < 18:
         raise ValueError("the lower bound requires n >= 18")
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError("sigma2 must be finite and >= 0")

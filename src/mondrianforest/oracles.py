@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .rng import _natural
+
 __all__ = [
     "RiskBoundParams",
     "expected_leaf_count",
@@ -53,28 +55,24 @@ class RiskBoundParams:
     n_trees: int = 1
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        _natural(self.d, "d", 1)
         for name in ("lifetime", "sigma2", "lipschitz", "sup_f", "grad_sup",
                      "hess_sup", "p0", "p1", "c_p", "eps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _natural(self.n, "n", 1)
         if self.p0 > self.p1:
             raise ValueError("p0 must not exceed p1")
         if not self.eps < 0.5:
             raise ValueError("eps must be < 1/2")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        _natural(self.n_trees, "n_trees", 1)
 
 
 def expected_leaf_count(lifetime: float, d: int) -> float:
     """Exact expected number of leaves on the unit cube: ``(1 + lifetime)^d``."""
     if lifetime < 0:
         raise ValueError("lifetime must be >= 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _natural(d, "d", 1)
     return (1.0 + lifetime) ** d
 
 def expected_leaf_count_box(lifetime: float, side_lengths) -> float:
@@ -97,8 +95,7 @@ def diameter_tail_bound(delta: float, lifetime: float, d: int) -> float:
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _natural(d, "d", 1)
     u = lifetime * delta / math.sqrt(d)
     return d * (1.0 + u) * math.exp(-u)
 
@@ -107,8 +104,7 @@ def diameter_second_moment_bound(lifetime: float, d: int) -> float:
     """Upper bound on the expected squared cell diameter: ``4 d / lifetime^2``."""
     if lifetime <= 0:
         raise ValueError("lifetime must be > 0")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    _natural(d, "d", 1)
     return 4.0 * d / lifetime**2
 
 

@@ -141,8 +141,7 @@ class BoxRegion:
     @classmethod
     def unit(cls, dim: int) -> "BoxRegion":
         """The unit cube [0, 1]^dim, closed on all edges."""
-        if _natural(dim, "dim") < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        dim = _natural(dim, "dim", 1)
         return cls(np.zeros(dim), np.ones(dim))
 
     @classmethod
@@ -598,8 +597,7 @@ def _grow(box: BoxRegion, lifetime: float, rng, max_splits: int, source=None):
     interior of the cell, which happens only under :func:`restrict`, is
     dropped for the child that covers the cell.
     """
-    if max_splits < 0:
-        raise ValueError("max_splits must be >= 0")
+    _natural(max_splits, "max_splits")
     if source is not None:
         src_dim, src_thr, src_clock, src_right = (a.tolist() for a in source._arrays())
     if rng is not None:

@@ -34,10 +34,15 @@ __all__ = ["RngStream"]
 _BLOCK = 256
 
 
-def _natural(value, name: str) -> int:
-    """``value`` as an int >= 0; int() would truncate 2.5 and take True as 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+def _natural(value, name: str, least: int = 0) -> int:
+    """``value`` as a Python int >= ``least``: the package's one check of a count.
+
+    int() would truncate 2.5 and take True as 1, and a bare ``< least`` lets both through.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 

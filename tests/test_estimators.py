@@ -376,7 +376,7 @@ def test_forest_rejects_zero_trees():
 @pytest.mark.parametrize("n_trees", [2.5, True, 2.0, "3"])
 def test_forest_takes_only_an_int_tree_count(n_trees):
     # 2.5 used to raise a TypeError from range(), and True fitted 1 tree
-    with pytest.raises(ValueError, match=rf"^n_trees must be an int, got {n_trees!r}$"):
+    with pytest.raises(ValueError, match=rf"^n_trees must be an int >= 1, got {n_trees!r}$"):
         fit_forest(UNIT2, 2, 3.0, n_trees, np.empty((0, 2)), np.empty(0), master_seed=5)
 
 
@@ -700,6 +700,21 @@ def test_schedules_refuse_a_scale_that_is_not_finite_and_positive(schedule, scal
     # a nan scale used to give a nan lifetime and an infinite one an OverflowError
     with pytest.raises(ValueError, match=rf"scale must be finite and > 0, got {scale}$"):
         schedule(scale)
+
+
+@pytest.mark.parametrize("n, d, message", [
+    (2.5, 2, r"^n must be an int >= 1, got 2\.5$"),
+    (100, 1.5, r"^d must be an int >= 1, got 1\.5$"),
+    (100, 0, r"^d must be >= 1, got 0$"),
+], ids=["n-float", "d-float", "d-zero"])
+@pytest.mark.parametrize("schedule", [
+    lambda n, d: lifetime_schedule("lipschitz", n, d),
+    lambda n, d: forest_size_schedule("c2", n, d),
+], ids=["lifetime", "forest-size"])
+def test_schedules_refuse_a_size_or_dimension_that_is_not_a_positive_int(schedule, n, d, message):
+    # n = 2.5 and d = 1.5 used to pass a bare `< 1` and return a schedule value
+    with pytest.raises(ValueError, match=message):
+        schedule(n, d)
 
 
 def test_consistency_schedule_keeps_cells_per_sample_vanishing():

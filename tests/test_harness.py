@@ -266,6 +266,24 @@ def test_risk_workers_validation(pools, workers):
     assert pools == []
 
 
+def test_map_refuses_a_fractional_worker_count_before_building_a_pool(monkeypatch):
+    # with 8 CPUs, 2.5 workers used to reach the chunk slicing and die there with a TypeError
+    def no_pool(max_workers):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    with pytest.raises(ValueError, match=r"^workers must be an int >= 1, got 2\.5$"):
+        harness._map(abs, list(range(100)), 2.5)
+
+
+def test_verifiers_refuse_a_bool_worker_count(pools):
+    # True used to run the samples in-process as one worker
+    with pytest.raises(ValueError, match=r"^workers must be an int >= 1, got True$"):
+        verify_leaf_count(1, 3.0, samples=40, seed=5, workers=True)
+    assert pools == []
+
+
 # -- verify operations -------------------------------------------------------
 
 def test_verify_leaf_count_passes_and_echoes_config():
@@ -397,10 +415,10 @@ SWEEPS_OF_TREE_RULE = {
 
 
 @pytest.mark.parametrize("m_rule, message", [
-    (2.5, r"tree count must be an int >= 1 or 'c2', got 2\.5"),
-    (True, r"tree count must be an int >= 1 or 'c2', got True"),
-    ("8", r"tree count must be an int >= 1 or 'c2', got '8'"),
-    (None, r"tree count must be an int >= 1 or 'c2', got None"),
+    (2.5, r"tree count must be an int >= 1, got 2\.5"),
+    (True, r"tree count must be an int >= 1, got True"),
+    ("8", r"tree count must be an int >= 1, got '8'"),
+    (None, r"tree count must be an int >= 1, got None"),
     (0, r"tree count must be >= 1"),
 ])
 @pytest.mark.parametrize("sweep", sorted(SWEEPS_OF_TREE_RULE))
@@ -719,6 +737,28 @@ def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_three_dimensions():
                         replicates=24, seed=1, n_test=4096, slope_tolerance=0.15)
     assert report.oracle["slope_target"] == pytest.approx(-0.4)
     assert abs(report.oracle["slope"] - (-0.4)) <= 0.15
+    assert report.passed
+
+
+def test_rate_sweep_lipschitz_schedule_reaches_the_rate_in_five_dimensions():
+    # lipschitz_risk_bound is least at 0.72, 0.77 and 0.82 times n^(1/7); the Lipschitz rate
+    # at d=5 is -2/7, and a tolerance of 0.10 keeps the C² rate -4/9 outside the band
+    task = SyntheticTask(kind="lipschitz_d", d=5, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "lipschitz", 0.77, 8,
+                        replicates=24, seed=1, n_test=4096, slope_tolerance=0.10)
+    assert report.oracle["slope_target"] == pytest.approx(-2.0 / 7.0)
+    assert abs(report.oracle["slope"] - (-2.0 / 7.0)) <= 0.10
+    assert report.passed
+
+
+def test_rate_sweep_c2_schedule_reaches_the_rate_in_five_dimensions():
+    # c2_risk_bound is least at 1.35, 1.42 and 1.49 times n^(1/9); the C² rate at d=5 is -4/9
+    task = SyntheticTask(kind="c2_d", d=5, sigma=0.1)
+    report = rate_sweep(task, [2**k for k in range(8, 15)], "c2", 1.42, "c2",
+                        replicates=16, seed=1, n_test=4096, slope_tolerance=0.15,
+                        eval_margin=0.1)
+    assert report.oracle["slope_target"] == pytest.approx(-4.0 / 9.0)
+    assert abs(report.oracle["slope"] - (-4.0 / 9.0)) <= 0.15
     assert report.passed
 
 

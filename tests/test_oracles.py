@@ -110,6 +110,39 @@ def test_risk_bound_params_validation():
         RiskBoundParams(d=1, lifetime=1.0, n=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: RiskBoundParams(d=0, lifetime=1.0, n=10), "d must be >= 1, got 0"),
+    (lambda: RiskBoundParams(d=2.5, lifetime=1.0, n=10), "d must be an int >= 1, got 2.5"),
+    (lambda: RiskBoundParams(d=1, lifetime=1.0, n=10, sigma2=-1.0), "sigma2 must be nonnegative"),
+    (lambda: RiskBoundParams(d=1, lifetime=1.0, n=10.5), "n must be an int >= 1, got 10.5"),
+    (lambda: RiskBoundParams(d=1, lifetime=1.0, n=10, n_trees=0), "n_trees must be >= 1, got 0"),
+    (lambda: RiskBoundParams(d=1, lifetime=1.0, n=10, n_trees=1.5),
+     "n_trees must be an int >= 1, got 1.5"),
+    (lambda: expected_leaf_count(1.0, 2.5), "d must be an int >= 1, got 2.5"),
+    (lambda: expected_leaf_count(1.0, True), "d must be an int >= 1, got True"),
+    (lambda: expected_leaf_count_box(-1.0, [1.0]), "lifetime must be >= 0"),
+    (lambda: diameter_tail_bound(-0.1, 1.0, 2), "delta must be >= 0"),
+    (lambda: diameter_tail_bound(0.1, 1.0, 0), "d must be >= 1, got 0"),
+    (lambda: diameter_second_moment_bound(1.0, 0), "d must be >= 1, got 0"),
+    (lambda: lipschitz_risk_bound(RiskBoundParams(d=1, lifetime=0.0, n=10)),
+     "lifetime must be > 0"),
+    (lambda: c2_risk_bound(RiskBoundParams(d=1, lifetime=0.0, n=10)), "lifetime must be > 0"),
+    (lambda: c2_risk_bound(RiskBoundParams(d=1, lifetime=1.0, n=10, p0=0.0)), "p0 must be > 0"),
+    (lambda: tilde_f_1d(0.0, 0.5), "lifetime must be > 0"),
+    (lambda: tilde_f_1d(1.0, 1.5), "x must be in [0, 1]"),
+    (lambda: tree_lower_bound_1d(18, -1.0), "sigma2 must be >= 0"),
+    (lambda: truncated_exp_cdf(0.5, 1.0, -1.0), "cap must be >= 0"),
+], ids=["params-d", "params-d-float", "params-nonnegative", "params-n-float", "params-n-trees",
+        "params-n-trees-float", "leaf-count-d-float", "leaf-count-d-bool", "leaf-count-box-lifetime",
+        "tail-delta", "tail-d", "second-moment-d", "lipschitz-lifetime", "c2-lifetime", "c2-p0",
+        "tilde-f-lifetime", "tilde-f-x", "lower-bound-sigma2", "truncated-exp-cap"])
+def test_oracles_refuse_a_bad_argument_with_its_message(call, message):
+    # a count that is not an int (2.5, True) used to pass a bare `< 1` and return a value
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_tree_bias_exact_values():
     assert tree_bias_exact_1d(2.0) == pytest.approx(math.exp(-2.0) / 4.0)
     assert tree_bias_exact_1d(2.0) == pytest.approx(0.0338338, rel=1e-5)

@@ -46,6 +46,7 @@ def test_box_basoches():
     assert box.linear_dimension == 1.25
     assert box.volume == 0.375
     assert box.l2_diameter == pytest.approx(math.hypot(0.5, 0.75))
+    assert (BoxRegion.unit(2) == 3) is False  # through NotImplemented, not an error
 
 
 def test_box_validation():
@@ -246,6 +247,22 @@ def test_negative_split_budget_rejected_before_growing(grow):
     assert rng.counter == 0
 
 
+@pytest.mark.parametrize("budget, message", [
+    (2.5, r"^max_splits must be an int >= 0, got 2\.5$"),
+    (True, r"^max_splits must be an int >= 0, got True$"),
+], ids=["float", "bool"])
+@pytest.mark.parametrize("grow", [
+    lambda rng, budget: sample_mondrian(BoxRegion.unit(2), 0.0, rng, max_splits=budget),
+    lambda rng, budget: extend(sample(3, 1.0), 5.0, rng, max_splits=budget),
+], ids=["sample", "extend"])
+def test_a_split_budget_that_is_not_an_int_is_refused_before_growing(grow, budget, message):
+    # 2.5 used to pass a bare `< 0` and True to grow on a budget of 1
+    rng = RngStream(9)
+    with pytest.raises(ValueError, match=message):
+        grow(rng, budget)
+    assert rng.counter == 0
+
+
 def test_split_budget_guard_raises():
     with pytest.raises(SplitLimitError):
         sample_mondrian(BoxRegion.unit(1), 60.0, RngStream(5), max_splits=5)
@@ -419,6 +436,7 @@ def test_views_match_a_reference_descent(name):
     for node, (_, box, birth) in zip(nodes, ref):
         assert node.box == box
         assert node.birth_time == birth
+        assert (node.children is None) is node.is_leaf
     leaves = part.leaves()
     assert len(leaves) == part.n_leaves
     assert all(a is b for a, b in zip(leaves, [node for node in nodes if node.is_leaf], strict=True))

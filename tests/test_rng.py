@@ -114,11 +114,11 @@ def test_seed_validation():
     (2.5, (), "seed must be an int >= 0, got 2.5"),
     (True, (), "seed must be an int >= 0, got True"),
     (np.float64(3.0), (), "seed must be an int >= 0, got np.float64(3.0)"),
-    (-1, (), "seed must be an int >= 0, got -1"),
+    (-1, (), "seed must be >= 0, got -1"),
     (7, (1.7,), "path entry must be an int >= 0, got 1.7"),
     (7, (0, False), "path entry must be an int >= 0, got False"),
-    (7, (-1,), "path entry must be an int >= 0, got -1"),
-    (7, (np.int64(-2),), "path entry must be an int >= 0, got np.int64(-2)"),
+    (7, (-1,), "path entry must be >= 0, got -1"),
+    (7, (np.int64(-2),), "path entry must be >= 0, got np.int64(-2)"),
 ], ids=["seed-float", "seed-bool", "seed-numpy-float", "seed-negative", "path-float",
         "path-bool", "path-negative", "path-numpy-negative"])
 def test_a_seed_or_path_entry_that_is_not_an_int_is_refused_not_truncated(seed, path, message):

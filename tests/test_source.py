@@ -291,6 +291,20 @@ def test_one_map_builds_the_process_pool():
     assert _scopes_calling("ProcessPoolExecutor") == [("harness.py", "_map")]
 
 
+def test_rng_natural_is_the_one_integer_check():
+    # a count is an int or a numpy int, never a bool, and at least some bound; rng._natural
+    # holds that rule and its two messages, so a second copy cannot drift from them
+    found = [(path.name, scope)
+             for path in SOURCES
+             for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)
+             and {ast.unparse(e) for e in node.args[1].elts} == {"int", "np.integer"}]
+    assert found == [("rng.py", "_natural")]
+    modules = (rng, partition, estimators, oracles, harness, cli)
+    assert [module.__name__ for module in modules if "_size" in vars(module)] == []
+
+
 def test_risk_grid_rows_have_one_builder():
     # harness._row turns a schedule, its scale and a tree rule into a grid row and
     # checks all three before any data is drawn; every risk experiment and CLI risk use it
