@@ -43,18 +43,22 @@ From 2-d on, a forest of 2 or more trees places a batch of 2 or more rows once
 for all its trees, in fitting and in prediction: each column is sorted once,
 when a tree first reads it (``partition._PlacedRows``), and each tree whose
 leaf table pays on that batch reads its rows' leaves from it; the others take
-the level loop (see :mod:`.partition`).  Each tree still checks the rows against
-its own root box, so an error names the same rows.  A prediction derives each
-leaf's mean from the exact sums, or, for fewer rows than the tree has leaves
-(a point, say), only the means of the rows' leaves.
+the level loop (see :mod:`.partition`).  The placed rows are checked against
+the trees' root box once, when the first tree reads them: a grown or loaded
+forest's trees share one box object, and a tree on another box checks them
+again, so an error names the same rows as each tree's own check.  A
+prediction derives each leaf's mean from the exact sums, or, for fewer rows
+than the tree has leaves (a point, say), only the means of the rows' leaves.
 
 Models are saved as compact JSON (``mondrian-forest-model/2`` and
 ``mondrian-tree-model/2``): the shared fields once, then per tree flat node
 columns and per leaf a count and the exact sum as ``sum_odd << sum_shift``.
 The first schemas (``/1``) still load.  ``partition._node_columns`` writes
-the node columns and ``partition._checked_partition`` reads them, a ``/1``
-tree's through :func:`partition_from_dict`; :func:`_tree_model` checks leaf
-statistics, so a file of either schema gets every check.
+the node columns and ``partition._checked_partitions`` reads them: the trees of
+a ``/2`` file in one pass, a ``/1`` tree's through :func:`partition_from_dict`.
+:func:`_tree_model` checks leaf statistics, tree by tree after its nodes, so a
+file of either schema gets every check and reports the first error in file
+order.
 """
 
 from __future__ import annotations
@@ -75,10 +79,11 @@ from .partition import (
     _box_to_dict,
     _check_in_root_box,
     _check_lifetime,
-    _checked_partition,
+    _checked_partitions,
     _field,
     _json_loads,
     _lifetime,
+    _NODE_COLUMNS,
     _node_columns,
     _PlacedRows,
     _typed,
@@ -530,7 +535,7 @@ def _odd_shift(total: int) -> tuple[int, int]:
 def _tree_columns(model: MondrianTreeModel) -> dict:
     """One tree as flat columns: preorder nodes, then one count and sum per leaf."""
     odd, shift = zip(*map(_odd_shift, model._totals))
-    return dict(zip(("split_dim", "threshold", "clock"), _node_columns(model.partition)),
+    return dict(zip(_NODE_COLUMNS, _node_columns(model.partition)),
                 count=model._counts.tolist(), sum_odd=list(odd), sum_shift=list(shift),
                 seed_provenance=model.partition.seed_provenance)
 
@@ -585,19 +590,27 @@ def _tree_model(partition: MondrianPartition, counts, totals, n_seen) -> Mondria
     return MondrianTreeModel(partition, np.array(counts, dtype=np.int64), totals)
 
 
-def _tree_from_columns(block: dict, box: BoxRegion, lifetime: float, n_seen) -> MondrianTreeModel:
-    partition = _checked_partition(box, lifetime, block["split_dim"], block["threshold"],
-                                   block["clock"], block.get("seed_provenance"))
-    odd = _typed(block["sum_odd"], {int}, "sum_odd")
-    shift = _typed(block["sum_shift"], {int}, "sum_shift")
-    if len(odd) != len(shift):
-        raise ValueError("sum_odd and sum_shift differ in length")
-    # a leaf sum is odd << shift, or (0, 0); the shift is bounded before any is applied
-    for o, k in zip(odd, shift):
-        if (o % 2 == 0 or not 0 <= k < _MAX_SUM_SHIFT) and (o, k) != (0, 0):
-            raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
-                             f"with a shift in [0, {_MAX_SUM_SHIFT})")
-    return _tree_model(partition, block["count"], list(map(operator.lshift, odd, shift)), n_seen)
+def _trees_from_columns(blocks: list, box: BoxRegion, lifetime: float,
+                        n_seen) -> list[MondrianTreeModel]:
+    """The trees of ``/2`` column blocks that share ``box``, ``lifetime`` and ``n_seen``.
+
+    One check of all their node columns at once (``partition._checked_partitions``),
+    then each tree's leaf statistics, tree by tree, so errors come in file order.
+    """
+    trees = []
+    for block, partition in zip(blocks, _checked_partitions(box, lifetime, blocks)):
+        odd = _typed(block["sum_odd"], {int}, "sum_odd")
+        shift = _typed(block["sum_shift"], {int}, "sum_shift")
+        if len(odd) != len(shift):
+            raise ValueError("sum_odd and sum_shift differ in length")
+        # a leaf sum is odd << shift, or (0, 0); the shift is bounded before any is applied
+        for o, k in zip(odd, shift):
+            if (o % 2 == 0 or not 0 <= k < _MAX_SUM_SHIFT) and (o, k) != (0, 0):
+                raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
+                                 f"with a shift in [0, {_MAX_SUM_SHIFT})")
+        trees.append(_tree_model(partition, block["count"], list(map(operator.lshift, odd, shift)),
+                                 n_seen))
+    return trees
 
 
 def _tree_from_v1(data: dict) -> MondrianTreeModel:
@@ -624,8 +637,8 @@ def tree_model_from_dict(data: dict) -> MondrianTreeModel:
     """
     try:
         if data.get("schema") == TREE_MODEL_SCHEMA:
-            return _tree_from_columns(data, _box_from_dict(data["box"]), _lifetime(data),
-                                      data["n_seen"])
+            return _trees_from_columns([data], _box_from_dict(data["box"]), _lifetime(data),
+                                       data["n_seen"])[0]
         return _tree_from_v1(data)
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed tree model: {exc!r}") from None
@@ -647,7 +660,8 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
         blocks = _field(data["trees"], {list}, "trees")
         if schema == FOREST_MODEL_SCHEMA:
             box = _box_from_dict(data["box"])
-            trees = [_tree_from_columns(b, box, lifetime, data["n_seen"]) for b in blocks]
+            # n_seen is read only for a forest with trees, where the first tree would read it
+            trees = _trees_from_columns(blocks, box, lifetime, data["n_seen"]) if blocks else []
         else:
             trees = [_tree_from_v1(b) for b in blocks]
             _check_shared(trees, lifetime)

@@ -58,7 +58,7 @@ class RiskBoundParams:
         _natural(self.d, "d", 1)
         for name in ("lifetime", "sigma2", "lipschitz", "sup_f", "grad_sup",
                      "hess_sup", "p0", "p1", "c_p", "eps"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # nan fails it
                 raise ValueError(f"{name} must be nonnegative")
         _natural(self.n, "n", 1)
         if self.p0 > self.p1:
@@ -70,18 +70,18 @@ class RiskBoundParams:
 
 def expected_leaf_count(lifetime: float, d: int) -> float:
     """Exact expected number of leaves on the unit cube: ``(1 + lifetime)^d``."""
-    if lifetime < 0:
+    if not lifetime >= 0:
         raise ValueError("lifetime must be >= 0")
     _natural(d, "d", 1)
     return (1.0 + lifetime) ** d
 
 def expected_leaf_count_box(lifetime: float, side_lengths) -> float:
     """Exact expected leaf count on a box: product of ``1 + lifetime * len_j``."""
-    if lifetime < 0:
+    if not lifetime >= 0:
         raise ValueError("lifetime must be >= 0")
     out = 1.0
     for length in side_lengths:
-        if length < 0:
+        if not length >= 0:
             raise ValueError("side lengths must be nonnegative")
         out *= 1.0 + lifetime * float(length)
     return out
@@ -93,7 +93,7 @@ def diameter_tail_bound(delta: float, lifetime: float, d: int) -> float:
     Value is ``d * (1 + lifetime*delta/sqrt(d)) * exp(-lifetime*delta/sqrt(d))``;
     it may exceed 1 (callers clamp for display).
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     _natural(d, "d", 1)
     u = lifetime * delta / math.sqrt(d)
@@ -102,7 +102,7 @@ def diameter_tail_bound(delta: float, lifetime: float, d: int) -> float:
 
 def diameter_second_moment_bound(lifetime: float, d: int) -> float:
     """Upper bound on the expected squared cell diameter: ``4 d / lifetime^2``."""
-    if lifetime <= 0:
+    if not lifetime > 0:
         raise ValueError("lifetime must be > 0")
     _natural(d, "d", 1)
     return 4.0 * d / lifetime**2
@@ -114,7 +114,7 @@ def lipschitz_risk_bound(p: RiskBoundParams) -> float:
     ``4 d L^2 / lifetime^2 + (1+lifetime)^d (2 sigma2 + 9 sup_f^2) / n``.
     Valid for any ensemble size.
     """
-    if p.lifetime <= 0:
+    if not p.lifetime > 0:
         raise ValueError("lifetime must be > 0")
     bias = 4.0 * p.d * p.lipschitz**2 / p.lifetime**2
     variance = (1.0 + p.lifetime) ** p.d / p.n * (2.0 * p.sigma2 + 9.0 * p.sup_f**2)
@@ -127,9 +127,9 @@ def c2_risk_bound(p: RiskBoundParams) -> float:
     Conditional on inputs landing in the eps-interior of the cube; requires a
     density bounded in ``[p0, p1]`` with Lipschitz constant ``c_p``.
     """
-    if p.lifetime <= 0:
+    if not p.lifetime > 0:
         raise ValueError("lifetime must be > 0")
-    if p.p0 <= 0:
+    if not p.p0 > 0:
         raise ValueError("p0 must be > 0")
     lam = p.lifetime
     interior = p.p0 * (1.0 - 2.0 * p.eps) ** p.d
@@ -153,7 +153,7 @@ def tree_bias_exact_1d(lifetime: float) -> float:
     Below 1e-3 a series expansion is used to dodge catastrophic cancellation
     near the small-lifetime limit 1/12.
     """
-    if lifetime < 0:
+    if not lifetime >= 0:
         raise ValueError("lifetime must be >= 0")
     lam = float(lifetime)
     if lam < _BIAS_SERIES_CUTOFF:
@@ -169,7 +169,7 @@ def tilde_f_1d(lifetime: float, x: float) -> float:
     ``1 + x + (exp(-L x) - exp(-L (1-x))) / (2 L)`` at lifetime ``L``; equals
     ``f`` exactly at ``x = 1/2`` by symmetry.
     """
-    if lifetime <= 0:
+    if not lifetime > 0:
         raise ValueError("lifetime must be > 0")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must be in [0, 1]")
@@ -184,9 +184,9 @@ def tree_lower_bound_1d(n: int, sigma2: float) -> float:
     scale; the other branch of the bound is a non-explicit constant and is
     not evaluable.  Requires ``n >= 18``.
     """
-    if n < 18:
+    if _natural(n, "n") < 18:
         raise ValueError("the lower bound requires n >= 18")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be >= 0")
     return 0.25 * (3.0 * sigma2 / n) ** (2.0 / 3.0)
 
@@ -197,9 +197,9 @@ def truncated_exp_cdf(t: float, rate: float, cap: float) -> float:
     This is the law of the distance from a point to its cell edge: exponential
     with the given rate, censored at the distance to the domain boundary.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError("rate must be > 0")
-    if cap < 0:
+    if not cap >= 0:
         raise ValueError("cap must be >= 0")
     if t < 0:
         return 0.0

@@ -19,13 +19,22 @@ Rows find their leaves by :meth:`MondrianPartition.leaf_indices`.  One point
 takes the scalar walk from the root, a 1-d batch ``searchsorted`` on the
 sorted thresholds, and a batch in 2 or more dimensions a level loop that moves
 every row one node down per level.  A batch that a forest placed for all its
-trees (:class:`_PlacedRows`, each column sorted when first read) is read from
-the tree's leaf table instead, when the table is no larger than the batch and
-the batch large enough to pay for the table's build (the level loop would
-take at least ``_TABLE_ROW_LEVELS`` row-levels per axis): the tree's
-thresholds, sorted per axis, cut the root box into a grid whose every cell
-lies in one leaf, and a row's cell on each axis is counted on the sorted
-column for all rows at once.
+trees (:class:`_PlacedRows`, each column sorted when first read, and checked
+against a root box once per box) is read from the tree's leaf table instead,
+when the table has no more cells than the batch has values (so it is no larger
+than the batch in bytes) and the batch is large enough to pay for the table's
+build (the level loop would take at least ``_TABLE_ROW_LEVELS`` row-levels per
+axis): the tree's thresholds, sorted per axis, cut the root box into a grid
+whose every cell lies in one leaf, and a row's cell on each axis is counted on
+the sorted column for all rows at once.
+
+Partition and model files hold the node arrays as columns of JSON values
+(``split_dim``, ``threshold`` per split, ``clock``), which
+:func:`_checked_partitions` reads and checks for all the trees of a file in
+one numpy pass: right children from the running count of splits against
+leaves, birth times from the parents' clocks, and each split's cell edges by
+pointer jumping to the nearest ancestor that set them (:func:`_inherited`,
+which also gives the leaf table its leaves' boxes).
 
 A node's clock never changes once drawn: :func:`prune` turns a node whose
 split time is past the new lifetime into a leaf with that pending clock, and
@@ -50,6 +59,7 @@ Conventions, fixed so that sampling is bit-reproducible:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -86,12 +96,17 @@ PARTITION_SCHEMA = "mondrian-partition/1"
 DEFAULT_MAX_SPLITS = 1_000_000
 
 # a placed batch reads a tree's leaf table only where the level loop would take at
-# least this many row-levels (rows times the tree's depth) per axis: the table's build
-# costs some 70-100 us at d = 2-4 whatever the batch, and its read, per row and axis,
-# about what the loop spends per row and level.  Timed on 310 shapes (trees of 2-204
-# leaves, batches of 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took
-# the slower path by more than 10 % once (1.28x), where a table read whenever it fits
-# the batch ran up to 4.6x slower than the level loop
+# least this many row-levels (rows times the tree's depth) per axis, and where the
+# table has no more cells than the batch has values: the table's build costs some
+# 70-100 us at d = 2-4 whatever the batch, and its read, per row and axis, about what the
+# loop spends per row and level.  Timed on 310 shapes (trees of 2-204 leaves, batches of
+# 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took the slower path by
+# more than 10 % once (1.28x), where a table read whenever it fits the batch ran up to
+# 4.6x slower than the level loop.  On the 55 shapes where the cell bound of one cell per
+# value and one of a cell per row differ (4 trees per d = 2-4 and lifetime t/d, t <= 48;
+# 1024-24576 rows), the table was faster in 46 (29 of 29 at d = 2, 9 of 12 at d = 3 and
+# 8 of 14 at d = 4): the value bound lost 0.7 ms in all to the faster path, at worst
+# 1.6x (d = 4), and the row bound 18.8 ms
 _TABLE_ROW_LEVELS = 6144
 
 
@@ -328,13 +343,22 @@ class _PlacedRows:
     them, so a batch that no tree reads from its table is never sorted.  A
     forest places its batch once, and :meth:`MondrianPartition.leaf_indices`
     reads each tree's leaves from the placement; ``shape`` is the batch's.
+    ``check_in(box)`` checks the rows against a tree's root box once per box:
+    the trees of a grown or loaded forest share one box object, and a forest
+    built by hand from trees on other boxes checks each of them.
     """
 
-    __slots__ = ("rows", "_columns")
+    __slots__ = ("rows", "_columns", "_box")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
         self._columns = None
+        self._box = None
+
+    def check_in(self, box: BoxRegion) -> None:
+        if box is not self._box:
+            _check_in_root_box(box, self.rows)
+            self._box = box
 
     def columns(self) -> tuple:
         if self._columns is None:
@@ -464,7 +488,10 @@ class MondrianPartition:
             # leaf's rank as it goes, costs less than the batch checks and loops
             _check_in_root_box(self.box, X[0])
             return np.array([self._descend(X[0].tolist())[1]])
-        _check_in_root_box(self.box, X)
+        if placed is None:
+            _check_in_root_box(self.box, X)
+        else:
+            placed.check_in(self.box)
         dim, thr, right = self.split_dim, self.threshold, self.right
         if self.dim == 1:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
@@ -475,10 +502,11 @@ class MondrianPartition:
             depth[i + 1] = depth[rights[i]] = depth[i] + 1
         levels = max(depth)
         if (placed is not None and len(X) * levels >= _TABLE_ROW_LEVELS * self.dim
-                and self._grid()[1] <= len(X)):
+                and self._grid()[1] <= X.size):
             # a placed batch reads each row's leaf from the leaf table, which is never
-            # larger than the batch: a row's slab on axis a is the number of sorted
-            # thresholds below it, counted for all rows at once on the sorted column
+            # larger than the batch in bytes (a cell and a value take 8 each): a row's slab
+            # on axis a is the number of sorted thresholds below it, counted for all rows
+            # at once on the sorted column
             edges, steps, table = self._leaf_table()
             flat = 0
             for column, rank, edge, step in zip(*placed.columns(), edges, steps):
@@ -527,24 +555,17 @@ class MondrianPartition:
         strides = [math.prod(k + 1 for k in counts[a + 1:]) for a in range(d)]
         place = np.empty(splits.size, dtype=np.intp)
         place[order] = np.arange(splits.size) - np.repeat(firsts, counts)
-        # each leaf's box in slabs, scaled by the strides: row a of `value` holds lo_a and
-        # row d + a holds hi_a + 1, set at a split's right and left child respectively and
-        # passed down to the nodes below; every node points at its parent, or at itself
-        # where its row is set (the root holds lo = 0 and hi + 1 = cells, past the
-        # table), and pointer jumping finds each leaf's nearest setting ancestor
+        # each leaf's box in slabs, scaled by the strides: row a holds lo_a and row d + a
+        # holds hi_a + 1, set at a split's right and left child respectively and passed
+        # down to the nodes below (the root holds lo = 0 and hi + 1 = cells, past the table)
         parent = np.zeros(n, dtype=np.intp)
         parent[splits + 1] = parent[right[splits]] = splits
-        pointer = (parent + np.arange(0, 2 * d * n, n)[:, None]).ravel()
-        value = np.zeros(2 * d * n, dtype=np.intp)
-        value[d * n::n] = cells
-        lo_at = axis * n + right[splits]
-        hi_at = (axis + d) * n + splits + 1
-        pointer[lo_at], pointer[hi_at] = lo_at, hi_at
-        value[lo_at] = value[hi_at] = (place + 1) * np.array(strides)[axis]
-        for _ in range(splits.size.bit_length()):  # 2^rounds > splits >= depth
-            pointer = pointer[pointer]
+        edge = (place + 1) * np.array(strides)[axis]
         leaves = np.flatnonzero(dim < 0)
-        box = value[pointer.reshape(2 * d, n)[:, leaves]]
+        at = np.concatenate((axis * n + right[splits], (axis + d) * n + splits + 1))
+        rounds = splits.size.bit_length()  # 2^rounds > splits >= depth
+        box = _inherited(parent, at, np.concatenate((edge, edge)), np.repeat([0, cells], d),
+                         rounds)[:, leaves]
         # paint the ranks by a difference array: leaf r adds (-1)^|S| r at its corner that
         # takes hi + 1 on the axes in S and lo on the others (row c of `corners` takes hi + 1
         # on axis a when bit a of c is set); a corner past the table lands in the last bin,
@@ -780,49 +801,173 @@ def leaf_count(partition: MondrianPartition) -> int:
 # -- validation and serialization --------------------------------------------
 
 
-def _checked_partition(box: BoxRegion, lifetime: float, dims, thrs, clocks,
-                       provenance=None) -> MondrianPartition:
-    """The one reader of the node columns; ValueError if they are invalid.
+# the node columns of a file, in the order they are read: split_dim per node, threshold
+# per split node, clock per node (null for an infinite clock)
+_NODE_COLUMNS = ("split_dim", "threshold", "clock")
 
-    The columns are lists of JSON values, as :func:`_node_columns` writes them;
-    the checks are :func:`validate_partition`'s.
+
+def _inherited(parent: np.ndarray, at: np.ndarray, value: np.ndarray, base: np.ndarray,
+               rounds: int) -> np.ndarray:
+    """Each node's value in each row, shape ``(rows, n)``, from its nearest ancestor that sets it.
+
+    ``parent`` holds each node's parent, and a root itself.  ``at`` holds the
+    flat places ``row * n + node`` where a node sets a row, to ``value``, and
+    counts as its own nearest ancestor there; a root that sets no value in a
+    row holds ``base[row]``.  Every node points at its parent, or at itself
+    where it sets the row, and pointer jumping halves each path per round, so
+    ``rounds`` with ``2^rounds`` above every node's depth resolve them all.
     """
-    _check_lifetime(lifetime, "lifetime")
-    _typed(dims, {int}, "split_dim")
-    _typed(thrs, _NUMBER, "threshold")
-    _typed(clocks, _NUMBER | {type(None)}, "clock")
-    if len(thrs) != sum(axis >= 0 for axis in dims) or len(clocks) != len(dims):
-        raise ValueError("threshold needs one value per split node and clock one per node")
-    splits = iter(thrs)
-    thrs = [float(next(splits)) if axis >= 0 else 0.0 for axis in dims]
-    clocks = [math.inf if c is None else float(c) for c in clocks]
-    dim, rights = box.dim, []
-    # (node whose right child this cell is or -1, birth time, lower, upper)
-    stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]
-    for node, (axis, threshold, clock) in enumerate(zip(dims, thrs, clocks)):
-        if not stack:
-            raise ValueError("extra node records after the tree was complete")
-        parent, birth, lower, upper = stack.pop()
-        if parent >= 0:
-            rights[parent] = node
-        rights.append(-1)
-        if not -1 <= axis < dim:
-            raise ValueError(f"node {node}: split dim {axis} is outside [0, {dim})")
-        if axis == -1:
-            if not clock > lifetime:
-                raise ValueError(f"node {node}: pending clock {clock} <= lifetime {lifetime}")
-            continue
-        if not birth < clock <= lifetime:
-            raise ValueError(f"node {node}: split time {clock} not in ({birth}, {lifetime}]")
-        if not lower[axis] < threshold < upper[axis]:
-            raise ValueError(f"node {node}: threshold {threshold} not inside its cell on axis {axis}")
-        left_upper, right_lower = upper.copy(), lower.copy()
-        left_upper[axis] = right_lower[axis] = threshold
-        stack.append((node, clock, right_lower, upper))
-        stack.append((-1, clock, lower, left_upper))
-    if stack:
-        raise ValueError("truncated node list")
-    return MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
+    n = parent.size
+    pointer = (parent + n * np.arange(base.size)[:, None]).ravel()
+    pointer[at] = at
+    values = np.repeat(base, n)
+    values[at] = value
+    for _ in range(rounds):
+        pointer = pointer[pointer]
+    return values[pointer].reshape(base.size, n)
+
+
+def _checked_partitions(box: BoxRegion, lifetime: float, blocks: list):
+    """The one reader of node columns: the partitions of ``blocks``, checked in one pass.
+
+    ``blocks`` are the trees of one file on one root box and lifetime: dicts
+    holding the columns :data:`_NODE_COLUMNS`, lists of JSON values as
+    :func:`_node_columns` writes them, and an optional ``seed_provenance``.  A
+    partition file is a file of one tree.  The checks are
+    :func:`validate_partition`'s, and numpy runs the per-node ones on the
+    columns of all the trees at once (:func:`_checked_nodes`).  The partitions
+    are yielded in file order up to the first tree that fails, where that
+    tree's ValueError (or the KeyError or TypeError of a missing or ill-typed
+    column) is raised, so a caller that checks each yielded tree's leaf
+    statistics before it takes the next reports errors in file order.  Within
+    a tree the checks run in this order: the columns' keys and the lifetime,
+    their types, their lengths, then the first failing node in preorder with
+    the first of its checks that fails (a record past the tree's end, the
+    axis, a leaf's pending clock or a split's time, the threshold), and last a
+    node list that ends before its tree does.
+    """
+    columns, error = [], None
+    for block in blocks:
+        try:
+            dims, thrs, clocks = (block[key] for key in _NODE_COLUMNS)
+            provenance = block.get("seed_provenance")
+            _check_lifetime(lifetime, "lifetime")
+            _typed(dims, {int}, "split_dim")
+            _typed(thrs, _NUMBER, "threshold")
+            _typed(clocks, _NUMBER | {type(None)}, "clock")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            error = exc
+            break
+        columns.append((dims, thrs, clocks, provenance))
+    dims = list(itertools.chain.from_iterable(c[0] for c in columns))
+    try:
+        dim = np.array(dims, dtype=np.int64)
+    except OverflowError:  # an axis past int64 is outside [0, d) all the same
+        dim = np.array([min(max(axis, -2), box.dim) for axis in dims], dtype=np.int64)
+    splits_before = np.concatenate(([0], np.cumsum(dim >= 0)))
+    thrs, clocks, at = [], [], 0
+    for t, (dims_t, thrs_t, clocks_t, _) in enumerate(columns):
+        try:
+            if (len(thrs_t) != splits_before[at + len(dims_t)] - splits_before[at]
+                    or len(clocks_t) != len(dims_t)):
+                raise ValueError("threshold needs one value per split node and clock one per node")
+            # numpy refuses an int past the float range as float() does; null reads as nan
+            arrays = np.array(thrs_t, dtype=np.float64), np.array(clocks_t, dtype=np.float64)
+        except (ValueError, OverflowError) as exc:
+            error = exc
+            del columns[t:]
+            break
+        thrs.append(arrays[0])
+        clocks.append(arrays[1])
+        at += len(dims_t)
+    if columns:
+        checked = _checked_nodes(box, lifetime, dim[:at], np.concatenate(thrs),
+                                 np.concatenate(clocks), [c[:3] for c in columns])
+        for (_, _, _, provenance), nodes in zip(columns, checked):
+            yield MondrianPartition(box, lifetime, *nodes, provenance)
+    if error is not None:
+        raise error
+
+
+def _checked_nodes(box: BoxRegion, lifetime: float, dim, thresholds, clock, columns):
+    """Each tree's node arrays ``(split_dim, threshold, clock, right)``, checked, in order.
+
+    ``dim``, ``thresholds`` (split nodes only) and ``clock`` (null as nan) are
+    the trees' typed columns end to end, and ``columns`` each tree's own
+    lists, which the messages quote.  It raises at the first tree that fails,
+    once the trees before it have been taken.
+    """
+    d, n = box.dim, dim.size
+    lengths = np.array([len(c[0]) for c in columns], dtype=np.intp)
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    node = np.arange(n)
+    split = dim >= 0
+    at_split = np.flatnonzero(split)
+    thr = np.zeros(n)
+    thr[at_split] = thresholds
+    for i in np.flatnonzero(np.isnan(clock)).tolist():
+        t = np.searchsorted(stops, i, side="right")
+        if columns[t][2][i - starts[t]] is None:
+            clock[i] = math.inf
+    # preorder counts +1 per split and -1 per leaf, and a tree ends at its first running
+    # count of -1: the nodes after it are extra, and a tree with no such count is cut short
+    step = np.where(split, 1, -1)
+    count = np.cumsum(step)
+    count -= np.repeat(np.concatenate(([0], count))[starts], lengths)
+    ends = np.flatnonzero(count == -1)
+    end = np.append(ends, n)[np.searchsorted(ends, starts)]
+    extra = node > np.repeat(end, lengths)
+    # a split's right child is the next node whose count before it equals the split's, as
+    # no node between them has it: the split's successor in one stable sort of those
+    # counts, keyed apart per tree (keys of 16 bits or less sort by radix)
+    key = count - step + np.repeat(2 * starts + lengths, lengths)
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+    same = key[order[1:]] == key[order[:-1]]
+    right = np.full(n, -1)
+    right[order[:-1][same]] = order[1:][same]
+    right[~split] = -1
+    parent = node.copy()
+    lefts = at_split[at_split + 1 < np.repeat(stops, lengths)[at_split]]
+    parent[lefts + 1] = lefts
+    rights = at_split[right[at_split] >= 0]
+    parent[right[rights]] = rights
+    birth = np.where(parent == node, 0.0, clock[parent])
+    in_range = (dim >= -1) & (dim < d)
+    bad = (extra | ~in_range | ((dim == -1) & ~(clock > lifetime))
+           | (split & ~((birth < clock) & (clock <= lifetime))))
+    # a split on axis a is the upper edge on a (row d + a) of the cells in its left subtree
+    # and the lower edge (row a) of those in its right one; only splits are checked against
+    # their cells, and only splits have children, so the edges are passed over the splits
+    up = parent[at_split]
+    sets = np.flatnonzero((up != at_split) & in_range[up])
+    row = dim[up[sets]] + np.where(right[up[sets]] == at_split[sets], 0, d)
+    cell = _inherited(np.searchsorted(at_split, up), row * at_split.size + sets, thr[up[sets]],
+                      np.concatenate((box.lower, box.upper)), int(lengths.max()).bit_length())
+    axis = np.where(in_range[at_split], dim[at_split], 0)
+    k = np.arange(at_split.size)
+    bad[at_split] |= ~((cell[axis, k] < thr[at_split]) & (thr[at_split] < cell[axis + d, k]))
+    failing = np.flatnonzero(bad)
+    first = np.append(failing, n)[np.searchsorted(failing, starts)]
+    right[at_split] -= np.repeat(starts, lengths)[at_split]
+    for t, (dims_t, _, _) in enumerate(columns):
+        start, stop, at = starts[t], stops[t], first[t]
+        if at < stop:
+            i, axis = at - start, dims_t[at - start]
+            if extra[at]:
+                raise ValueError("extra node records after the tree was complete")
+            if not -1 <= axis < d:
+                raise ValueError(f"node {i}: split dim {axis} is outside [0, {d})")
+            c, b = clock[at].item(), birth[at].item()
+            if axis == -1:
+                raise ValueError(f"node {i}: pending clock {c} <= lifetime {lifetime}")
+            if not b < c <= lifetime:
+                raise ValueError(f"node {i}: split time {c} not in ({b}, {lifetime}]")
+            raise ValueError(f"node {i}: threshold {thr[at].item()} not inside its cell on "
+                             f"axis {axis}")
+        if end[t] >= stop:
+            raise ValueError("truncated node list")
+        yield dim[start:stop], thr[start:stop], clock[start:stop], right[start:stop]
 
 
 def _node_columns(partition: MondrianPartition) -> tuple[list, list, list]:
@@ -845,7 +990,8 @@ def validate_partition(partition: MondrianPartition) -> None:
     past the lifetime; ``right`` is that tree's, and leaf thresholds are 0.
     """
     p = partition
-    checked = _checked_partition(p.box, p.lifetime, *_node_columns(p))
+    columns = dict(zip(_NODE_COLUMNS, _node_columns(p)))
+    checked = next(_checked_partitions(p.box, p.lifetime, [columns]))
     if not checked.structurally_equal(p):
         raise ValueError("right-child indices or leaf thresholds do not match the preorder tree")
 
@@ -939,7 +1085,9 @@ def partition_from_dict(data: dict) -> MondrianPartition:
                 clocks.append(rec["leaf"]["pending_clock"])
             else:
                 raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
-        return _checked_partition(box, lifetime, dims, thrs, clocks, data.get("seed_provenance"))
+        block = dict(zip(_NODE_COLUMNS, (dims, thrs, clocks)),
+                     seed_provenance=data.get("seed_provenance"))
+        return next(_checked_partitions(box, lifetime, [block]))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed partition document: {exc!r}") from None
 

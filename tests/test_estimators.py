@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ from mondrianforest import (
     sample_mondrian,
     update_tree,
 )
-from mondrianforest import estimators
+from mondrianforest import estimators, partition
 from mondrianforest.estimators import _scaled_int
 
 UNIT1 = BoxRegion.unit(1)
@@ -90,6 +91,34 @@ def test_forest_names_the_callers_rows_outside_the_box_in_one_dimension():
     X = np.array([[0.5], [math.nan], [0.1], [2.0], [0.3]])
     with pytest.raises(ValueError, match=r"^points outside the root box at indices \[1, 3\]$"):
         fit_forest(UNIT1, 1, 3.0, 2, X, np.zeros(5), master_seed=4)
+
+
+def test_a_placed_batch_is_checked_against_the_forests_box_once(monkeypatch):
+    # the trees of a grown or loaded forest share one box object, so a batch placed for all
+    # of them is checked against it once, in fitting and in prediction
+    checks = []
+    check = partition._check_in_root_box
+    monkeypatch.setattr(partition, "_check_in_root_box",
+                        lambda box, X: checks.append(np.shape(X)) or check(box, X))
+    X = np.random.default_rng(6).random((300, 2))
+    forest = fit_forest(UNIT2, 2, 3.0, 4, X, X[:, 0], master_seed=6)
+    forest.predict(X[:40])
+    assert checks == [(300, 2), (40, 2)]
+
+
+def test_a_forest_of_trees_on_other_boxes_checks_each_box():
+    # a forest built by hand may hold trees on other boxes; a batch outside any of them is
+    # refused with the rows that tree refuses, as when each tree checked the batch itself
+    X = np.random.default_rng(7).random((20, 2)) * 2.0
+    wide = BoxRegion([0.0, 0.0], [2.0, 2.0])
+    trees = [fit_tree(sample_mondrian(box, 2.0, RngStream(m)), X[:1] * 0.0, [0.0])
+             for m, box in enumerate([wide, UNIT2, wide])]
+    forest = MondrianForestModel(trees, 2.0, 0)
+    outside = np.flatnonzero((X > 1.0).any(axis=1)).tolist()
+    with pytest.raises(ValueError, match=rf"^points outside the root box at indices "
+                                         rf"{re.escape(str(outside))}$"):
+        forest.predict(X)
+    assert forest.predict(X / 2.0).shape == (20,)
 
 
 def test_fit_rejects_nonfinite_labels():

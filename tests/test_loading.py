@@ -30,7 +30,7 @@ from mondrianforest import (
     predict_class,
     sample_mondrian,
 )
-from mondrianforest import cli, harness
+from mondrianforest import cli, estimators, harness, partition
 from mondrianforest.cli import run
 from mondrianforest.estimators import (
     _MAX_SCALED,
@@ -1063,3 +1063,265 @@ def test_nested_value_raises_value_error_at_any_depth(depth, case):
     doc, key, load = NESTED_VALUES[case]
     with pytest.raises(ValueError):
         load(nested_text(doc, key, depth))
+
+
+# -- the forest-wide reader against the per-node walk ---------------------------
+
+def walk_partition(box, lifetime, dims, thrs, clocks, provenance=None):
+    """Node columns read by a stack walk over the nodes, tree by tree: the reference reader."""
+    partition._check_lifetime(lifetime, "lifetime")
+    partition._typed(dims, {int}, "split_dim")
+    partition._typed(thrs, partition._NUMBER, "threshold")
+    partition._typed(clocks, partition._NUMBER | {type(None)}, "clock")
+    if len(thrs) != sum(axis >= 0 for axis in dims) or len(clocks) != len(dims):
+        raise ValueError("threshold needs one value per split node and clock one per node")
+    splits = iter(thrs)
+    thrs = [float(next(splits)) if axis >= 0 else 0.0 for axis in dims]
+    clocks = [math.inf if c is None else float(c) for c in clocks]
+    dim, rights = box.dim, []
+    # (node whose right child this cell is or -1, birth time, lower, upper)
+    stack = [(-1, 0.0, box.lower.tolist(), box.upper.tolist())]
+    for node, (axis, threshold, clock) in enumerate(zip(dims, thrs, clocks)):
+        if not stack:
+            raise ValueError("extra node records after the tree was complete")
+        parent, birth, lower, upper = stack.pop()
+        if parent >= 0:
+            rights[parent] = node
+        rights.append(-1)
+        if not -1 <= axis < dim:
+            raise ValueError(f"node {node}: split dim {axis} is outside [0, {dim})")
+        if axis == -1:
+            if not clock > lifetime:
+                raise ValueError(f"node {node}: pending clock {clock} <= lifetime {lifetime}")
+            continue
+        if not birth < clock <= lifetime:
+            raise ValueError(f"node {node}: split time {clock} not in ({birth}, {lifetime}]")
+        if not lower[axis] < threshold < upper[axis]:
+            raise ValueError(f"node {node}: threshold {threshold} not inside its cell on "
+                             f"axis {axis}")
+        left_upper, right_lower = upper.copy(), lower.copy()
+        left_upper[axis] = right_lower[axis] = threshold
+        stack.append((node, clock, right_lower, upper))
+        stack.append((-1, clock, lower, left_upper))
+    if stack:
+        raise ValueError("truncated node list")
+    return MondrianPartition(box, lifetime, dims, thrs, clocks, rights, provenance)
+
+
+def walk_partition_doc(data):
+    """A partition document read through :func:`walk_partition`."""
+    try:
+        if data.get("schema") != partition.PARTITION_SCHEMA:
+            raise ValueError(f"unsupported partition schema: {data.get('schema')!r}")
+        box = partition._box_from_dict(data["box"])
+        if partition._field(data["dim"], {int}, "dim") != box.dim:
+            raise ValueError(f"dim {data['dim']} does not match the {box.dim}-d box")
+        lifetime = partition._lifetime(data)
+        dims, thrs, clocks = [], [], []
+        for rec in partition._field(data["nodes"], {list}, "nodes"):
+            if "split" in rec:
+                split = rec["split"]
+                dims.append(split["dim"])
+                thrs.append(split["threshold"])
+                clocks.append(split["time"])
+                if partition._field(dims[-1], {int}, "split dim") < 0:
+                    raise ValueError(f"split dim {dims[-1]} is negative")
+            elif "leaf" in rec:
+                dims.append(-1)
+                clocks.append(rec["leaf"]["pending_clock"])
+            else:
+                raise ValueError(f"node record must contain 'split' or 'leaf': {rec!r}")
+        return walk_partition(box, lifetime, dims, thrs, clocks, data.get("seed_provenance"))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed partition document: {exc!r}") from None
+
+
+def walk_tree(block, box, lifetime, n_seen):
+    """One ``/2`` tree block, its nodes read through :func:`walk_partition`."""
+    part = walk_partition(box, lifetime, block["split_dim"], block["threshold"], block["clock"],
+                          block.get("seed_provenance"))
+    odd = estimators._typed(block["sum_odd"], {int}, "sum_odd")
+    shift = estimators._typed(block["sum_shift"], {int}, "sum_shift")
+    if len(odd) != len(shift):
+        raise ValueError("sum_odd and sum_shift differ in length")
+    for o, k in zip(odd, shift):
+        if (o % 2 == 0 or not 0 <= k < estimators._MAX_SUM_SHIFT) and (o, k) != (0, 0):
+            raise ValueError(f"leaf sum ({o}, {k}) is neither (0, 0) nor an odd part "
+                             f"with a shift in [0, {estimators._MAX_SUM_SHIFT})")
+    return estimators._tree_model(part, block["count"], [o << k for o, k in zip(odd, shift)],
+                                  n_seen)
+
+
+def walk_forest_doc(data):
+    """A ``/2`` forest document read tree by tree through :func:`walk_tree`."""
+    try:
+        if data.get("schema") != estimators.FOREST_MODEL_SCHEMA:
+            raise ValueError(f"unsupported forest model schema: {data.get('schema')!r}")
+        lifetime = estimators._lifetime(data)
+        blocks = estimators._field(data["trees"], {list}, "trees")
+        box = estimators._box_from_dict(data["box"])
+        trees = [walk_tree(b, box, lifetime, data["n_seen"]) for b in blocks]
+        seed = data["master_seed"]
+        return MondrianForestModel(trees, lifetime,
+                                   tuple(seed) if isinstance(seed, list) else seed)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed forest model: {exc!r}") from None
+
+
+def loaded(load, doc):
+    """What ``load`` makes of ``doc``: its ValueError's message, or the state of what it loads."""
+    try:
+        model = load(copy.deepcopy(doc))
+    except ValueError as exc:
+        return str(exc)
+    trees = getattr(model, "trees", None)
+    parts = [t.partition for t in trees] if trees is not None else [model]
+    state = [(p.box.lower.tobytes(), p.box.upper.tobytes(), p.box.left_closed.tobytes(),
+              p.lifetime, [a.tobytes() for a in p._arrays()], p.seed_provenance) for p in parts]
+    if trees is not None:
+        state += [(t._counts.tobytes(), t._totals) for t in trees]
+        state.append((model.lifetime, model.master_seed))
+    return state
+
+
+def forest_doc(d, lifetime, seed):
+    rows = np.random.default_rng(seed).random((12, d))
+    forest = fit_forest(BoxRegion.unit(d), d, lifetime, 4, rows, rows.sum(axis=1) - 1.0, seed)
+    return json.loads(model_to_json(forest))
+
+
+# 4 trees of some 4-16 leaves each at d = 1, 2, 3
+FOREST_DOCS = [forest_doc(1, 3.0, 1), forest_doc(2, 2.0, 2), forest_doc(3, 1.2, 3)]
+PARTITION_DOCS = [partition_to_dict(sample_mondrian(BoxRegion.unit(d), lam, RngStream(d)))
+                  for d, lam in ((1, 3.0), (2, 2.0), (3, 1.2))]
+# values a defect writes: axes in and out of range, thresholds on, inside and past a cell's
+# edges, clocks around the lifetimes, and what JSON can hold that a column must refuse
+DEFECT_VALUES = st.one_of(
+    st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 7, 0.0, -0.0, 0.5, 1.0, 1.2, 1.5, 2.0, 3.0, 99.0,
+                     -0.5, math.inf, -math.inf, True, "0.5", [], {}]),
+    st.sampled_from([10**30, -10**30, 10**400, math.nan, None]),
+    st.floats(-0.5, 4.0))
+NODE_COLUMNS = ("split_dim", "threshold", "clock")
+LEAF_COLUMNS = ("count", "sum_odd", "sum_shift")
+
+
+@st.composite
+def column_defect(draw, column):
+    """An edit of one list: a value set, inserted or removed, two swapped, or all dropped."""
+    kind = draw(st.sampled_from(["set", "insert", "remove", "swap", "clear"]))
+    if not isinstance(column, list):
+        return
+    if kind == "clear":
+        column.clear()
+    elif kind == "insert":
+        column.insert(draw(st.integers(0, len(column))), draw(DEFECT_VALUES))
+    elif column:
+        i, j = draw(st.integers(0, len(column) - 1)), draw(st.integers(0, len(column) - 1))
+        if kind == "set":
+            column[i] = draw(DEFECT_VALUES)
+        elif kind == "remove":
+            del column[i]
+        else:
+            column[i], column[j] = column[j], column[i]
+
+
+@st.composite
+def structure_defect(draw, block):
+    """An edit of a tree's shape that keeps its columns' lengths in step: a split made a leaf
+    or a leaf a split, a node appended, or the last node dropped."""
+    dims, thrs, clocks = (block.get(key) for key in NODE_COLUMNS)
+    if not all(isinstance(column, list) for column in (dims, thrs, clocks)):
+        return
+    splits = [i for i, axis in enumerate(dims) if type(axis) is int and axis >= 0]
+    leaves = [i for i, axis in enumerate(dims) if i not in splits]
+    kind = draw(st.sampled_from(["to-leaf", "to-split", "append-leaf", "append-split", "pop"]))
+    if kind == "to-leaf" and splits and thrs:
+        k = draw(st.integers(0, len(splits) - 1))
+        dims[splits[k]] = -1
+        del thrs[min(k, len(thrs) - 1)]
+    elif kind == "to-split" and leaves:
+        i = draw(st.sampled_from(leaves))
+        dims[i] = draw(st.integers(0, 3))
+        thrs.insert(sum(j < i for j in splits), draw(st.sampled_from([0.5, 0.25, 0.0])))
+    elif kind == "append-leaf":
+        dims.append(-1)
+        clocks.append(draw(st.sampled_from([None, 5.0])))
+    elif kind == "append-split":
+        dims.append(0)
+        thrs.append(0.5)
+        clocks.append(0.1)
+    elif kind == "pop" and dims and clocks:
+        if dims.pop() in splits and thrs:
+            thrs.pop()
+        clocks.pop()
+
+
+@st.composite
+def defective_forest_doc(draw):
+    """A ``/2`` forest of 1-4 trees at d = 1-3 with up to two defects in any trees and columns."""
+    doc = copy.deepcopy(draw(st.sampled_from(FOREST_DOCS)))
+    del doc["trees"][draw(st.integers(1, 4)):]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["node", "node", "structure", "structure", "leaf", "empty",
+                                     "tree", "lifetime", "box"]))
+        t = draw(st.integers(0, len(doc["trees"]) - 1))
+        block = doc["trees"][t]
+        if not isinstance(block, dict):
+            continue
+        if kind in ("node", "leaf"):
+            key = draw(st.sampled_from(NODE_COLUMNS if kind == "node" else LEAF_COLUMNS))
+            if draw(st.integers(0, 9)) == 0:
+                block[key] = draw(st.sampled_from(["x", {}, 0.5, None]))
+            else:
+                draw(column_defect(block.get(key)))
+        elif kind == "structure":
+            draw(structure_defect(block))
+        elif kind == "empty":
+            block.update(split_dim=[], threshold=[], clock=[])
+        elif kind == "tree":
+            if draw(st.booleans()):
+                block.pop(draw(st.sampled_from(NODE_COLUMNS + LEAF_COLUMNS)), None)
+            else:
+                doc["trees"][t] = draw(st.sampled_from([[1, 2], "x", None]))
+        elif kind == "lifetime":
+            doc["lifetime"] = draw(st.sampled_from([0.5, 1.0, 1.2, 1.9, -1.0, math.nan]))
+        else:
+            doc["box"]["upper"][0] = draw(st.sampled_from([0.5, 0.9, 2.0]))
+    return doc
+
+
+@st.composite
+def defective_partition_doc(draw):
+    """A partition document at d = 1-3 with up to two defects in its node records."""
+    doc = copy.deepcopy(draw(st.sampled_from(PARTITION_DOCS)))
+    nodes = doc["nodes"]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["field", "field", "records", "lifetime"]))
+        records = [value for r in nodes if isinstance(r, dict) and len(r) == 1
+                   for value in r.values() if isinstance(value, dict)]
+        if kind == "records" and draw(st.booleans()):
+            draw(column_defect(nodes))
+        elif kind == "records":
+            nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from([
+                {"leaf": {"pending_clock": None}}, {"leaf": {"pending_clock": 5.0}},
+                {"split": {"dim": 0, "threshold": 0.5, "time": 0.1}}])))
+        elif kind == "field" and records:
+            record = draw(st.sampled_from(records))
+            record[draw(st.sampled_from(sorted(record)))] = draw(DEFECT_VALUES)
+        elif kind == "lifetime":
+            doc["lifetime"] = draw(st.sampled_from([0.5, 1.0, 1.2, 1.9, -1.0, math.nan]))
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(defective_forest_doc())
+def test_the_forest_reader_reports_what_the_per_node_walk_reports(doc):
+    # one check of every tree's node columns at once gives the walk's first error, in file
+    # order and word for word, or the same model
+    assert loaded(forest_model_from_dict, doc) == loaded(walk_forest_doc, doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(defective_partition_doc())
+def test_the_partition_reader_reports_what_the_per_node_walk_reports(doc):
+    assert loaded(partition_from_dict, doc) == loaded(walk_partition_doc, doc)

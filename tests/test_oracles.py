@@ -132,12 +132,30 @@ def test_risk_bound_params_validation():
     (lambda: tilde_f_1d(1.0, 1.5), "x must be in [0, 1]"),
     (lambda: tree_lower_bound_1d(18, -1.0), "sigma2 must be >= 0"),
     (lambda: truncated_exp_cdf(0.5, 1.0, -1.0), "cap must be >= 0"),
+    (lambda: RiskBoundParams(d=1, lifetime=math.nan, n=10, sigma2=math.inf),
+     "lifetime must be nonnegative"),
+    (lambda: expected_leaf_count(math.nan, 2), "lifetime must be >= 0"),
+    (lambda: expected_leaf_count_box(math.nan, [1.0]), "lifetime must be >= 0"),
+    (lambda: expected_leaf_count_box(1.0, [math.nan]), "side lengths must be nonnegative"),
+    (lambda: diameter_tail_bound(math.nan, 1.0, 2), "delta must be >= 0"),
+    (lambda: diameter_second_moment_bound(math.nan, 2), "lifetime must be > 0"),
+    (lambda: tree_bias_exact_1d(math.nan), "lifetime must be >= 0"),
+    (lambda: tilde_f_1d(math.nan, 0.5), "lifetime must be > 0"),
+    (lambda: tree_lower_bound_1d(18, math.nan), "sigma2 must be >= 0"),
+    (lambda: tree_lower_bound_1d(18.5, 1.0), "n must be an int >= 0, got 18.5"),
+    (lambda: truncated_exp_cdf(0.5, math.nan, 1.0), "rate must be > 0"),
+    (lambda: truncated_exp_cdf(0.5, 1.0, math.nan), "cap must be >= 0"),
 ], ids=["params-d", "params-d-float", "params-nonnegative", "params-n-float", "params-n-trees",
         "params-n-trees-float", "leaf-count-d-float", "leaf-count-d-bool", "leaf-count-box-lifetime",
         "tail-delta", "tail-d", "second-moment-d", "lipschitz-lifetime", "c2-lifetime", "c2-p0",
-        "tilde-f-lifetime", "tilde-f-x", "lower-bound-sigma2", "truncated-exp-cap"])
+        "tilde-f-lifetime", "tilde-f-x", "lower-bound-sigma2", "truncated-exp-cap",
+        "params-lifetime-nan", "leaf-count-lifetime-nan", "leaf-count-box-lifetime-nan",
+        "leaf-count-box-side-nan", "tail-delta-nan", "second-moment-lifetime-nan",
+        "bias-lifetime-nan", "tilde-f-lifetime-nan", "lower-bound-sigma2-nan",
+        "lower-bound-n-float", "truncated-exp-rate-nan", "truncated-exp-cap-nan"])
 def test_oracles_refuse_a_bad_argument_with_its_message(call, message):
-    # a count that is not an int (2.5, True) used to pass a bare `< 1` and return a value
+    # a count that is not an int (2.5, True) used to pass a bare `< 1` and return a value,
+    # and a nan used to pass a bare `< 0` or `<= 0`
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

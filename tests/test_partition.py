@@ -807,11 +807,12 @@ def depth(node):
 
 
 def table_rows(part):
-    """The fewest rows a placed batch needs to read ``part``'s leaf table: as many as the
-    grid's cells, and enough that the level loop would take _TABLE_ROW_LEVELS row-levels
-    per axis (none suffice for a tree without splits)."""
+    """The fewest rows a placed batch needs to read ``part``'s leaf table: as many values
+    (rows times axes) as the grid has cells, and enough rows that the level loop would take
+    _TABLE_ROW_LEVELS row-levels per axis (none suffice for a tree without splits)."""
     levels = depth(part.root)
-    return max(part._grid()[1], -(-_TABLE_ROW_LEVELS * part.dim // levels)) if levels else math.inf
+    return (max(-(-part._grid()[1] // part.dim), -(-_TABLE_ROW_LEVELS * part.dim // levels))
+            if levels else math.inf)
 
 
 def tiled(X, n):
@@ -844,11 +845,12 @@ def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, s
     inside = [lo + (hi - lo) * u for u in np.reshape(fractions[:len(fractions) // d * d], (-1, d))]
     X = np.clip(np.array(corners + faces + on_thresholds + inside), first, hi)
     cells, least = part._grid()[1], table_rows(part)
-    # the table is read when its cells number no more than the rows and the level loop
-    # would take enough row-levels: with max(least, len(X)) rows it is, and with one row
-    # fewer than either bound the level loop runs instead
+    # the table is read when its cells number no more than the batch's values and the
+    # level loop would take enough row-levels: with max(least, len(X)) rows it is, and
+    # with one row fewer than either bound the level loop runs instead
     for n, table in ((max(least, len(X)), True),
-                     (min(cells, -(-_TABLE_ROW_LEVELS * d // depth(part.root))) - 1, False)):
+                     (min(-(-cells // d), -(-_TABLE_ROW_LEVELS * d // depth(part.root))) - 1,
+                      False)):
         if n < 2 or n > 16384:
             continue
         rows = tiled(X, n)
@@ -857,7 +859,7 @@ def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, s
             built = counting_tables(mp)
             assert part.leaf_indices(_PlacedRows(rows)).tolist() == walked.tolist()
         assert built == ([cells] if table else [])
-        assert all(size <= n for size in built)
+        assert all(size <= n * d for size in built)
         # a forest of this tree and two more predicts its trees' mean from placed rows,
         # byte for byte, and fits every tree as fit_tree does
         y = np.random.default_rng(seed).standard_normal(n)
@@ -908,12 +910,12 @@ def test_equal_thresholds_in_two_subtrees_route_through_the_table():
 
 
 def test_a_grid_larger_than_the_batch_takes_the_level_loop(monkeypatch):
-    # a d = 3 tree with more grid cells than rows never builds its table, which is
-    # therefore never larger than the batch it serves
+    # a d = 3 tree with more grid cells than the batch has values never builds its table,
+    # which is therefore never larger than the batch it serves
     part = sample_mondrian(BoxRegion.unit(3), 2.0, RngStream(8))
     cells = part._grid()[1]
     X = np.random.default_rng(8).random((200, 3))
-    assert len(X) < cells
+    assert X.size < cells
     built = counting_tables(monkeypatch)
     assert part.leaf_indices(_PlacedRows(X)).tolist() == part.leaf_indices(X).tolist()
     assert built == []

@@ -206,27 +206,45 @@ def test_tree_models_are_built_by_accumulation_and_the_one_loader():
 
 
 def test_partitions_are_built_by_the_growth_ops_and_the_one_checked_constructor():
-    # a loaded partition and every loaded model tree go through _checked_partition;
+    # a loaded partition and every loaded model tree go through _checked_partitions;
     # a MondrianPartition(...) call elsewhere would build one that skipped its checks
     assert _scopes_calling("MondrianPartition") == [
         ("partition.py", scope)
-        for scope in ("_checked_partition", "extend", "prune", "restrict", "sample_mondrian")]
+        for scope in ("_checked_partitions", "extend", "prune", "restrict", "sample_mondrian")]
 
 
 def test_the_node_columns_have_one_writer_and_one_reader():
     # partition and model files share one node encoding (split_dim per node, threshold
     # per split node, clock per node with null for inf); partition._node_columns alone
-    # writes it and partition._checked_partition alone reads it, type checks included
+    # writes it and partition._checked_partitions alone reads it, type checks included
     assert _scopes_calling("_node_columns") == [
         ("estimators.py", "_tree_columns"), ("partition.py", "partition_to_dict"),
         ("partition.py", "validate_partition")]
-    assert _scopes_calling("_checked_partition") == [
-        ("estimators.py", "_tree_from_columns"), ("partition.py", "partition_from_dict"),
+    assert _scopes_calling("_checked_partitions") == [
+        ("estimators.py", "_trees_from_columns"), ("partition.py", "partition_from_dict"),
         ("partition.py", "validate_partition")]
     tree = ast.parse(Path(estimators.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert "_NUMBER" not in imported
+
+
+def test_pointer_jumping_has_one_helper():
+    # partition._inherited passes each row of values down from the nearest ancestor that
+    # sets it, by pointer jumping; the leaf table's slabs and the reader's cell edges both
+    # come from it, so no second copy of the jumping can drift from the first
+    def jumps(node):
+        return (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Subscript)
+                and ast.unparse(node.value) == f"{node.targets[0].id}[{node.targets[0].id}]")
+
+    found = [(path.name, scope)
+             for path in SOURCES
+             for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+             if jumps(node)]
+    assert found == [("partition.py", "_inherited")]
+    assert _scopes_calling("_inherited") == [("partition.py", "MondrianPartition._leaf_table"),
+                                             ("partition.py", "_checked_nodes")]
 
 
 def test_an_open_lower_edge_has_one_encoding():
