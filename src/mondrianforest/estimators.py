@@ -660,7 +660,8 @@ def forest_model_from_dict(data: dict) -> MondrianForestModel:
         blocks = _field(data["trees"], {list}, "trees")
         if schema == FOREST_MODEL_SCHEMA:
             box = _box_from_dict(data["box"])
-            # n_seen is read only for a forest with trees, where the first tree would read it
+            # n_seen is read before the first tree, and only if there is one: a forest
+            # without trees is refused as such
             trees = _trees_from_columns(blocks, box, lifetime, data["n_seen"]) if blocks else []
         else:
             trees = [_tree_from_v1(b) for b in blocks]
