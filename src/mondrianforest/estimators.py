@@ -417,7 +417,7 @@ class MondrianForestModel:
 
     def predict(self, x):
         """Arithmetic mean of tree predictions, summed in tree order; a float for a point."""
-        x = _placed(np.asarray(x, dtype=np.float64), self.n_trees)
+        x = _placed(np.asarray(x, dtype=np.float64), [tree.partition for tree in self.trees])
         return sum(tree.predict(x) for tree in self.trees) / self.n_trees
 
     def predict_class(self, x):
@@ -451,18 +451,18 @@ def fit_forest(box: BoxRegion, d: int, lifetime: float, n_trees: int, X, y,
         order = np.argsort(X[:, 0])
         X, y = X[order], y[order]
     labels = _split_limbs(y, X[:, 0] if d == 1 else None)
-    rows = _placed(X, n_trees)
-    trees = [_accumulate(sample_mondrian(box, lifetime, master.child(m)), rows, labels)
-             for m in range(n_trees)]
+    parts = [sample_mondrian(box, lifetime, master.child(m)) for m in range(n_trees)]
+    rows = _placed(X, parts)
+    trees = [_accumulate(part, rows, labels) for part in parts]
     return MondrianForestModel(trees, lifetime, master_seed)
 
 
-def _placed(X: np.ndarray, n_trees: int):
-    """``X`` placed once for all trees, or ``X`` itself where one tree or row, or d = 1, would
-    not share the sort (see :class:`partition._PlacedRows`, sorted only if a tree's table
-    reads it)."""
-    if X.ndim == 2 and X.shape[0] >= 2 and X.shape[1] >= 2 and n_trees >= 2:
-        return _PlacedRows(X)
+def _placed(X: np.ndarray, parts: list):
+    """``X`` placed once for the trees' partitions ``parts``, or ``X`` itself where one tree or
+    row, or d = 1, would not share the work (see :class:`partition._PlacedRows`, sorted only
+    if a tree's table reads it)."""
+    if X.ndim == 2 and X.shape[0] >= 2 and X.shape[1] >= 2 and len(parts) >= 2:
+        return _PlacedRows(X, parts)
     return X
 
 

@@ -18,15 +18,20 @@ read-only view of one node.
 Rows find their leaves by :meth:`MondrianPartition.leaf_indices`.  One point
 takes the scalar walk from the root, a 1-d batch ``searchsorted`` on the
 sorted thresholds, and a batch in 2 or more dimensions a level loop that moves
-every row one node down per level.  A batch that a forest placed for all its
-trees (:class:`_PlacedRows`, each column sorted when first read, and checked
-against a root box once per box) is read from the tree's leaf table instead,
-when the table has no more cells than the batch has values (so it is no larger
-than the batch in bytes) and the batch is large enough to pay for the table's
-build (the level loop would take at least ``_TABLE_ROW_LEVELS`` row-levels per
-axis): the tree's thresholds, sorted per axis, cut the root box into a grid
-whose every cell lies in one leaf, and a row's cell on each axis is counted on
-the sorted column for all rows at once.
+every row one node down per level, as many times as the tree is deep.  A batch
+that a forest placed for all its trees (:class:`_PlacedRows`, each column
+sorted when first read, and checked against a root box once per box) is read
+from the tree's leaf table instead, when the table has no more cells than the
+batch has values (so it is no larger than the batch in bytes) and the batch is
+large enough to pay for the table's build (the level loop would take at least
+``_TABLE_ROW_LEVELS`` row-levels per axis): the tree's thresholds, sorted per
+axis, cut the root box into a grid whose every cell lies in one leaf, and a
+row's cell on each axis is counted on the sorted column for all rows at once.
+The placement finds the depths and grids of all its trees in one pass
+(:func:`_depths_and_cells`), and builds the tables of the trees that read one
+a group at a time, in one pass over the group's node arrays laid end to end
+(:func:`_leaf_tables`); a group's tables hold at most
+``_GROUP_CELLS_PER_VALUE`` cells per value of the batch.
 
 Partition and model files hold the node arrays as columns of JSON values
 (``split_dim``, ``threshold`` per split, ``clock``), which
@@ -34,7 +39,8 @@ Partition and model files hold the node arrays as columns of JSON values
 one numpy pass: right children from the running count of splits against
 leaves, birth times from the parents' clocks, and each split's cell edges by
 pointer jumping to the nearest ancestor that set them (:func:`_inherited`,
-which also gives the leaf table its leaves' boxes).
+which also gives the trees their depths and the leaf tables their leaves'
+boxes).
 
 A node's clock never changes once drawn: :func:`prune` turns a node whose
 split time is past the new lifetime into a leaf with that pending clock, and
@@ -108,6 +114,11 @@ DEFAULT_MAX_SPLITS = 1_000_000
 # 8 of 14 at d = 4): the value bound lost 0.7 ms in all to the faster path, at worst
 # 1.6x (d = 4), and the row bound 18.8 ms
 _TABLE_ROW_LEVELS = 6144
+
+# a placed batch builds the leaf tables of its reading trees a group at a time, and a
+# group's tables together hold at most this many cells per value of the batch: the
+# placement's sorted columns and their ranks hold two, so no group outgrows them in bytes
+_GROUP_CELLS_PER_VALUE = 2
 
 
 class SplitLimitError(RuntimeError):
@@ -336,7 +347,7 @@ def _check_in_root_box(box: BoxRegion, X: np.ndarray) -> None:
 
 
 class _PlacedRows:
-    """A batch ``rows`` (shape (n, dim)) with each column sorted once, for many trees.
+    """A batch ``rows`` (shape (n, dim)) placed once for the partitions ``trees`` of a forest.
 
     ``columns()`` is ``(sorted, rank)``, each of shape (dim, n): every column in
     ascending order, and each row's place in it, sorted when a tree first reads
@@ -346,14 +357,22 @@ class _PlacedRows:
     ``check_in(box)`` checks the rows against a tree's root box once per box:
     the trees of a grown or loaded forest share one box object, and a forest
     built by hand from trees on other boxes checks each of them.
+    ``route(tree)`` gives a tree its depth and, where it reads one, its leaf
+    table.  The first call finds every tree's depth and grid in one pass
+    (:func:`_depths_and_cells`); the trees that read a table fill groups in
+    the forest's order, each group's tables holding at most
+    ``_GROUP_CELLS_PER_VALUE`` cells per value of the batch, and a group's
+    tables are built together (:func:`_leaf_tables`) when its first tree asks.
+    Only the last group built is kept.
     """
 
-    __slots__ = ("rows", "_columns", "_box")
+    __slots__ = ("rows", "_trees", "_columns", "_box", "_plan", "_tables")
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, trees: list):
         self.rows = rows
-        self._columns = None
-        self._box = None
+        self._trees = trees
+        self._columns = self._box = self._plan = None
+        self._tables = {}
 
     def check_in(self, box: BoxRegion) -> None:
         if box is not self._box:
@@ -368,9 +387,157 @@ class _PlacedRows:
             self._columns = np.take_along_axis(self.rows.T, order, axis=1), rank
         return self._columns
 
+    def route(self, tree: "MondrianPartition") -> tuple:
+        """``(levels, table)``: the tree's depth, and its ``(steps, counts, table)`` (see
+        :func:`_leaf_tables`) where it reads its leaf table, else None."""
+        if self._plan is None:
+            self._plan = self._planned()
+        levels, group = self._plan[tree]
+        if group is None:
+            return levels, None
+        if tree not in self._tables:
+            deepest = max(self._plan[part][0] for part in group)
+            self._tables = dict(zip(group, _leaf_tables(group, self.columns()[0], deepest)))
+        return levels, self._tables[tree]
+
+    def _planned(self) -> dict:
+        """Each tree's ``(levels, group)``: its depth, and the trees whose tables are built
+        with its own, or None where it takes the level loop."""
+        (n, d), values = self.rows.shape, self.rows.size
+        # a tree of another dimension is refused by its own shape check and has no plan
+        trees = [part for part in self._trees if part.dim == d]
+        levels, cells = _depths_and_cells(trees)
+        # a tree reads its leaf table where the table has no more cells than the batch has
+        # values and the level loop would take at least _TABLE_ROW_LEVELS row-levels per axis
+        reads = (n * levels >= _TABLE_ROW_LEVELS * d) & (cells <= values)
+        plan, group, filled = {}, None, math.inf
+        for part, depth, read, size in zip(trees, levels.tolist(), reads.tolist(), cells.tolist()):
+            if read and part not in plan:
+                if filled + size > _GROUP_CELLS_PER_VALUE * values:
+                    group, filled = [], 0
+                group.append(part)
+                filled += size
+            plan.setdefault(part, (depth, group if read else None))
+        return plan
+
     @property
     def shape(self) -> tuple:
         return self.rows.shape
+
+
+def _end_to_end(parts: list) -> tuple:
+    """``(dim, splits, right, parent, starts, lengths)``: the node arrays of the partitions
+    ``parts`` laid end to end, the split nodes, ``right`` and ``parent`` counted from the
+    first root (a root is its own parent), and each tree's first node and node count."""
+    lengths = np.array([part.split_dim.size for part in parts])
+    starts = np.cumsum(lengths) - lengths
+    dim = np.concatenate([part.split_dim for part in parts])
+    right = np.concatenate([part.right for part in parts]) + np.repeat(starts, lengths)
+    splits = np.flatnonzero(dim >= 0)
+    parent = np.arange(dim.size)
+    parent[splits + 1] = parent[right[splits]] = splits
+    return dim, splits, right, parent, starts, lengths
+
+
+def _depths_and_cells(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, cells)``: each tree's depth, and the cells of the grid its sorted thresholds
+    cut its root box into (the product of ``count + 1`` over the axes, as floats, which are
+    exact up to 2^53 and only compared), for all the trees of ``parts`` in one pass."""
+    dim, splits, right, parent, starts, lengths = _end_to_end(parts)
+    n, d = dim.size, parts[0].dim
+    # a subtree ends where the left subtree of its nearest ancestor that it lies left of
+    # ends (at that ancestor's right child), or with its tree; a node's depth counts the
+    # splits whose subtree holds it below the split: +1 after each split, -1 at its end
+    end = _inherited(parent, np.concatenate((splits + 1, starts)),
+                     np.concatenate((right[splits], starts + lengths)), np.zeros(1, dtype=np.intp),
+                     int(lengths.max() // 2).bit_length())[0]
+    depth = np.cumsum(np.bincount(splits + 1, minlength=n + 1)
+                      - np.bincount(end[splits], minlength=n + 1))
+    tree = np.repeat(np.arange(len(parts)), lengths)[splits]
+    counts = np.bincount(tree * d + dim[splits], minlength=len(parts) * d).reshape(-1, d)
+    return np.maximum.reduceat(depth[:n], starts), np.prod(counts + 1.0, axis=1)
+
+
+def _leaf_tables(parts: list, columns: np.ndarray, depth: int) -> list:
+    """The leaf tables of the partitions ``parts``, none deeper than ``depth``, over a batch's
+    sorted ``columns`` (shape (dim, n)), built in one pass: per tree ``(steps, counts, table)``.
+
+    Axis ``a``'s ``K_a`` thresholds of a tree, sorted, cut its root box into
+    ``K_a + 1`` slabs; slab ``c`` holds the points with ``c`` of them strictly
+    below, which is the closed-left rule, and each cell of the grid lies in one
+    leaf.  ``table`` holds the tree's leaf ranks over its grid in C order,
+    ``steps[a]`` each slab's offset into it, and ``counts[a]`` the number of
+    the batch's values in each slab, so that ``np.repeat(steps[a], counts[a])``
+    is the offset of each value of the sorted column.  A split at sorted place
+    ``k`` leaves slabs ``[lo, k]`` to its left child and ``[k + 1, hi]`` to its
+    right, so equal thresholds in two subtrees stay exact: the slab between
+    them holds no point.
+    """
+    dim, splits, right, parent, starts, lengths = _end_to_end(parts)
+    (d, n), t, size, k = columns.shape, len(parts), dim.size, splits.size
+    # each slab's top: the thresholds, and per tree and axis an infinite top for its last
+    # slab, in one stable sort keyed by (axis, tree), so block a * t + tree holds the tree's
+    # slabs on axis a in order, and a top's place in its block is its slab
+    last_tree, last_axis = np.divmod(np.arange(t * d), d)
+    axis = np.concatenate((dim[splits], last_axis))
+    block = axis * t + np.concatenate((np.repeat(np.arange(t), lengths)[splits], last_tree))
+    tops = np.concatenate((np.concatenate([part.threshold for part in parts])[splits],
+                           np.full(t * d, math.inf)))
+    order = np.lexsort((tops, block))
+    slabs = np.bincount(block, minlength=d * t)
+    firsts = np.cumsum(slabs) - slabs
+    slab = np.arange(block.size) - np.repeat(firsts, slabs)
+    place = np.empty_like(slab)
+    place[order] = slab
+    sizes = np.cumprod(slabs.reshape(d, t)[::-1], axis=0)[::-1]
+    strides = np.concatenate((sizes[1:], np.ones((1, t), dtype=sizes.dtype)))
+    cells = sizes[0]
+    offsets = np.cumsum(cells) - cells
+    # each leaf's box in slabs, lo_a on row a and hi_a on row d + a: a split sets lo at its
+    # right child and hi at its left one, and a last slab sets hi at its tree's root
+    box = _inherited(parent, np.concatenate((axis[:k] * size + right[splits],
+                                             (axis + d) * size + np.concatenate(
+                                                 (splits + 1, starts[last_tree])))),
+                     np.concatenate((place[:k] + 1, place)), np.zeros(2 * d, dtype=np.intp),
+                     depth.bit_length())[:, dim < 0]
+    leaves = (lengths + 1) // 2
+    owner = np.repeat(np.arange(t), leaves)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(leaves) - leaves, leaves)
+    # a leaf's cells are runs along the last axis, one per cell of its box on the others:
+    # each run's start is marked with its own place, one forward fill by maximum gives
+    # every cell its run's start, and the start gives the leaf
+    stride = strides[:, owner]
+    start = offsets[owner] + (box[:d] * stride).sum(axis=0)
+    span, run = box[d:] - box[:d] + 1, np.arange(owner.size)
+    for a in range(d - 1):
+        width = span[a, run]
+        pick = np.repeat(np.arange(run.size), width)
+        run = run[pick]
+        start = start[pick] + (np.arange(pick.size) - np.repeat(np.cumsum(width) - width, width)
+                               ) * stride[a, run]
+    marks = np.zeros(offsets[-1] + cells[-1], dtype=np.intp)
+    marks[start] = start
+    np.maximum.accumulate(marks, out=marks)
+    table = np.empty_like(marks)
+    table[start] = rank[run]
+    table = table[marks]
+    # a slab's count is the sorted column's values up to its top less those up to the top
+    # before it, which closes the block before (all n values) at a block's first slab
+    tops = tops[order]
+    below = np.empty_like(slab)
+    edges = [*firsts[::t].tolist(), slab.size]
+    for a in range(d):
+        below[edges[a]:edges[a + 1]] = np.searchsorted(columns[a], tops[edges[a]:edges[a + 1]],
+                                                       side="right")
+    counts = below.copy()
+    counts[1:] -= below[:-1]
+    counts[firsts[1:]] += n
+    steps = slab * np.repeat(strides.ravel(), slabs)
+    ends = (firsts + slabs).tolist()
+    firsts = firsts.tolist()
+    return [([steps[firsts[b]:ends[b]] for b in range(i, d * t, t)],
+             [counts[firsts[b]:ends[b]] for b in range(i, d * t, t)], table[offset:offset + cell])
+            for i, (offset, cell) in enumerate(zip(offsets.tolist(), cells.tolist()))]
 
 
 class MondrianPartition:
@@ -497,21 +664,17 @@ class MondrianPartition:
             # 1-d leaves are intervals in preorder, split at the sorted thresholds; a
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
-        depth, rights = [0] * dim.size, right.tolist()
-        for i in np.flatnonzero(dim >= 0).tolist():  # preorder: a parent comes before its children
-            depth[i + 1] = depth[rights[i]] = depth[i] + 1
-        levels = max(depth)
-        if (placed is not None and len(X) * levels >= _TABLE_ROW_LEVELS * self.dim
-                and self._grid()[1] <= X.size):
-            # a placed batch reads each row's leaf from the leaf table, which is never
-            # larger than the batch in bytes (a cell and a value take 8 each): a row's slab
-            # on axis a is the number of sorted thresholds below it, counted for all rows
-            # at once on the sorted column
-            edges, steps, table = self._leaf_table()
+        if placed is None:
+            levels, table = _depths_and_cells([self])[0].item(0), None
+        else:
+            levels, table = placed.route(self)
+        if table is not None:
+            # a placed batch reads each row's leaf from the tree's leaf table: a row's slab
+            # on axis a is its place among the slab counts on the sorted column
+            steps, counts, table = table
             flat = 0
-            for column, rank, edge, step in zip(*placed.columns(), edges, steps):
-                per_slab = np.diff(np.searchsorted(column, edge, side="right"))
-                flat = flat + np.repeat(step, per_slab)[rank]
+            for rank, step, count in zip(placed.columns()[1], steps, counts):
+                flat = flat + np.repeat(step, count)[rank]
             return table[flat]
         # every row moves one node down per level: child[2 * i + 1] is node i's right
         # child, child[2 * i] its left; a leaf is both of its own children, so a row that
@@ -526,63 +689,6 @@ class MondrianPartition:
         for _ in range(levels):
             cur = child[2 * cur + (x[row + axis[cur]] > thr[cur])]
         return (np.cumsum(leaf) - 1)[cur]
-
-    def _grid(self) -> tuple[list, int]:
-        """``(counts, cells)``: each axis's number of thresholds, and the cells of the grid
-        they cut the root box into, the product of ``count + 1`` over the axes."""
-        counts = np.bincount(self.split_dim[self.split_dim >= 0], minlength=self.dim).tolist()
-        return counts, math.prod(k + 1 for k in counts)
-
-    def _leaf_table(self):
-        """``(edges, steps, table)``: the leaf rank of each cell of the tree's threshold grid.
-
-        Axis ``a``'s ``K_a`` thresholds, sorted, cut the root box into ``K_a + 1``
-        slabs; slab ``c`` holds the points with ``c`` of them strictly below,
-        which is the closed-left rule, and each cell of the grid lies in one
-        leaf.  ``edges[a]`` is the sorted thresholds between -inf and inf,
-        ``steps[a]`` each slab's offset into ``table``, the leaf ranks over the
-        grid in C order.  A split at sorted place ``k`` leaves slabs ``[lo, k]``
-        to its left child and ``[k + 1, hi]`` to its right, so equal thresholds
-        in two subtrees stay exact: the slab between them holds no point.
-        """
-        dim, thr, right = self.split_dim, self.threshold, self.right
-        d, n = self.dim, dim.size
-        splits = np.flatnonzero(dim >= 0)
-        axis = dim[splits]
-        order = np.lexsort((thr[splits], axis))
-        counts, cells = self._grid()
-        firsts = [sum(counts[:a]) for a in range(d)]
-        strides = [math.prod(k + 1 for k in counts[a + 1:]) for a in range(d)]
-        place = np.empty(splits.size, dtype=np.intp)
-        place[order] = np.arange(splits.size) - np.repeat(firsts, counts)
-        # each leaf's box in slabs, scaled by the strides: row a holds lo_a and row d + a
-        # holds hi_a + 1, set at a split's right and left child respectively and passed
-        # down to the nodes below (the root holds lo = 0 and hi + 1 = cells, past the table)
-        parent = np.zeros(n, dtype=np.intp)
-        parent[splits + 1] = parent[right[splits]] = splits
-        edge = (place + 1) * np.array(strides)[axis]
-        leaves = np.flatnonzero(dim < 0)
-        at = np.concatenate((axis * n + right[splits], (axis + d) * n + splits + 1))
-        rounds = splits.size.bit_length()  # 2^rounds > splits >= depth
-        box = _inherited(parent, at, np.concatenate((edge, edge)), np.repeat([0, cells], d),
-                         rounds)[:, leaves]
-        # paint the ranks by a difference array: leaf r adds (-1)^|S| r at its corner that
-        # takes hi + 1 on the axes in S and lo on the others (row c of `corners` takes hi + 1
-        # on axis a when bit a of c is set); a corner past the table lands in the last bin,
-        # which is dropped, and one cumsum per axis turns the differences into the ranks
-        corners = box[[0, d]]
-        for a in range(1, d):
-            corners = np.concatenate((corners + box[a], corners + box[a + d]))
-        signs = [(-1.0) ** bin(c).count("1") for c in range(2 ** d)]
-        weights = np.multiply.outer(signs, np.arange(leaves.size, dtype=np.float64))
-        diff = np.bincount(np.minimum(corners, cells).ravel(), weights.ravel(), cells + 1)
-        table = diff[:cells].astype(np.intp).reshape([k + 1 for k in counts])
-        for a in range(d):
-            np.cumsum(table, axis=a, out=table)
-        ordered = thr[splits][order].tolist()
-        edges = [np.array([-math.inf, *ordered[f:f + k], math.inf]) for f, k in zip(firsts, counts)]
-        steps = [np.arange(0, (k + 1) * s, s) for k, s in zip(counts, strides)]
-        return edges, steps, table.ravel()
 
     def structurally_equal(self, other: "MondrianPartition") -> bool:
         """Node-for-node equality of boxes, splits, times, and pending clocks.

@@ -121,6 +121,19 @@ def test_a_forest_of_trees_on_other_boxes_checks_each_box():
     assert forest.predict(X / 2.0).shape == (20,)
 
 
+def test_a_forest_of_trees_of_other_dimensions_names_the_shape_a_tree_needs():
+    # a forest built by hand may mix dimensions; a placed batch plans only the trees of
+    # its own, and the first tree of another refuses the batch with its own shape
+    X = np.random.default_rng(8).random((300, 2))
+    trees = [fit_tree(sample_mondrian(BoxRegion.unit(d), 6.0, RngStream(d)), np.zeros((1, d)),
+                      [0.0]) for d in (2, 3, 2, 3)]
+    forest = MondrianForestModel(trees, 6.0, 0)
+    with pytest.raises(ValueError, match=r"^X must have shape \(n, 3\)$"):
+        forest.predict(X)
+    with pytest.raises(ValueError, match=r"^X must have shape \(n, 2\)$"):
+        forest.predict(np.random.default_rng(8).random((300, 3)))
+
+
 def test_fit_rejects_nonfinite_labels():
     part = make_partition()
     with pytest.raises(ValueError):

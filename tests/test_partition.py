@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mondrianforest import (
     sample_mondrian,
     update_tree,
 )
+from mondrianforest import partition as partition_module
 from mondrianforest.partition import _TABLE_ROW_LEVELS, _PlacedRows, validate_partition
 
 UNIT2 = BoxRegion.unit(2)
@@ -788,17 +790,25 @@ def test_batch_inside_a_box_that_is_not_a_cube_routes():
 
 
 def counting_tables(mp):
-    """Spy on the leaf-table builder; the returned list gets each built table's size."""
+    """Spy on the group builder of leaf tables; the returned list gets each built table's
+    size, tree by tree."""
     built = []
-    build = MondrianPartition._leaf_table
+    build = partition_module._leaf_tables
 
-    def spy(self):
-        table = build(self)
-        built.append(table[2].size)
-        return table
+    def spy(parts, columns, depth):
+        tables = build(parts, columns, depth)
+        built.extend(table.size for _, _, table in tables)
+        return tables
 
-    mp.setattr(MondrianPartition, "_leaf_table", spy)
+    mp.setattr(partition_module, "_leaf_tables", spy)
     return built
+
+
+def grid(part):
+    """``(counts, cells)``: each axis's number of thresholds, and the cells of the grid they
+    cut the root box into."""
+    counts = np.bincount(part.split_dim[part.split_dim >= 0], minlength=part.dim).tolist()
+    return counts, math.prod(k + 1 for k in counts)
 
 
 def depth(node):
@@ -811,7 +821,7 @@ def table_rows(part):
     (rows times axes) as the grid has cells, and enough rows that the level loop would take
     _TABLE_ROW_LEVELS row-levels per axis (none suffice for a tree without splits)."""
     levels = depth(part.root)
-    return (max(-(-part._grid()[1] // part.dim), -(-_TABLE_ROW_LEVELS * part.dim // levels))
+    return (max(-(-grid(part)[1] // part.dim), -(-_TABLE_ROW_LEVELS * part.dim // levels))
             if levels else math.inf)
 
 
@@ -824,8 +834,8 @@ def tiled(X, n):
 @given(multi_d_partitions(), st.sampled_from([2.0, 1.0, 3.0]),
        st.lists(st.floats(0.0, 1.0), max_size=24), st.integers(0, 2**32 - 1))
 def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, seed):
-    # extended to a lifetime of at least scale * d / |C|, every partition has splits, and
-    # their thresholds more neighbours
+    # extended to a lifetime of at least scale * d / |C|, a partition mostly has splits, and
+    # their thresholds more neighbours (one with none always takes the level loop)
     lifetime = max(part.lifetime, scale * part.dim / part.box.linear_dimension)
     part = extend(part, lifetime, RngStream(seed, (1,)))
     box, d = part.box, part.dim
@@ -844,12 +854,13 @@ def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, s
                 on_thresholds.append(x)
     inside = [lo + (hi - lo) * u for u in np.reshape(fractions[:len(fractions) // d * d], (-1, d))]
     X = np.clip(np.array(corners + faces + on_thresholds + inside), first, hi)
-    cells, least = part._grid()[1], table_rows(part)
+    cells, least, levels = grid(part)[1], table_rows(part), depth(part.root)
     # the table is read when its cells number no more than the batch's values and the
     # level loop would take enough row-levels: with max(least, len(X)) rows it is, and
     # with one row fewer than either bound the level loop runs instead
     for n, table in ((max(least, len(X)), True),
-                     (min(-(-cells // d), -(-_TABLE_ROW_LEVELS * d // depth(part.root))) - 1,
+                     (min(-(-cells // d),
+                          -(-_TABLE_ROW_LEVELS * d // levels) if levels else math.inf) - 1,
                       False)):
         if n < 2 or n > 16384:
             continue
@@ -857,7 +868,7 @@ def test_placed_rows_read_the_leaves_of_the_level_loop(part, scale, fractions, s
         walked = part.leaf_indices(rows)
         with pytest.MonkeyPatch.context() as mp:
             built = counting_tables(mp)
-            assert part.leaf_indices(_PlacedRows(rows)).tolist() == walked.tolist()
+            assert part.leaf_indices(_PlacedRows(rows, [part])).tolist() == walked.tolist()
         assert built == ([cells] if table else [])
         assert all(size <= n * d for size in built)
         # a forest of this tree and two more predicts its trees' mean from placed rows,
@@ -897,13 +908,13 @@ def test_equal_thresholds_in_two_subtrees_route_through_the_table():
     X = np.array([(a, b) for a in [0.0, *near, 1.0] for b in [0.0, *near, 1.0]])
     ranks = {node.index: r for r, node in enumerate(part.leaves())}
     walked = [ranks[part.locate_leaf(x).index] for x in X]
-    assert part._grid() == ([4, 1], 10)
+    assert grid(part) == ([4, 1], 10)
     with pytest.MonkeyPatch.context() as mp:
         built = counting_tables(mp)
-        assert part.leaf_indices(_PlacedRows(X)).tolist() == walked
+        assert part.leaf_indices(_PlacedRows(X, [part])).tolist() == walked
         assert built == []
         rows = tiled(X, table_rows(part))
-        assert part.leaf_indices(_PlacedRows(rows)).tolist() == tiled(np.array(walked),
+        assert part.leaf_indices(_PlacedRows(rows, [part])).tolist() == tiled(np.array(walked),
                                                                       len(rows)).tolist()
     assert built == [10]
     assert sorted(set(walked)) == list(range(6))
@@ -913,14 +924,14 @@ def test_a_grid_larger_than_the_batch_takes_the_level_loop(monkeypatch):
     # a d = 3 tree with more grid cells than the batch has values never builds its table,
     # which is therefore never larger than the batch it serves
     part = sample_mondrian(BoxRegion.unit(3), 2.0, RngStream(8))
-    cells = part._grid()[1]
+    cells = grid(part)[1]
     X = np.random.default_rng(8).random((200, 3))
     assert X.size < cells
     built = counting_tables(monkeypatch)
-    assert part.leaf_indices(_PlacedRows(X)).tolist() == part.leaf_indices(X).tolist()
+    assert part.leaf_indices(_PlacedRows(X, [part])).tolist() == part.leaf_indices(X).tolist()
     assert built == []
     rows = tiled(X, table_rows(part))
-    assert part.leaf_indices(_PlacedRows(rows)).tolist() == part.leaf_indices(rows).tolist()
+    assert part.leaf_indices(_PlacedRows(rows, [part])).tolist() == part.leaf_indices(rows).tolist()
     assert built == [cells]
 
 
@@ -931,14 +942,122 @@ def test_a_small_batch_through_a_shallow_tree_takes_the_level_loop(monkeypatch, 
     # by the loop, and no tree of such a forest sorts the batch
     X = np.random.default_rng(d).random((n, d))
     built = counting_tables(monkeypatch)
-    placed = _PlacedRows(X)
     forest = fit_forest(BoxRegion.unit(d), d, lifetime, 4, X, X[:, 0], 3)
+    placed = _PlacedRows(X, [tree.partition for tree in forest.trees])
     for tree in forest.trees:
         part = tree.partition
-        assert part._grid()[1] <= n < table_rows(part)
+        assert grid(part)[1] <= n < table_rows(part)
         assert part.leaf_indices(placed).tolist() == part.leaf_indices(X).tolist()
     assert built == []
     assert placed._columns is None
+
+
+@st.composite
+def pooled_forests(draw):
+    """Partitions at d = 2-4 whose thresholds come from a few values per axis, with rows.
+
+    The trees share the pools, so thresholds repeat within a tree (two
+    subtrees split an axis at one value) and across trees; a tree may repeat
+    another's partition object, or lie on a sub-box of the forest's box.  The
+    rows lie on the box's least members and upper edges, on every pool value
+    and one float either side of it, and anywhere in the box; the last entry
+    is their number.
+    """
+    d = draw(st.integers(2, 4))
+    lower = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    box = BoxRegion(lower, lower + width, draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    pools = [sorted({lower.item(a) + width.item(a) * k / 8
+                     for k in draw(st.lists(st.integers(1, 7), min_size=1, max_size=7))})
+             for a in range(d)]
+
+    def tree(on):
+        nodes = []
+
+        def grow(lo, hi, level):
+            choices = [(a, v) for a in range(d) for v in pools[a] if lo[a] < v < hi[a]]
+            if level < 5 and choices and draw(st.integers(0, 3)):
+                a, v = draw(st.sampled_from(choices))
+                nodes.append({"split": {"dim": a, "threshold": v, "time": (level + 1) / 8}})
+                grow(lo, [v if b == a else h for b, h in enumerate(hi)], level + 1)
+                grow([v if b == a else l for b, l in enumerate(lo)], hi, level + 1)
+            else:
+                nodes.append({"leaf": {"pending_clock": 2.0}})
+
+        grow(on.lower.tolist(), on.upper.tolist(), 0)
+        return partition_from_dict({
+            "schema": "mondrian-partition/1", "dim": d, "lifetime": 1.0,
+            "box": {"lower": on.lower.tolist(), "upper": on.upper.tolist(),
+                    "left_closed": on.left_closed.tolist()},
+            "nodes": nodes, "seed_provenance": None})
+
+    sub = BoxRegion(lower + width / 4, lower + width, box.left_closed)
+    parts = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["new"] * 6 + ["same"] * 3 + ["sub"]))
+        parts.append(draw(st.sampled_from(parts)) if kind == "same" and parts
+                     else tree(sub if kind == "sub" else box))
+    first = box._lowest
+    edges = [np.where(np.array(bits, dtype=bool), box.upper, first)
+             for bits in np.ndindex(*(2,) * d)]
+    middle = (first + box.upper) / 2
+    on_pools = [np.where(np.arange(d) == a, x, middle) for a in range(d) for v in pools[a]
+                for x in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))]
+    inside = [lower + width * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d,
+                                                     max_size=d)))
+              for _ in range(draw(st.integers(0, 8)))]
+    X = np.clip(np.array(edges + on_pools + inside), first, box.upper)
+    return parts, X, draw(st.integers(len(X), 2048))
+
+
+def outcome(part, X):
+    """The leaf ranks of the rows of ``X`` in ``part``, or the message that refuses them."""
+    try:
+        return part.leaf_indices(X).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pooled_forests(), st.sampled_from(["rule", "all", "alone", "filled"]))
+def test_group_built_tables_give_the_ranks_of_the_level_loop(forest, budget):
+    # a placed batch gives every tree of a forest the leaf ranks that the level loop gives
+    # the unplaced rows, or refuses the rows with the same message; the trees that read a
+    # table are those whose grid has no more cells than the batch has values and whose
+    # loop would take enough row-levels, and they fill groups in order up to the budget.
+    # "rule" keeps the rules, on 8 times the rows so that trees of 2 levels or more can
+    # pass them; "all" lets every tree of one level or more read its table, "alone" breaks
+    # the groups at every tree, and "filled" sets the budget to the largest table, which
+    # then fills a group alone
+    parts, X, n = forest
+    n *= 8 if budget == "rule" else 1
+    rows = tiled(X, n)
+    row_levels = _TABLE_ROW_LEVELS if budget == "rule" else 1
+    reading = [p for p in dict.fromkeys(parts)
+               if grid(p)[1] <= rows.size and n * depth(p.root) >= row_levels * p.dim]
+    largest = max((grid(p)[1] for p in reading), default=1)
+    per_value = {"alone": 0, "filled": Fraction(largest, rows.size)}.get(budget, 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition_module, "_TABLE_ROW_LEVELS", row_levels)
+        mp.setattr(partition_module, "_GROUP_CELLS_PER_VALUE", per_value)
+        built = counting_tables(mp)
+        placed = _PlacedRows(rows, parts)
+        assert [outcome(p, placed) for p in parts] == [outcome(p, rows) for p in parts]
+    plan = placed._plan
+    assert plan is not None or all(isinstance(outcome(p, rows), str) for p in parts)
+    if plan is None:
+        return
+    assert [plan[p][0] for p in parts] == [depth(p.root) for p in parts]
+    groups = list({id(group): group for _, group in plan.values() if group is not None}.values())
+    assert [p for group in groups for p in group] == reading
+    cells = [[grid(p)[1] for p in group] for group in groups]
+    assert all(len(c) == 1 or sum(c) <= per_value * rows.size for c in cells)
+    assert all(sum(c) + after[0] > per_value * rows.size for c, after in zip(cells, cells[1:]))
+    assert all(size in [grid(p)[1] for p in reading] for size in built)
+    if budget == "alone":
+        assert all(len(c) == 1 for c in cells)
+    if budget == "filled" and reading:
+        assert [largest] in cells
 
 
 # -- one point takes the scalar walk ------------------------------------------------

@@ -161,20 +161,28 @@ def test_one_point_takes_the_one_scalar_walk():
 
 def test_a_forest_places_its_batch_and_each_tree_reads_its_one_leaf_table():
     # fit_forest and MondrianForestModel.predict place a batch (each column sorted once)
-    # for all their trees by the one rule in _placed; MondrianPartition._leaf_table is the
-    # one builder of a tree's leaf table, and leaf_indices its one reader; the grid's
-    # threshold counts and cells are derived once, in MondrianPartition._grid, for the
-    # reader's size rule and the builder alike
+    # for all their trees by the one rule in _placed; partition._leaf_tables is the one
+    # builder of leaf tables, a group of a forest's trees at a time, called by the
+    # placement's route, and leaf_indices the one reader; each tree's depth and grid come
+    # from _depths_and_cells, for all of a placement's trees at once or for one tree, and
+    # no per-tree table builder or per-call walk over the splits remains beside them
     assert _scopes_calling("_PlacedRows") == [("estimators.py", "_placed")]
     assert _scopes_calling("_placed") == [("estimators.py", "MondrianForestModel.predict"),
                                           ("estimators.py", "fit_forest")]
-    assert _scopes_calling("_leaf_table") == [("partition.py", "MondrianPartition.leaf_indices")]
-    assert _scopes_calling("_grid") == [("partition.py", "MondrianPartition._leaf_table"),
-                                        ("partition.py", "MondrianPartition.leaf_indices")]
-    assert [scope for path in SOURCES
+    assert _scopes_calling("_leaf_tables") == [("partition.py", "_PlacedRows.route")]
+    assert _scopes_calling("route") == [("partition.py", "MondrianPartition.leaf_indices")]
+    assert _scopes_calling("_depths_and_cells") == [("partition.py", "MondrianPartition.leaf_indices"),
+                                                    ("partition.py", "_PlacedRows._planned")]
+    assert _scopes_calling("_end_to_end") == [("partition.py", "_depths_and_cells"),
+                                              ("partition.py", "_leaf_tables")]
+    assert [(path.name, scope, node.name) for path in SOURCES
             for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.FunctionDef) and node.name == "_leaf_table"] == [
-        "MondrianPartition"]
+            if isinstance(node, ast.FunctionDef) and "table" in node.name] == [
+        ("partition.py", "", "_leaf_tables")]
+    tree = ast.parse(Path(partition.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for scope, node in _scoped(tree)
+            if scope.startswith("MondrianPartition.leaf_indices") and isinstance(node, ast.For)
+            and "tolist" in ast.unparse(node.iter)] == []
 
 
 def test_a_placed_forest_fit_routes_each_tree_once_with_the_batch_shape(monkeypatch):
@@ -231,8 +239,9 @@ def test_the_node_columns_have_one_writer_and_one_reader():
 
 def test_pointer_jumping_has_one_helper():
     # partition._inherited passes each row of values down from the nearest ancestor that
-    # sets it, by pointer jumping; the leaf table's slabs and the reader's cell edges both
-    # come from it, so no second copy of the jumping can drift from the first
+    # sets it, by pointer jumping; the reader's cell edges, the trees' depths and the leaf
+    # tables' slabs all come from it, so no second copy of the jumping can drift from the
+    # first
     def jumps(node):
         return (isinstance(node, ast.Assign) and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Subscript)
@@ -243,8 +252,9 @@ def test_pointer_jumping_has_one_helper():
              for scope, node in _scoped(ast.parse(path.read_text(encoding="utf-8")))
              if jumps(node)]
     assert found == [("partition.py", "_inherited")]
-    assert _scopes_calling("_inherited") == [("partition.py", "MondrianPartition._leaf_table"),
-                                             ("partition.py", "_checked_nodes")]
+    assert _scopes_calling("_inherited") == [("partition.py", "_checked_nodes"),
+                                             ("partition.py", "_depths_and_cells"),
+                                             ("partition.py", "_leaf_tables")]
 
 
 def test_an_open_lower_edge_has_one_encoding():
