@@ -27,10 +27,10 @@ large enough to pay for the table's build (the level loop would take at least
 ``_TABLE_ROW_LEVELS`` row-levels per axis): the tree's thresholds, sorted per
 axis, cut the root box into a grid whose every cell lies in one leaf, and a
 row's cell on each axis is counted on the sorted column for all rows at once.
-The placement finds the depths and grids of all its trees in one pass
-(:func:`_depths_and_cells`), and builds the tables of the trees that read one
-a group at a time, in one pass over the group's node arrays laid end to end
-(:func:`_leaf_tables`); a group's tables hold at most
+A tree's depth and grid are derived once, in one pass over all the trees that
+lack them (:func:`_depths_and_cells`), and the placement builds the tables of
+the trees that read one a group at a time, in one pass over the group's node
+arrays laid end to end (:func:`_leaf_tables`); a group's tables hold at most
 ``_GROUP_CELLS_PER_VALUE`` cells per value of the batch.
 
 Partition and model files hold the node arrays as columns of JSON values
@@ -103,16 +103,16 @@ DEFAULT_MAX_SPLITS = 1_000_000
 
 # a placed batch reads a tree's leaf table only where the level loop would take at
 # least this many row-levels (rows times the tree's depth) per axis, and where the
-# table has no more cells than the batch has values: the table's build costs some
-# 70-100 us at d = 2-4 whatever the batch, and its read, per row and axis, about what the
-# loop spends per row and level.  Timed on 310 shapes (trees of 2-204 leaves, batches of
-# 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took the slower path by
-# more than 10 % once (1.28x), where a table read whenever it fits the batch ran up to
-# 4.6x slower than the level loop.  On the 55 shapes where the cell bound of one cell per
-# value and one of a cell per row differ (4 trees per d = 2-4 and lifetime t/d, t <= 48;
-# 1024-24576 rows), the table was faster in 46 (29 of 29 at d = 2, 9 of 12 at d = 3 and
-# 8 of 14 at d = 4): the value bound lost 0.7 ms in all to the faster path, at worst
-# 1.6x (d = 4), and the row bound 18.8 ms
+# table has no more cells than the batch has values: a table's build has a fixed cost
+# (70-100 us per tree at d = 2-4 when each tree built its own; a group of trees now
+# shares it), and its read, per row and axis, costs about what the loop spends per row
+# and level.  Timed on 310 shapes with per-tree builds (trees of 2-204 leaves, batches
+# of 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took the slower path
+# by more than 10 % once (1.28x), where a table read whenever it fits the batch ran up
+# to 4.6x slower than the level loop.  On 4-tree forests (d = 2-4, lifetime t/d with
+# t <= 48, 1024-24576 rows) with a tree between the cell bound of one cell per value
+# and one of a cell per row, the value bound routed faster in 30 of 38 with the group
+# build, losing 0.5 ms in all (at worst 1.16x), where the row bound lost 15.6 ms
 _TABLE_ROW_LEVELS = 6144
 
 # a placed batch builds the leaf tables of its reading trees a group at a time, and a
@@ -358,9 +358,9 @@ class _PlacedRows:
     the trees of a grown or loaded forest share one box object, and a forest
     built by hand from trees on other boxes checks each of them.
     ``route(tree)`` gives a tree its depth and, where it reads one, its leaf
-    table.  The first call finds every tree's depth and grid in one pass
-    (:func:`_depths_and_cells`); the trees that read a table fill groups in
-    the forest's order, each group's tables holding at most
+    table.  The first call takes every tree's depth and grid, derived once
+    per partition (:func:`_depths_and_cells`); the trees that read a table
+    fill groups in the forest's order, each group's tables holding at most
     ``_GROUP_CELLS_PER_VALUE`` cells per value of the batch, and a group's
     tables are built together (:func:`_leaf_tables`) when its first tree asks.
     Only the last group built is kept.
@@ -406,17 +406,17 @@ class _PlacedRows:
         (n, d), values = self.rows.shape, self.rows.size
         # a tree of another dimension is refused by its own shape check and has no plan
         trees = [part for part in self._trees if part.dim == d]
-        levels, cells = _depths_and_cells(trees)
-        # a tree reads its leaf table where the table has no more cells than the batch has
-        # values and the level loop would take at least _TABLE_ROW_LEVELS row-levels per axis
-        reads = (n * levels >= _TABLE_ROW_LEVELS * d) & (cells <= values)
         plan, group, filled = {}, None, math.inf
-        for part, depth, read, size in zip(trees, levels.tolist(), reads.tolist(), cells.tolist()):
+        for part, (depth, cells) in zip(trees, _depths_and_cells(trees)):
+            # a tree reads its leaf table where the table has no more cells than the batch
+            # has values and the level loop would take at least _TABLE_ROW_LEVELS row-levels
+            # per axis
+            read = n * depth >= _TABLE_ROW_LEVELS * d and cells <= values
             if read and part not in plan:
-                if filled + size > _GROUP_CELLS_PER_VALUE * values:
+                if filled + cells > _GROUP_CELLS_PER_VALUE * values:
                     group, filled = [], 0
                 group.append(part)
-                filled += size
+                filled += cells
             plan.setdefault(part, (depth, group if read else None))
         return plan
 
@@ -439,23 +439,29 @@ def _end_to_end(parts: list) -> tuple:
     return dim, splits, right, parent, starts, lengths
 
 
-def _depths_and_cells(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """``(levels, cells)``: each tree's depth, and the cells of the grid its sorted thresholds
-    cut its root box into (the product of ``count + 1`` over the axes, as floats, which are
-    exact up to 2^53 and only compared), for all the trees of ``parts`` in one pass."""
-    dim, splits, right, parent, starts, lengths = _end_to_end(parts)
-    n, d = dim.size, parts[0].dim
-    # a subtree ends where the left subtree of its nearest ancestor that it lies left of
-    # ends (at that ancestor's right child), or with its tree; a node's depth counts the
-    # splits whose subtree holds it below the split: +1 after each split, -1 at its end
-    end = _inherited(parent, np.concatenate((splits + 1, starts)),
-                     np.concatenate((right[splits], starts + lengths)), np.zeros(1, dtype=np.intp),
-                     int(lengths.max() // 2).bit_length())[0]
-    depth = np.cumsum(np.bincount(splits + 1, minlength=n + 1)
-                      - np.bincount(end[splits], minlength=n + 1))
-    tree = np.repeat(np.arange(len(parts)), lengths)[splits]
-    counts = np.bincount(tree * d + dim[splits], minlength=len(parts) * d).reshape(-1, d)
-    return np.maximum.reduceat(depth[:n], starts), np.prod(counts + 1.0, axis=1)
+def _depths_and_cells(parts: list) -> list:
+    """Each tree's ``(levels, cells)``: its depth, and the cells of the grid its sorted
+    thresholds cut its root box into (the product of ``count + 1`` over the axes, as a float,
+    exact up to 2^53 and only compared).  They are derived once per partition, in one pass
+    over all the trees of ``parts`` that lack them."""
+    new = [part for part in dict.fromkeys(parts) if part._shape is None]
+    if new:
+        dim, splits, right, parent, starts, lengths = _end_to_end(new)
+        n, d = dim.size, new[0].dim
+        # a subtree ends where the left subtree of its nearest ancestor that it lies left
+        # of ends (at that ancestor's right child), or with its tree; a node's depth counts
+        # the splits whose subtree holds it below the split: +1 after each, -1 at its end
+        end = _inherited(parent, np.concatenate((splits + 1, starts)),
+                         np.concatenate((right[splits], starts + lengths)),
+                         np.zeros(1, dtype=np.intp), int(lengths.max() // 2).bit_length())[0]
+        depth = np.cumsum(np.bincount(splits + 1, minlength=n + 1)
+                          - np.bincount(end[splits], minlength=n + 1))
+        tree = np.repeat(np.arange(len(new)), lengths)[splits]
+        counts = np.bincount(tree * d + dim[splits], minlength=len(new) * d).reshape(-1, d)
+        for part, shape in zip(new, zip(np.maximum.reduceat(depth[:n], starts).tolist(),
+                                        np.prod(counts + 1.0, axis=1).tolist())):
+            part._shape = shape
+    return [part._shape for part in parts]
 
 
 def _leaf_tables(parts: list, columns: np.ndarray, depth: int) -> list:
@@ -550,7 +556,7 @@ class MondrianPartition:
     """
 
     __slots__ = ("box", "lifetime", "seed_provenance", "split_dim", "threshold", "clock",
-                 "right", "_views")
+                 "right", "_views", "_shape")
 
     def __init__(self, box: BoxRegion, lifetime: float, split_dim, threshold, clock, right,
                  seed_provenance=None):
@@ -564,6 +570,8 @@ class MondrianPartition:
         # views are interned weakly: the same node gives the same object while
         # anyone holds it, and the partition keeps none alive
         self._views = weakref.WeakValueDictionary()
+        # (depth, grid cells), derived by _depths_and_cells when a batch first needs them
+        self._shape = None
 
     def _arrays(self):
         return (self.split_dim, self.threshold, self.clock, self.right)
@@ -665,7 +673,7 @@ class MondrianPartition:
             # point on a threshold goes left (closed-left), as side="left" places it
             return np.searchsorted(np.sort(thr[dim >= 0]), X[:, 0], side="left")
         if placed is None:
-            levels, table = _depths_and_cells([self])[0].item(0), None
+            levels, table = _depths_and_cells([self])[0][0], None
         else:
             levels, table = placed.route(self)
         if table is not None:

@@ -1043,6 +1043,9 @@ def test_group_built_tables_give_the_ranks_of_the_level_loop(forest, budget):
         built = counting_tables(mp)
         placed = _PlacedRows(rows, parts)
         assert [outcome(p, placed) for p in parts] == [outcome(p, rows) for p in parts]
+        # a second batch through the same trees reads the depths and grids derived once
+        again = _PlacedRows(rows[::-1], parts)
+        assert [outcome(p, again) for p in parts] == [outcome(p, rows[::-1]) for p in parts]
     plan = placed._plan
     assert plan is not None or all(isinstance(outcome(p, rows), str) for p in parts)
     if plan is None:
