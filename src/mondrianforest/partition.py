@@ -103,16 +103,17 @@ DEFAULT_MAX_SPLITS = 1_000_000
 
 # a placed batch reads a tree's leaf table only where the level loop would take at
 # least this many row-levels (rows times the tree's depth) per axis, and where the
-# table has no more cells than the batch has values: a table's build has a fixed cost
-# (70-100 us per tree at d = 2-4 when each tree built its own; a group of trees now
-# shares it), and its read, per row and axis, costs about what the loop spends per row
-# and level.  Timed on 310 shapes with per-tree builds (trees of 2-204 leaves, batches
-# of 16-16384 rows, d = 2-4; a 2-core Xeon, numpy 2.4), the rule took the slower path
-# by more than 10 % once (1.28x), where a table read whenever it fits the batch ran up
-# to 4.6x slower than the level loop.  On 4-tree forests (d = 2-4, lifetime t/d with
-# t <= 48, 1024-24576 rows) with a tree between the cell bound of one cell per value
-# and one of a cell per row, the value bound routed faster in 30 of 38 with the group
-# build, losing 0.5 ms in all (at worst 1.16x), where the row bound lost 15.6 ms
+# table has no more cells than the batch has values: a table's build has a fixed cost,
+# which a group of trees shares, and its read, per row and axis, costs about what the
+# loop spends per row and level.  Timed on 310 shapes with a build per tree (70-100 us
+# at d = 2-4; trees of 2-204 leaves, batches of 16-16384 rows; a 2-core Xeon, numpy
+# 2.4), the rule took the slower path by more than 10 % once (1.28x), where a table
+# read whenever it fits the batch ran up to 4.6x slower than the level loop.  On
+# 4-tree forests (d = 2-4, lifetime t/d with t <= 48, 1024-24576 rows) with a tree
+# between the cell bound of one cell per value and one of a cell per row, three sweeps
+# with the group build found the value bound faster in 30-32 of 38, losing 0.5-2.7 ms
+# in all (the worst, 1.16-1.64x, a different forest each time), where the row bound
+# lost 15.6-22.3 ms
 _TABLE_ROW_LEVELS = 6144
 
 # a placed batch builds the leaf tables of its reading trees a group at a time, and a
